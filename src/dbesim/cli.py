@@ -208,8 +208,11 @@ def dispatch(args) -> int:
         for v in e.violations:
             print(f"invalid config: {v}", file=sys.stderr)
         return EXIT_VALIDATION
+    except engine.SnapshotError as e:
+        print(f"invalid snapshot: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (EcosystemError, EvolutionError, ManifestError, TopologyError,
-            engine.SnapshotError, RuntimeError, OSError) as e:
+            RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     raise AssertionError(f"unhandled subcommand {args.subcommand!r}")

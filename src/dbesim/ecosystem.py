@@ -116,7 +116,13 @@ def edge_key(a: str, b: str) -> tuple:
 
 
 class Ecosystem:
-    """Habitats plus the weighted connection graph between them."""
+    """Habitats plus the weighted connection graph between them.
+
+    `connections` maps each edge key to its weight; `_adj` indexes the same
+    edges by endpoint. Connection keys change only through `add_connection`
+    and `remove_connection`, which keep the two in step; weights alone may
+    be written in `connections` directly.
+    """
 
     def __init__(self, habitats, w_min: float = W_MIN_DEFAULT):
         self.habitats: dict[str, Habitat] = {}
@@ -125,6 +131,7 @@ class Ecosystem:
                 raise EcosystemError(f"duplicate habitat id: {h.id!r}")
             self.habitats[h.id] = h
         self.connections: dict[tuple, float] = {}
+        self._adj: dict[str, set[str]] = {}
         self.epoch = 0
         self.w_min = w_min
 
@@ -138,60 +145,41 @@ class Ecosystem:
         if weight < self.w_min:
             raise EcosystemError(f"weight below floor on {key}")
         self.connections[key] = weight
+        self._adj.setdefault(a, set()).add(b)
+        self._adj.setdefault(b, set()).add(a)
+
+    def remove_connection(self, a: str, b: str) -> None:
+        del self.connections[edge_key(a, b)]
+        for x, y in ((a, b), (b, a)):
+            peers = self._adj[x]
+            peers.discard(y)
+            if not peers:
+                del self._adj[x]
 
     def neighbors(self, hid: str) -> list:
         """Sorted (neighbor id, weight) pairs of a habitat."""
-        out = []
-        for (a, b), w in self.connections.items():
-            if a == hid:
-                out.append((b, w))
-            elif b == hid:
-                out.append((a, w))
-        out.sort(key=lambda t: t[0])
-        return out
+        conn = self.connections
+        return [(n, conn[(hid, n) if hid < n else (n, hid)])
+                for n in sorted(self._adj.get(hid, ()))]
 
     def connected(self) -> bool:
-        ids = self.habitat_ids()
-        if len(ids) <= 1:
-            return True
-        adj: dict[str, list] = {i: [] for i in ids}
-        for a, b in self.connections:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(ids)
+        return len(self.components()) <= 1
 
     def components(self) -> list:
         """Connected components as sorted id lists, ordered by smallest member."""
-        ids = self.habitat_ids()
-        adj: dict[str, list] = {i: [] for i in ids}
-        for a, b in self.connections:
-            adj[a].append(b)
-            adj[b].append(a)
         seen: set[str] = set()
         comps = []
-        for start in ids:
+        for start in self.habitat_ids():  # each start is its component's smallest id
             if start in seen:
                 continue
-            comp = {start}
-            frontier = [start]
             seen.add(start)
-            while frontier:
-                cur = frontier.pop()
-                for nxt in adj[cur]:
+            comp = [start]
+            for cur in comp:
+                for nxt in self._adj.get(cur, ()):
                     if nxt not in seen:
                         seen.add(nxt)
-                        comp.add(nxt)
-                        frontier.append(nxt)
+                        comp.append(nxt)
             comps.append(sorted(comp))
-        comps.sort(key=lambda c: c[0])
         return comps
 
     def to_dot(self) -> str:
@@ -259,7 +247,8 @@ def build_ecosystem(habitats, topology, rng: Stream, w_min: float = W_MIN_DEFAUL
     if kind == "random_m":
         m = topology[1]
         for _ in range(max_retries):
-            eco.connections.clear()
+            for key in list(eco.connections):
+                eco.remove_connection(*key)
             for a, b in random_m_edges(ids, m, rng):
                 eco.add_connection(a, b, 1.0)
             if eco.connected():
@@ -282,7 +271,7 @@ def reinforce(eco: Ecosystem, a: str, b: str, delta: float) -> float:
     if a not in eco.habitats or b not in eco.habitats:
         raise EcosystemError(f"reinforce on unknown habitat pair {key}")
     if key not in eco.connections:
-        eco.connections[key] = eco.w_min
+        eco.add_connection(a, b, eco.w_min)
     eco.connections[key] += delta
     return eco.connections[key]
 
@@ -392,14 +381,14 @@ def self_heal(eco: Ecosystem, lost: dict | None = None) -> list:
                     if key in eco.connections:
                         continue
                     w = min(wa, wb)
-                    eco.connections[key] = w
+                    eco.add_connection(na, nb, w)
                     created.append((key[0], key[1], w))
     comps = eco.components()
     if len(comps) > 1:
         reps = sorted(c[0] for c in comps)
         for rep in reps[1:]:
             key = edge_key(reps[0], rep)
-            eco.connections[key] = eco.w_min
+            eco.add_connection(reps[0], rep, eco.w_min)
             created.append((key[0], key[1], eco.w_min))
     return created
 
@@ -426,7 +415,7 @@ def failure_inject(eco: Ecosystem, victims) -> tuple:
     for victim in sorted(victim_set):
         del eco.habitats[victim]
     for key in [k for k in eco.connections if k[0] in victim_set or k[1] in victim_set]:
-        del eco.connections[key]
+        eco.remove_connection(*key)
     created = self_heal(eco, lost)
     return sorted(victim_set), created
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .ecosystem import (
     ActiveEvolution,
+    EcosystemError,
     EcosystemParams,
     Ecosystem,
     Habitat,
@@ -25,6 +26,7 @@ from .ecosystem import (
 from .evolution import EvolutionParams, GenerationStat, Individual
 from .manifest import (
     Catalog,
+    ManifestError,
     Request,
     ServiceManifest,
     chain_price,
@@ -34,7 +36,7 @@ from .manifest import (
     service_to_obj,
 )
 from .rng import Stream, derive_substream
-from .topology import BusinessGraph, EtaDist, FlowEdge, record_transaction
+from .topology import BusinessGraph, EtaDist, FlowEdge, TopologyError, record_transaction
 
 SNAPSHOT_FORMAT = "dbesim-snapshot-v1"
 
@@ -290,64 +292,160 @@ def state_to_obj(eco: Ecosystem, streams: dict, graph: BusinessGraph) -> dict:
     }
 
 
-def _service_from_state(obj, where) -> ServiceManifest:
-    obj = dict(obj)
-    usage = obj.pop("usage_count", 0)
-    success = obj.pop("success_count", 0)
-    s = service_from_obj(obj, where)
-    s.usage_count = int(usage)
-    s.success_count = int(success)
+_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+          int: "an integer", float: "a number"}
+
+
+class _Node:
+    """A value read from a snapshot; its JSON path is built only for errors."""
+
+    __slots__ = ("value", "parent", "key")
+
+    def __init__(self, value, parent: "_Node | None" = None, key="state"):
+        self.value = value
+        self.parent = parent
+        self.key = key
+
+    @property
+    def path(self) -> str:
+        if self.parent is None:
+            return self.key
+        if isinstance(self.key, int):
+            return f"{self.parent.path}[{self.key}]"
+        return f"{self.parent.path}.{self.key}"
+
+    def fail(self, message: str):
+        raise SnapshotError(f"{self.path}: {message}")
+
+    def get(self, kind):
+        """The value, which must be of the given JSON kind; a float may be an int."""
+        v = self.value
+        if type(v) is not kind and not (kind is float and type(v) is int):
+            self.fail(f"expected {_KINDS[kind]}")
+        return v
+
+    def __getitem__(self, key: str) -> "_Node":
+        obj = self.get(dict)
+        if key not in obj:
+            _Node(None, self, key).fail("missing")
+        return _Node(obj[key], self, key)
+
+    def __iter__(self):
+        return (_Node(v, self, i) for i, v in enumerate(self.get(list)))
+
+    def items(self):
+        return [(k, _Node(v, self, k)) for k, v in self.get(dict).items()]
+
+    def list_of(self, kind) -> list:
+        """An array whose elements are all of one kind."""
+        out = self.get(list)
+        if set(map(type, out)) - {kind}:
+            for i, v in enumerate(out):
+                _Node(v, self, i).get(kind)
+        return out
+
+    def row(self, *kinds) -> list:
+        """A fixed-length array, one kind per element."""
+        out = self.get(list)
+        if len(out) != len(kinds):
+            self.fail(f"expected {len(kinds)} elements, got {len(out)}")
+        if tuple(map(type, out)) != kinds:  # exact types pass in one C-level compare
+            for i, kind in enumerate(kinds):
+                _Node(out[i], self, i).get(kind)
+        return out
+
+
+def _service_from_state(node: _Node) -> ServiceManifest:
+    obj = node.get(dict)
+    counts = {k: node[k].get(int) for k in ("usage_count", "success_count") if k in obj}
+    try:
+        s = service_from_obj({k: v for k, v in obj.items() if k not in counts})
+    except ManifestError as e:
+        node.fail(str(e))
+    s.usage_count = counts.get("usage_count", 0)
+    s.success_count = counts.get("success_count", 0)
     return s
 
 
+def _evolution_from_state(node: _Node, pool: Catalog) -> ActiveEvolution:
+    pop = []
+    for ind in node["population"]:
+        genome, fit = ind.row(list, float)
+        genome = _Node(genome, ind, 0)
+        for sid in genome.list_of(str):
+            if sid not in pool:
+                genome.fail(f"service {sid!r} not in the habitat's pool")
+        pop.append(Individual(tuple(genome.value), fit))
+    return ActiveEvolution(
+        request_id=node["request"].get(str),
+        population=pop,
+        gens_since_reset=node["gens_since_reset"].get(int),
+        total_generations=node["total_generations"].get(int),
+        pool_version=node["pool_version"].get(int),
+        trace=[GenerationStat(*t.row(int, float, float)) for t in node["trace"]],
+    )
+
+
+def _graph_from_state(biz: _Node) -> BusinessGraph:
+    graph = BusinessGraph()
+    for vnode in biz["vertices"]:
+        try:
+            v = graph.add_vertex(vnode["id"].get(str), vnode["eta"].get(float),
+                                 vnode["birth_step"].get(int))
+        except TopologyError as e:
+            vnode.fail(str(e))
+        v.degree = vnode["degree"].get(int)
+    graph.attachment_edges = [tuple(e.row(str, str)) for e in biz["attachment_edges"]]
+    graph._edge_set = set(graph.attachment_edges)
+    graph.flow_edges = [FlowEdge(*e.row(str, str, str, float, int)) for e in biz["flow_edges"]]
+    graph.next_index = biz["next_index"].get(int)
+    graph._pool = list(biz["pool"].list_of(str))
+    graph._floor_active = {k: v.get(bool) for k, v in biz["floor_active"].items()}
+    return graph
+
+
 def state_from_obj(config: SimConfig, state: dict) -> tuple:
-    """Rebuild (ecosystem, streams, graph) from a serialized state."""
+    """Rebuild (ecosystem, streams, graph) from a serialized state.
+
+    Malformed input raises SnapshotError naming the JSON path at fault,
+    such as `state.habitats[0].pool[1].usage_count`.
+    """
+    root = _Node(state)
     specs = {spec.id: spec for spec in config.scenario.habitats}
     habitats = []
-    for hobj in state["habitats"]:
-        hid = hobj["id"]
+    for hnode in root["habitats"]:
+        hid = hnode["id"].get(str)
         if hid not in specs:
-            raise SnapshotError(f"snapshot habitat {hid!r} not in scenario")
-        pool = Catalog(_service_from_state(s, f"snapshot pool of {hid}") for s in hobj["pool"])
+            hnode["id"].fail(f"snapshot habitat {hid!r} not in scenario")
+        try:
+            pool = Catalog(_service_from_state(s) for s in hnode["pool"])
+        except ManifestError as e:
+            hnode["pool"].fail(str(e))
         h = Habitat(id=hid, pool=pool, profile=list(specs[hid].profile),
-                    provenance=dict(hobj["provenance"]), pool_version=hobj["pool_version"])
-        templates = {t.request.id: t.request for t in h.profile}
-        for aobj in hobj["active"]:
-            rid = aobj["request"]
-            if rid not in templates:
-                raise SnapshotError(f"snapshot evolution state for unknown request {rid!r}")
-            pop = [Individual(tuple(genome), fit) for genome, fit in aobj["population"]]
-            h.active[rid] = ActiveEvolution(
-                request_id=rid,
-                population=pop,
-                gens_since_reset=aobj["gens_since_reset"],
-                total_generations=aobj["total_generations"],
-                pool_version=aobj["pool_version"],
-                trace=[GenerationStat(g, b, m) for g, b, m in aobj["trace"]],
-            )
+                    provenance={k: v.get(str) for k, v in hnode["provenance"].items()},
+                    pool_version=hnode["pool_version"].get(int))
+        templates = {t.request.id for t in h.profile}
+        for anode in hnode["active"]:
+            evo = _evolution_from_state(anode, pool)
+            if evo.request_id not in templates:
+                anode["request"].fail(f"evolution state for unknown request {evo.request_id!r}")
+            h.active[evo.request_id] = evo
         habitats.append(h)
-    eco = Ecosystem(habitats, w_min=config.ecosystem.w_min)
-    eco.epoch = int(state["epoch"])
-    for a, b, w in state["connections"]:
-        eco.add_connection(a, b, w)
-    streams = {hid: Stream(int(s)) for hid, s in state["streams"].items()}
+    try:
+        eco = Ecosystem(habitats, w_min=config.ecosystem.w_min)
+    except EcosystemError as e:
+        root["habitats"].fail(str(e))
+    eco.epoch = root["epoch"].get(int)
+    for cnode in root["connections"]:
+        try:
+            eco.add_connection(*cnode.row(str, str, float))
+        except EcosystemError as e:
+            cnode.fail(str(e))
+    streams = {hid: Stream(v.get(int)) for hid, v in root["streams"].items()}
     for hid in eco.habitat_ids():
         if hid not in streams:
-            raise SnapshotError(f"snapshot missing stream for habitat {hid!r}")
-
-    biz = state["business"]
-    graph = BusinessGraph()
-    for vobj in biz["vertices"]:
-        v = graph.add_vertex(vobj["id"], vobj["eta"], vobj["birth_step"])
-        v.degree = vobj["degree"]
-    graph.attachment_edges = [tuple(e) for e in biz["attachment_edges"]]
-    graph._edge_set = set(graph.attachment_edges)
-    graph.flow_edges = [FlowEdge(src, dst, kind, value, step)
-                        for src, dst, kind, value, step in biz["flow_edges"]]
-    graph.next_index = biz["next_index"]
-    graph._pool = list(biz["pool"])
-    graph._floor_active = dict(biz["floor_active"])
-    return eco, streams, graph
+            root["streams"].fail(f"missing stream for habitat {hid!r}")
+    return eco, streams, _graph_from_state(root["business"])
 
 
 # --- The run loop ---

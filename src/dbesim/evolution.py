@@ -182,11 +182,15 @@ def tournament_select(pop, k: int, rng: Stream) -> Individual:
 
     Consumes exactly k draws.
     """
+    n = len(pop)
     best_i = -1
+    best_f = 0.0
     for _ in range(k):
-        i = rng.below(len(pop))
-        if best_i < 0 or (-pop[i].fitness, i) < (-pop[best_i].fitness, best_i):
+        i = rng.below(n)
+        f = pop[i].fitness
+        if best_i < 0 or f > best_f or (f == best_f and i < best_i):
             best_i = i
+            best_f = f
     return pop[best_i]
 
 
@@ -237,8 +241,13 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
     offspring pair consumes draws in the order: selection pair, crossover
     decision, cut points (if crossover fires), then per child a mutation
     decision and the mutation's own draws.
+
+    A child whose genome is already known this generation reuses that
+    fitness: it depends only on the request and on the attributes, ports
+    and prices of pool members, which never change once in a pool.
     """
     size = len(pop)
+    known = {ind.genome: ind.fitness for ind in pop}
     order = sorted(range(size), key=lambda i: (-pop[i].fitness, i))
     next_pop = [pop[i] for i in order[: params.elitism]]
     while len(next_pop) < size:
@@ -253,7 +262,10 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
                 break
             if rng.random() < params.mutation_rate:
                 child = mutate(child, catalog, req, rng, params.gamma)
-            next_pop.append(Individual(child, evaluate_genome(child, catalog, req, params)))
+            fit = known.get(child)
+            if fit is None:
+                fit = known[child] = evaluate_genome(child, catalog, req, params)
+            next_pop.append(Individual(child, fit))
     return next_pop
 
 
@@ -265,12 +277,13 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
     generation numbering.
     """
     stats = []
+    best, _ = population_stats(pop)
     for _ in range(max_steps):
-        best, _ = population_stats(pop)
         if best >= params.target_fitness:
             break
         pop = step_generation(pop, catalog, req, params, rng)
         stats.append(population_stats(pop))
+        best = stats[-1][0]
     return pop, stats
 
 

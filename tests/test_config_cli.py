@@ -210,6 +210,45 @@ def test_cli_seed_override_recorded(tmp_path):
     assert echoed["seed"] == 99
 
 
+def _malformed_snapshot_run(tmp_path, capsys, damage):
+    path = write_config(tmp_path, minimal_obj())
+    out1 = str(tmp_path / "first")
+    assert cli.main(["run", "--config", path, "--out", out1, "--quiet"]) == 0
+    with open(os.path.join(out1, "snapshot.json"), "r", encoding="utf-8") as f:
+        snap = json.load(f)
+    snap["config"]["epochs"] = 4
+    damage(snap["state"])
+    snap_path = write_config(tmp_path, snap, name="snap.json")
+    capsys.readouterr()
+    status = cli.main(["run", "--config", snap_path, "--out", str(tmp_path / "second"),
+                       "--quiet"])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_VALIDATION
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_cli_snapshot_missing_epoch(tmp_path, capsys):
+    err = _malformed_snapshot_run(tmp_path, capsys, lambda st: st.pop("epoch"))
+    assert "state.epoch: missing" in err
+
+
+def test_cli_snapshot_non_integer_usage_count(tmp_path, capsys):
+    def damage(st):
+        st["habitats"][0]["pool"][0]["usage_count"] = "many"
+
+    err = _malformed_snapshot_run(tmp_path, capsys, damage)
+    assert "state.habitats[0].pool[0].usage_count: expected an integer" in err
+
+
+def test_cli_snapshot_short_connection_triple(tmp_path, capsys):
+    def damage(st):
+        st["connections"][0] = st["connections"][0][:2]
+
+    err = _malformed_snapshot_run(tmp_path, capsys, damage)
+    assert "state.connections[0]: expected 3 elements, got 2" in err
+
+
 def test_cli_lock_file_blocks_concurrent_use(tmp_path, capsys):
     path = write_config(tmp_path, minimal_obj())
     out = str(tmp_path / "out")

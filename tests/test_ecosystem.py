@@ -279,7 +279,7 @@ def test_migrate_destination_frequency_tracks_weights():
     eco = build_ecosystem([hub, n1, n2], ("ring",), derive_substream(0, "b"))
     eco.connections[("hub", "n1")] = 3.0
     eco.connections[("hub", "n2")] = 1.0
-    del eco.connections[("n1", "n2")]
+    eco.remove_connection("n1", "n2")
     rng = derive_substream(5, "mig-freq")
     counts = {"n1": 0, "n2": 0}
     for i in range(10000):

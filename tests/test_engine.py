@@ -332,6 +332,39 @@ def test_snapshot_rejects_unknown_habitat():
         engine.state_from_obj(cfg, state)
 
 
+def _set(path, value):
+    def damage(state):
+        *head, last = path
+        for key in head:
+            state = state[key]
+        state[last] = value
+    return damage
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda st: st.clear(), "state.habitats: missing"),
+    (_set(["habitats", 1, "pool_version"], 1.5),
+     "state.habitats[1].pool_version: expected an integer"),
+    (_set(["habitats", 0, "pool", 0, "price"], "free"), "state.habitats[0].pool[0]"),
+    (_set(["habitats", 0, "active", 0, "population", 0], [["nope"], 0.5]),
+     "state.habitats[0].active[0].population[0][0]: service 'nope' not in"),
+    (_set(["habitats", 0, "active", 0, "trace", 0], [0, 0.5]),
+     "state.habitats[0].active[0].trace[0]: expected 3 elements"),
+    (_set(["connections", 0, 2], 0.0), "state.connections[0]: weight below floor"),
+    (lambda st: st["streams"].pop("h1"), "state.streams: missing stream for habitat 'h1'"),
+    (_set(["business", "floor_active", "h0"], 1),
+     "state.business.floor_active.h0: expected a boolean"),
+    (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0]: eta out of"),
+])
+def test_snapshot_errors_name_the_json_path(damage, message):
+    cfg = config_from_obj(scenario_obj())
+    state = engine.run(cfg).final_state()
+    damage(state)
+    with pytest.raises(engine.SnapshotError) as info:
+        engine.state_from_obj(cfg, state)
+    assert message in str(info.value)
+
+
 def test_serialize_metrics_header():
     text = serialize_metrics([MetricsRow(1, 0.5, 1.0, 2, 0.0, 4, 4)])
     lines = text.strip().split("\n")

@@ -5,10 +5,12 @@ import math
 import pytest
 
 from conftest import Scripted, random_catalog, random_request, req, svc
+from dbesim import evolution
 from dbesim.evolution import (
     EvolutionError,
     EvolutionParams,
     Individual,
+    advance,
     brute_force_best,
     crossover,
     draw_service,
@@ -346,6 +348,63 @@ def test_cached_fitness_matches_recomputation():
                    derive_substream(40, "cache"))
     assert trace.best.fitness == evaluate_genome(trace.best.genome, catalog, r,
                                                  _params())
+
+
+def _counting_evaluate_genome(monkeypatch):
+    calls = []
+    original = evolution.evaluate_genome
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "evaluate_genome", counted)
+    return calls
+
+
+def test_reused_fitness_survives_pool_growth(monkeypatch):
+    # The pool gains a service mid-evolution, as migration does: every cached
+    # fitness must still equal a fresh evaluation against the grown pool.
+    catalog = Catalog([
+        svc("pa", {"a"}, in_port="src", out_port="mid"),
+        svc("qb", {"b"}, in_port="mid", out_port="dst"),
+        svc("junk", {"z"}, in_port="mid", out_port="mid"),
+    ])
+    r = req(attrs={"a", "b", "c"}, max_len=3)
+    params = _params(population_size=20)
+    rng = derive_substream(41, "grow")
+    calls = _counting_evaluate_genome(monkeypatch)
+    pop, first = advance(init_population(catalog, r, params, rng), catalog, r, params, rng, 15)
+    assert len(first) == 15
+    catalog.add(svc("rc", {"c"}, in_port="mid", out_port="dst", usage=4, success=3))
+    pop, second = advance(pop, catalog, r, params, rng, 40)
+    assert any("rc" in ind.genome for ind in pop)
+    for ind in pop:
+        assert ind.fitness == evaluate_genome(ind.genome, catalog, r, params)
+    children = (len(first) + len(second)) * (params.population_size - params.elitism)
+    assert len(calls) < params.population_size + children
+
+
+def test_converged_population_skips_known_genomes(monkeypatch):
+    catalog, r = _chain_scenario()
+    params = _params(population_size=30)
+    pop = [Individual(("good",), 1.0)] * 29 + [Individual(("meh",), 0.5)]
+    calls = _counting_evaluate_genome(monkeypatch)
+    next_pop = step_generation(pop, catalog, r, params, derive_substream(42, "conv"))
+    children = params.population_size - params.elitism
+    assert 0 < len(calls) < children
+    assert len(calls) == len(set(calls))
+    assert not set(calls) & {ind.genome for ind in pop}
+    for ind in next_pop:
+        assert ind.fitness == evaluate_genome(ind.genome, catalog, r, params)
+
+
+def test_tournament_ties_at_equal_fitness_keep_lowest_index():
+    pop = _flat_population([0.7, 0.7, 0.7])
+    rng = Scripted(belows=[2, 0, 1])
+    assert tournament_select(pop, 3, rng) is pop[0]
+    rng = Scripted(belows=[1, 2])
+    assert tournament_select(pop, 2, rng) is pop[1]
 
 
 def test_evolve_empty_catalog_raises():
