@@ -8,11 +8,13 @@ Subcommands:
   validate  parse and validate a config, printing all violations
 
 Exit status: 0 on success, 1 on validation failure, 2 on runtime error.
+Every failure is reported as one line on stderr, never as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -61,9 +63,18 @@ class OutputDir:
         return False
 
     def write(self, name: str, text: str) -> str:
+        """Write a file atomically: an interrupted write leaves any earlier
+        version in place. The lock makes the fixed temp name safe."""
         target = os.path.join(self.path, name)
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        tmp = os.path.join(self.path, f".{name}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
         return target
 
 
@@ -174,6 +185,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args) -> int:
+    """Run a subcommand; an unexpected exception becomes one stderr line and exit 2."""
+    try:
+        return _dispatch(args)
+    except Exception as e:
+        tb = e.__traceback__
+        while tb.tb_next is not None:  # the innermost frame: where it was raised
+            tb = tb.tb_next
+        print(f"internal error: {type(e).__name__}: {e} "
+              f"(at {os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno})",
+              file=sys.stderr)
+        return EXIT_RUNTIME
+
+
+def _dispatch(args) -> int:
     if args.subcommand == "validate":
         return cmd_validate(args.config, args.seed)
     try:

@@ -293,8 +293,10 @@ def parse_config(path, seed_override: int | None = None) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: malformed JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError(f"{path}: malformed JSON: nested too deeply") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     state = None

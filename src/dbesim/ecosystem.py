@@ -121,7 +121,9 @@ class Ecosystem:
     `connections` maps each edge key to its weight; `_adj` indexes the same
     edges by endpoint. Connection keys change only through `add_connection`
     and `remove_connection`, which keep the two in step; weights alone may
-    be written in `connections` directly.
+    be written in `connections` directly. `_similarity` memoizes
+    `profile_similarity` per edge key; profiles never change, so its
+    entries never go stale, and it is not part of the snapshot.
     """
 
     def __init__(self, habitats, w_min: float = W_MIN_DEFAULT):
@@ -132,6 +134,7 @@ class Ecosystem:
             self.habitats[h.id] = h
         self.connections: dict[tuple, float] = {}
         self._adj: dict[str, set[str]] = {}
+        self._similarity: dict[tuple, float] = {}
         self.epoch = 0
         self.w_min = w_min
 
@@ -311,7 +314,13 @@ def clustering_statistic(eco: Ecosystem) -> float:
     if len(keys) < 3:
         raise EcosystemError("clustering statistic needs at least 3 connections")
     xs = [eco.connections[k] for k in keys]
-    ys = [profile_similarity(eco.habitats[k[0]], eco.habitats[k[1]]) for k in keys]
+    memo = eco._similarity
+    ys = []
+    for k in keys:
+        y = memo.get(k)
+        if y is None:
+            y = memo[k] = profile_similarity(eco.habitats[k[0]], eco.habitats[k[1]])
+        ys.append(y)
     n = len(keys)
     mx = sum(xs) / n
     my = sum(ys) / n

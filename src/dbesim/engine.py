@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ecosystem import (
     ActiveEvolution,
@@ -153,6 +154,7 @@ def validate_config(config: SimConfig) -> list[str]:
             bad.append("scenario random_m parameter out of range")
     elif kind != "ring":
         bad.append(f"scenario topology kind unknown: {kind!r}")
+    definer: dict[str, str] = {}
     for h in scen.habitats:
         if not h.profile:
             bad.append(f"habitat {h.id!r}: empty request profile")
@@ -165,6 +167,11 @@ def validate_config(config: SimConfig) -> list[str]:
         sids = [s.id for s in h.services]
         if len(sids) != len(set(sids)):
             bad.append(f"habitat {h.id!r}: duplicate service ids")
+        # migration and provenance identify a service by its id alone
+        for sid in dict.fromkeys(sids):
+            first = definer.setdefault(sid, h.id)
+            if first != h.id:
+                bad.append(f"service id {sid!r} defined by habitats {first!r} and {h.id!r}")
 
     known = set(ids)
     alive = set(ids)
@@ -200,8 +207,7 @@ def simulate_execution(chain, rng: Stream) -> bool:
 # --- Event log and metrics ---
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     epoch: int
     kind: str
     payload: dict
@@ -223,11 +229,11 @@ METRICS_HEADER = ("epoch,mean_best_fitness,deployment_success_rate,"
 
 
 def serialize_events(events) -> str:
-    """Event log as JSON Lines (UTF-8, LF)."""
+    """Event log as JSON Lines (UTF-8, LF); events are (epoch, kind, payload) triples."""
     lines = []
-    for ev in events:
+    for epoch, kind, payload in events:
         lines.append(json.dumps(
-            {"epoch": ev.epoch, "kind": ev.kind, "payload": ev.payload},
+            {"epoch": epoch, "kind": kind, "payload": payload},
             sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")
 

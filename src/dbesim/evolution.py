@@ -14,7 +14,9 @@ stream state).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .manifest import (
     Catalog,
@@ -114,17 +116,29 @@ def replication_weight(s: ServiceManifest, gamma: float) -> float:
     return 1.0
 
 
-def draw_service(catalog: Catalog, gamma: float, rng: Stream) -> ServiceManifest:
+def gene_table(catalog: Catalog, gamma: float) -> tuple:
+    """(services, cumulative replication weights), both in catalog order.
+
+    The running sum matches `Stream.weighted_index`'s left-to-right
+    accumulation float for float. A table stays valid while neither pool
+    membership nor any usage counter changes.
+    """
+    services = list(catalog)
+    return services, list(itertools.accumulate(replication_weight(s, gamma) for s in services))
+
+
+def draw_service(catalog: Catalog, gamma: float, rng: Stream, table=None) -> ServiceManifest:
     """Sample a service with probability proportional to replication weight.
 
     Consumes exactly one draw. Weights are accumulated in catalog insertion
-    order.
+    order; `table` is a precomputed `gene_table(catalog, gamma)`.
     """
-    services = list(catalog)
+    services, cum = table if table is not None else gene_table(catalog, gamma)
     if not services:
         raise EvolutionError("empty catalog")
-    idx = rng.weighted_index([replication_weight(s, gamma) for s in services])
-    return services[idx]
+    # the first index whose running sum exceeds r, as in weighted_index
+    idx = bisect_right(cum, rng.random() * cum[-1])
+    return services[idx] if idx < len(services) else services[-1]
 
 
 # --- Evaluation ---
@@ -169,10 +183,11 @@ def init_population(catalog: Catalog, req: Request, params: EvolutionParams, rng
     """
     if len(catalog) == 0:
         raise EvolutionError("empty catalog")
+    table = gene_table(catalog, params.gamma)
     pop = []
     for _ in range(params.population_size):
         length = 1 + rng.below(req.max_len)
-        genome = tuple(draw_service(catalog, params.gamma, rng).id for _ in range(length))
+        genome = tuple(draw_service(catalog, params.gamma, rng, table).id for _ in range(length))
         pop.append(Individual(genome, evaluate_genome(genome, catalog, req, params)))
     return pop
 
@@ -210,19 +225,21 @@ def crossover(a: ChainGenome, b: ChainGenome, max_len: int, rng: Stream) -> tupl
     return child1, child2
 
 
-def mutate(g: ChainGenome, catalog: Catalog, req: Request, rng: Stream, gamma: float) -> ChainGenome:
+def mutate(g: ChainGenome, catalog: Catalog, req: Request, rng: Stream, gamma: float,
+           table=None) -> ChainGenome:
     """Apply one of insert / delete / replace, chosen uniformly.
 
     Draw order: operator, then position, then gene (where applicable).
     Insert is skipped at the length ceiling and delete at the floor, in
-    which case no further draws are consumed.
+    which case no further draws are consumed. `table` is passed on to
+    `draw_service`.
     """
     op = rng.below(3)
     if op == 0:  # insert
         if len(g) >= req.max_len:
             return g
         pos = rng.below(len(g) + 1)
-        svc = draw_service(catalog, gamma, rng)
+        svc = draw_service(catalog, gamma, rng, table)
         return g[:pos] + (svc.id,) + g[pos:]
     if op == 1:  # delete
         if len(g) <= 1:
@@ -230,7 +247,7 @@ def mutate(g: ChainGenome, catalog: Catalog, req: Request, rng: Stream, gamma: f
         pos = rng.below(len(g))
         return g[:pos] + g[pos + 1:]
     pos = rng.below(len(g))  # replace
-    svc = draw_service(catalog, gamma, rng)
+    svc = draw_service(catalog, gamma, rng, table)
     return g[:pos] + (svc.id,) + g[pos + 1:]
 
 
@@ -243,13 +260,15 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
     decision and the mutation's own draws.
 
     A child whose genome is already known this generation reuses that
-    fitness: it depends only on the request and on the attributes, ports
-    and prices of pool members, which never change once in a pool.
+    individual: fitness depends only on the request and on the attributes,
+    ports and prices of pool members, which never change once in a pool.
+    One gene table serves the whole generation: pool membership and usage
+    counters do not change within it.
     """
     size = len(pop)
-    known = {ind.genome: ind.fitness for ind in pop}
-    order = sorted(range(size), key=lambda i: (-pop[i].fitness, i))
-    next_pop = [pop[i] for i in order[: params.elitism]]
+    known = {ind.genome: ind for ind in pop}
+    table = gene_table(catalog, params.gamma)
+    next_pop = sorted(pop, key=attrgetter("fitness"), reverse=True)[: params.elitism]
     while len(next_pop) < size:
         p1 = tournament_select(pop, params.tournament_size, rng)
         p2 = tournament_select(pop, params.tournament_size, rng)
@@ -261,11 +280,11 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
             if len(next_pop) >= size:
                 break
             if rng.random() < params.mutation_rate:
-                child = mutate(child, catalog, req, rng, params.gamma)
-            fit = known.get(child)
-            if fit is None:
-                fit = known[child] = evaluate_genome(child, catalog, req, params)
-            next_pop.append(Individual(child, fit))
+                child = mutate(child, catalog, req, rng, params.gamma, table)
+            ind = known.get(child)
+            if ind is None:
+                ind = known[child] = Individual(child, evaluate_genome(child, catalog, req, params))
+            next_pop.append(ind)
     return next_pop
 
 

@@ -314,3 +314,49 @@ def test_cli_writes_only_inside_out_dir(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", path, "--out", out, "--quiet"]) == 0
     after = set(os.listdir(tmp_path))
     assert after - before == {"only_here"}
+
+
+def test_cli_rejects_service_id_shared_across_habitats(tmp_path, capsys):
+    obj = minimal_obj()
+    obj["scenario"]["habitats"][1]["catalog"][0]["id"] = "s0"
+    path = write_config(tmp_path, obj)
+    for sub in ("validate", "run"):
+        assert cli.main([sub, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "service id 's0' defined by habitats 'h0' and 'h1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff\xfe{}"],
+                         ids=["too deeply nested", "not UTF-8"])
+def test_cli_unreadable_json_is_malformed(tmp_path, capsys, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    for sub in ("validate", "run"):
+        assert cli.main([sub, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "malformed JSON" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_unexpected_exception_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
+    def broken_run(cfg, state=None):
+        raise KeyError("h9")
+
+    monkeypatch.setattr(cli.engine, "run", broken_run)
+    path = write_config(tmp_path, minimal_obj())
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", path, "--out", out, "--quiet"]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "KeyError" in err and "'h9'" in err
+    assert not os.path.exists(os.path.join(out, cli.LOCK_NAME))
+
+
+def test_output_write_is_atomic(tmp_path):
+    out_path = str(tmp_path / "out")
+    with cli.OutputDir(out_path) as out:
+        target = out.write("snapshot.json", "first\n")
+        with pytest.raises(UnicodeEncodeError):
+            out.write("snapshot.json", "x" * 100_000 + "\ud800")  # not encodable
+    with open(target, "r", encoding="utf-8") as f:
+        assert f.read() == "first\n"
+    assert os.listdir(out_path) == ["snapshot.json"]

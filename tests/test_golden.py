@@ -26,6 +26,11 @@ GOLDEN = {
         "metrics.csv": "4486f89541e9d2ec6ad3beb9ca0951b96433cc0f1ad0b4edcad79aa5bfcbe9d5",
         "snapshot.json": "96d31edb7e3cb1d1cb3a8401c11c22c3f81b6129ac21a4dae58b77168e016a6e",
     },
+    "topology_experiment": {
+        "degrees.csv": "4d2c65b8f92932a7c3e4e4b442808ffc20b2b4f1c0249794ea5c26d55b666434",
+        "trajectory.csv": "80f617319c263f0bdbda4e68ae2a7379648f2f2fe34c94ed99a3970573019273",
+        "business.dot": "b7bd974a634e837d35b5bf130e7f1bd12d4b6ff6648356a42390fba1708e5baa",
+    },
 }
 
 # Build seed 259 gives c2h1 a neighbourhood that these victims cut off
@@ -71,10 +76,11 @@ def bridged24_obj():
     }
 
 
-def run_digests(config_path, out):
-    assert cli.main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 0
+def run_digests(config_path, out, subcommand="run", outputs=OUTPUTS):
+    assert cli.main([subcommand, "--config", str(config_path), "--out", str(out),
+                     "--quiet"]) == 0
     digests = {}
-    for name in OUTPUTS:
+    for name in outputs:
         with open(os.path.join(out, name), "rb") as f:
             digests[name] = hashlib.sha256(f.read()).hexdigest()
     return digests
@@ -97,3 +103,9 @@ def test_golden_bridged24(tmp_path):
     assert ["c0h0", "c2h1", 0.01] in heals[0]["payload"]["created"]
     assert got == GOLDEN["bridged24"]
 
+
+
+def test_golden_topology_experiment(tmp_path):
+    got = run_digests(asset_path("topology_experiment.json"), tmp_path / "out", "topology",
+                      ("degrees.csv", "trajectory.csv", "business.dot"))
+    assert got == GOLDEN["topology_experiment"]

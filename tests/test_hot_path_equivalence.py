@@ -1,0 +1,264 @@
+"""The GA gene table and the per-edge similarity memo against the memo-free
+computations they replace, and the written event log against its records.
+
+Each reference below is the plain computation: gene draws through
+`Stream.weighted_index` over freshly computed replication weights, the
+clustering statistic with every profile similarity recomputed, and the
+event log serialized from the run's `EventRecord`s. Equality is exact: the
+fast paths keep the draw order and the float accumulation order.
+"""
+
+import json
+import math
+import os
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import load_asset_obj, req, svc
+from dbesim import cli, engine, evolution
+from dbesim.config import config_from_obj
+from dbesim.ecosystem import (
+    Habitat,
+    RequestTemplate,
+    build_ecosystem,
+    clustering_statistic,
+    decay_all,
+    failure_inject,
+    profile_similarity,
+    reinforce,
+)
+from dbesim.evolution import (
+    EvolutionParams,
+    advance,
+    draw_service,
+    gene_table,
+    init_population,
+    record_deployment,
+    replication_weight,
+)
+from dbesim.manifest import Catalog
+from dbesim.rng import Stream, derive_substream
+
+MASK = (1 << 64) - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _unxorshift(z, k):
+    """Inverse of z ^ (z >> k) on 64-bit words."""
+    x = z
+    for _ in range(64 // k + 1):
+        x = z ^ (x >> k)
+    return x & MASK
+
+
+def stream_yielding(output):
+    """A Stream whose next `next_u64()` returns `output` (splitmix64 run backwards)."""
+    z = _unxorshift(output, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK
+    z = _unxorshift(z, 30)
+    return Stream((z - GOLDEN_GAMMA) & MASK)
+
+
+def boundary_output(cum, i, low_bits):
+    """An output whose `random() * total` lands exactly on the running sum
+    cum[i], or None when no 53-bit fraction reaches it in float arithmetic."""
+    total = cum[-1]
+    guess = int(cum[i] / total * 2**53)
+    for top in range(max(guess - 2, 0), min(guess + 3, 2**53)):
+        if top * 2.0**-53 * total == cum[i]:
+            return (top << 11) | low_bits
+    return None
+
+
+def reference_draw(catalog, gamma, rng, table=None):
+    """Gene draw through weighted_index over fresh weights; ignores any table."""
+    services = list(catalog)
+    return services[rng.weighted_index([replication_weight(s, gamma) for s in services])]
+
+
+@st.composite
+def catalogs(draw):
+    n = draw(st.integers(1, 8), label="services")
+    services = []
+    for i in range(n):
+        usage = draw(st.sampled_from([0, 1, 2, 3, 4, 8]))
+        success = draw(st.integers(0, usage))
+        services.append(svc(f"s{i}", ["a"], usage=usage, success=success))
+    return Catalog(services)
+
+
+gammas = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0)
+
+
+def test_stream_yielding_inverts_splitmix64():
+    for out in (0, 1, MASK, 0x0123456789ABCDEF):
+        assert stream_yielding(out).next_u64() == out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_draw_service_matches_weighted_index(data):
+    catalog = data.draw(catalogs())
+    gamma = data.draw(gammas, label="gamma")
+    table = gene_table(catalog, gamma)
+    services, cum = table
+    if data.draw(st.booleans(), label="on a boundary"):
+        out = boundary_output(cum, data.draw(st.integers(0, len(cum) - 1)),
+                              data.draw(st.integers(0, 2**11 - 1)))
+        if out is None:
+            out = data.draw(st.integers(0, MASK))
+    else:
+        out = data.draw(st.integers(0, MASK), label="output")
+    start = stream_yielding(out).state
+
+    ref = Stream(start)
+    expected = reference_draw(catalog, gamma, ref)
+    for tab in (table, None):
+        rng = Stream(start)
+        assert draw_service(catalog, gamma, rng, tab) is expected
+        assert rng.state == ref.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalogs(), gammas, st.integers(0, MASK), st.integers(1, 60))
+def test_draw_service_table_reused_over_many_draws(catalog, gamma, state, draws):
+    table = gene_table(catalog, gamma)
+    ref, rng = Stream(state), Stream(state)
+    for _ in range(draws):
+        assert draw_service(catalog, gamma, rng, table) is reference_draw(catalog, gamma, ref)
+    assert rng.state == ref.state
+
+
+def test_draw_service_on_exact_running_sums():
+    # four unused services weigh 1 each: r = 1.0, 2.0, 3.0 sit exactly on
+    # the running sums, where `r < acc` moves on to the next service
+    catalog = Catalog(svc(f"s{i}", ["a"]) for i in range(4))
+    table = gene_table(catalog, 2.0)
+    assert table[1] == [1.0, 2.0, 3.0, 4.0]
+    for k in range(4):
+        rng = stream_yielding((k * 2**51) << 11)
+        assert draw_service(catalog, 2.0, rng, table).id == f"s{k}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ga_across_deployments_matches_fresh_weights(data):
+    """init, advance, record_deployment, pool growth, advance: the gene table
+    must never outlive a counter or pool change."""
+    base = data.draw(catalogs())
+    for s in base:
+        s.usage_count = s.success_count = 0
+    request = req("r", ["a", "z"], max_len=3)  # unreachable: every generation runs
+    params = EvolutionParams(population_size=6, mutation_rate=0.9,
+                             gamma=data.draw(st.sampled_from([1.0, 3.0])), target_fitness=1.0)
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    deploy = data.draw(st.lists(st.booleans(), min_size=1, max_size=3), label="outcomes")
+
+    def trajectory(draw):
+        catalog = base.copy()
+        rng = derive_substream(seed, "ga")
+        with mock.patch.object(evolution, "draw_service", draw):
+            pops = [init_population(catalog, request, params, rng)]
+            for i, success in enumerate(deploy):
+                record_deployment(catalog.resolve(pops[-1][0].genome), success)
+                if i == 1:
+                    catalog.add(svc("migrant", ["a"], usage=3, success=3))
+                pops.append(advance(pops[-1], catalog, request, params, rng, 2)[0])
+        return pops, rng.state
+
+    assert trajectory(draw_service) == trajectory(reference_draw)
+
+
+# --- clustering statistic ---
+
+
+def reference_clustering(eco):
+    """Pearson correlation of weight and profile similarity, nothing memoized."""
+    keys = sorted(eco.connections)
+    xs = [eco.connections[k] for k in keys]
+    ys = [profile_similarity(eco.habitats[a], eco.habitats[b]) for a, b in keys]
+    n = len(keys)
+    mx, my = sum(xs) / n, sum(ys) / n
+    sxy = sxx = syy = 0.0
+    for x, y in zip(xs, ys):
+        sxy += (x - mx) * (y - my)
+        sxx += (x - mx) * (x - mx)
+        syy += (y - my) * (y - my)
+    if sxx == 0.0 or syy == 0.0:
+        return 0.0
+    return sxy / math.sqrt(sxx * syy)
+
+
+def check_clustering(eco):
+    if len(eco.connections) >= 3:
+        assert clustering_statistic(eco) == reference_clustering(eco)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_clustering_memo_matches_recomputation(data):
+    n = data.draw(st.integers(5, 12), label="habitats")
+    attrs = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=4)
+    habitats = [Habitat(id=f"h{i:02d}", pool=Catalog(),
+                        profile=[RequestTemplate(req(f"r{i}", data.draw(attrs)), 1.0)])
+                for i in range(n)]
+    eco = build_ecosystem(habitats, ("random_m", 2),
+                          derive_substream(data.draw(st.integers(0, 2**16)), "build"))
+    check_clustering(eco)
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        ids = eco.habitat_ids()
+        op = data.draw(st.sampled_from(["reinforce_new", "reinforce_old", "decay", "fail"]))
+        if op == "reinforce_new":
+            missing = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                       if (a, b) not in eco.connections]
+            if missing:
+                reinforce(eco, *data.draw(st.sampled_from(missing)), 0.5)
+        elif op == "reinforce_old":
+            reinforce(eco, *data.draw(st.sampled_from(sorted(eco.connections))), 0.25)
+        elif op == "decay":
+            decay_all(eco, 0.9)
+        elif len(ids) > 4:
+            failure_inject(eco, data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                                   max_size=2, unique=True)))
+        check_clustering(eco)
+
+
+def test_clustering_after_snapshot_restore():
+    obj = load_asset_obj("two_communities.json")
+    obj["epochs"] = 6
+    obj["failures"] = [{"epoch": 4, "victims": ["a3"]}]
+    cfg = config_from_obj(obj)
+    result = engine.run(cfg)
+    state = json.loads(json.dumps(result.final_state()))
+    restored, _, _ = engine.state_from_obj(cfg, state)
+    assert clustering_statistic(restored) == clustering_statistic(result.eco)
+    for eco in (result.eco, restored):
+        ids = eco.habitat_ids()
+        a, b = next((a, b) for a in ids for b in ids
+                    if a < b and (a, b) not in eco.connections)
+        reinforce(eco, a, b, 0.5)
+        check_clustering(eco)
+    assert clustering_statistic(restored) == clustering_statistic(result.eco)
+
+
+# --- event log ---
+
+
+def test_events_jsonl_equals_serialized_event_records(tmp_path):
+    obj = load_asset_obj("two_communities.json")
+    obj["epochs"] = 12
+    obj["failures"] = [{"epoch": 5, "victims": ["a3", "b0"]}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    with open(os.path.join(out, "events.jsonl"), "rb") as f:
+        written = f.read()
+    result = engine.run(config_from_obj(obj))
+    records = result.events
+    assert all(isinstance(ev, engine.EventRecord) for ev in records)
+    assert {ev.kind for ev in records} >= {"deployment", "failure", "heal", "migration"}
+    assert written == engine.serialize_events(records).encode("utf-8")
