@@ -1,273 +1,812 @@
-"""Strict JSON configuration schema for simulation runs.
+"""Configuration records and the JSON format of every record dbesim reads or writes.
 
-Unknown keys are rejected everywhere with path-qualified messages: a
-silently ignored typo in a simulation config is a reproducibility bug.
-Absent optional sections fall back to defaults, and the fully resolved
-config can be serialized back out (the echo round-trips to an identical
-config). A snapshot file embeds a resolved config plus the serialized run
-state and is accepted wherever a config is, resuming the run.
+One strict reader (`Reader`) reads configs and snapshots: unknown keys are
+rejected everywhere, numbers must be finite, and every error names the JSON
+path at fault: a silently ignored typo in a simulation config is a
+reproducibility bug. Each flat record has one field table (`Record`): the
+JSON key, kind and range checks of every field. The same table reads the
+record, echoes it and lists its range violations.
+
+Reading a config checks structure and types; `validate_config` checks
+ranges and cross-record rules, so configs built in code are checked the
+same way. A snapshot's run state is checked as it is read. Absent optional
+fields take the record class's defaults, and the fully resolved config can
+be serialized back out (the echo round-trips to an identical config). A
+snapshot file embeds a resolved config plus the serialized run state and is
+accepted wherever a config is, resuming the run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, dataclass, field
+from math import isfinite
+from operator import attrgetter
+from sys import float_info
+from types import SimpleNamespace
+from typing import Callable
 
-from .ecosystem import EcosystemParams, RequestTemplate
-from .engine import (
-    FailureEvent,
-    HabitatSpec,
-    ScenarioConfig,
-    SimConfig,
-    SNAPSHOT_FORMAT,
-    TopologyParams,
-    validate_config,
+from .ecosystem import (
+    ActiveEvolution,
+    EcosystemError,
+    EcosystemParams,
+    Ecosystem,
+    Habitat,
+    RequestTemplate,
+    edge_key,
 )
-from .evolution import EvolutionParams
-from .manifest import (
-    ManifestError,
-    request_from_obj,
-    request_to_obj,
-    service_from_obj,
-    service_to_obj,
-)
-from .topology import EtaDist
+from .evolution import EvolutionParams, GenerationStat, Individual
+from .manifest import Catalog, ManifestError, Request, ServiceManifest, parse_token
+from .rng import Stream
+from .topology import BusinessGraph, EtaDist, FlowEdge, TopologyError
+
+SNAPSHOT_FORMAT = "dbesim-snapshot-v1"
+
+_MAX_SEED = (1 << 64) - 1
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(obj, path, required, optional=()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ConfigError(f"{path}: missing key {sorted(missing)[0]!r}")
+class SnapshotError(ValueError):
+    pass
 
 
-def _get_int(obj, key, path):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return v
+# --- Configuration records ---
 
 
-def _get_number(obj, key, path):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    return float(v)
+@dataclass(frozen=True)
+class TopologyParams:
+    """Business-graph growth experiment parameters."""
+
+    steps: int = 2000
+    m: int = 2
+    seed_vertices: int = 3
+    eta: EtaDist = field(default_factory=lambda: EtaDist("uniform", 1.0))
+    inject_eta: float | None = None
+    inject_at: int | None = None
 
 
-def _get_str(obj, key, path):
-    v = obj[key]
-    if not isinstance(v, str) or not v:
-        raise ConfigError(f"{path}.{key}: expected a non-empty string")
-    return v
+@dataclass
+class HabitatSpec:
+    """Immutable scenario description of one habitat.
+
+    The services here are pristine templates; each run copies them so
+    counter feedback never leaks between runs.
+    """
+
+    id: str
+    services: list  # of ServiceManifest
+    profile: list  # of RequestTemplate
 
 
-def _get_list(obj, key, path):
-    v = obj[key]
-    if not isinstance(v, list):
-        raise ConfigError(f"{path}.{key}: expected an array")
-    return v
+@dataclass
+class ScenarioConfig:
+    habitats: list  # of HabitatSpec
+    initial_topology: tuple = ("ring",)
 
 
-_EVOLUTION_KEYS = ("population_size", "max_generations", "tournament_size",
-                   "crossover_rate", "mutation_rate", "elitism", "beta", "gamma",
-                   "target_fitness", "generation_budget_per_epoch")
-_ECOSYSTEM_KEYS = ("p_mig", "reinforce_delta", "decay_lambda", "w_min")
+@dataclass(frozen=True)
+class FailureEvent:
+    epoch: int
+    victims: tuple
 
 
-def _parse_evolution(obj, path) -> tuple:
-    _check_keys(obj, path, (), _EVOLUTION_KEYS)
-    budget = 20
-    if "generation_budget_per_epoch" in obj:
-        budget = _get_int(obj, "generation_budget_per_epoch", path)
-    kwargs = {}
-    for key, is_int in (("population_size", True), ("max_generations", True),
-                        ("tournament_size", True), ("elitism", True),
-                        ("crossover_rate", False), ("mutation_rate", False),
-                        ("beta", False), ("gamma", False), ("target_fitness", False)):
-        if key in obj:
-            kwargs[key] = _get_int(obj, key, path) if is_int else _get_number(obj, key, path)
-    return replace(EvolutionParams(), **kwargs), budget
+@dataclass
+class SimConfig:
+    master_seed: int
+    epochs: int
+    generation_budget_per_epoch: int = 20
+    evolution: EvolutionParams = field(default_factory=EvolutionParams)
+    ecosystem: EcosystemParams = field(default_factory=EcosystemParams)
+    topology: TopologyParams = field(default_factory=TopologyParams)
+    scenario: ScenarioConfig | None = None
+    failures: tuple = ()
 
 
-def _parse_ecosystem(obj, path) -> EcosystemParams:
-    _check_keys(obj, path, (), _ECOSYSTEM_KEYS)
-    kwargs = {k: _get_number(obj, k, path) for k in _ECOSYSTEM_KEYS if k in obj}
-    return EcosystemParams(**kwargs)
+# --- The reader ---
 
 
-def _parse_eta(obj, path) -> EtaDist:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{path}: expected an object with a 'kind' key")
-    kind = _get_str(obj, "kind", path)
-    if kind == "uniform":
-        _check_keys(obj, path, ("kind",), ("cap",))
-        cap = _get_number(obj, "cap", path) if "cap" in obj else 1.0
-        return EtaDist("uniform", cap)
-    if kind == "fixed":
-        _check_keys(obj, path, ("kind", "value"))
-        return EtaDist("fixed", _get_number(obj, "value", path))
-    raise ConfigError(f"{path}.kind: unknown eta distribution {kind!r}")
+class _Bad(Exception):
+    """A JSON value of the wrong kind; `keys` is its path below the
+    `Reader` that reports it."""
+
+    def __init__(self, message: str, *keys):
+        super().__init__(message)
+        self.keys = list(keys)
 
 
-def _parse_topology(obj, path) -> TopologyParams:
-    _check_keys(obj, path, (), ("steps", "m", "seed_vertices", "eta", "inject"))
-    defaults = TopologyParams()
-    steps = _get_int(obj, "steps", path) if "steps" in obj else defaults.steps
-    m = _get_int(obj, "m", path) if "m" in obj else defaults.m
-    seed_vertices = (_get_int(obj, "seed_vertices", path)
-                     if "seed_vertices" in obj else max(m, defaults.m) + 1)
-    eta = _parse_eta(obj["eta"], f"{path}.eta") if "eta" in obj else defaults.eta
-    inject_eta = inject_at = None
-    if "inject" in obj:
-        iobj = obj["inject"]
-        _check_keys(iobj, f"{path}.inject", ("eta", "at_step"))
-        inject_eta = _get_number(iobj, "eta", f"{path}.inject")
-        inject_at = _get_int(iobj, "at_step", f"{path}.inject")
-    return TopologyParams(steps=steps, m=m, seed_vertices=seed_vertices, eta=eta,
-                          inject_eta=inject_eta, inject_at=inject_at)
+class Reader:
+    """A JSON value being read; its path is built only when it fails.
 
+    The root names the document (`config`, a file name, `state`) and
+    carries the error class that every failure below it raises.
+    """
 
-def _parse_scenario(obj, path) -> ScenarioConfig:
-    _check_keys(obj, path, ("habitats",), ("initial_topology",))
-    topo = ("ring",)
-    if "initial_topology" in obj:
-        tobj = obj["initial_topology"]
-        if not isinstance(tobj, dict) or "kind" not in tobj:
-            raise ConfigError(f"{path}.initial_topology: expected an object with 'kind'")
-        kind = _get_str(tobj, "kind", f"{path}.initial_topology")
-        if kind == "ring":
-            _check_keys(tobj, f"{path}.initial_topology", ("kind",))
-            topo = ("ring",)
-        elif kind == "random_m":
-            _check_keys(tobj, f"{path}.initial_topology", ("kind", "m"))
-            topo = ("random_m", _get_int(tobj, "m", f"{path}.initial_topology"))
-        else:
-            raise ConfigError(f"{path}.initial_topology.kind: unknown kind {kind!r}")
-    habitats = []
-    for i, hobj in enumerate(_get_list(obj, "habitats", path)):
-        hpath = f"{path}.habitats[{i}]"
-        _check_keys(hobj, hpath, ("id", "catalog", "profile"))
-        hid = _get_str(hobj, "id", hpath)
+    __slots__ = ("value", "key", "parent", "error")
+
+    def __init__(self, value, key, parent: "Reader | None" = None, error=None):
+        self.value = value
+        self.key = key
+        self.parent = parent
+        self.error = error
+
+    @property
+    def path(self) -> str:
+        if self.parent is None:
+            return str(self.key)
+        if isinstance(self.key, int):
+            return f"{self.parent.path}[{self.key}]"
+        return f"{self.parent.path}.{self.key}"
+
+    def fail(self, message: str):
+        root = self
+        while root.parent is not None:
+            root = root.parent
+        raise root.error(f"{self.path}: {message}")
+
+    def at(self, key, value=None) -> "Reader":
+        return Reader(value, key, self)
+
+    def read(self, fn: Callable, *args):
+        """`fn(value, *args)`; a bad value it meets fails at its path."""
         try:
-            services = [service_from_obj(s, f"{hpath}.catalog[{j}]")
-                        for j, s in enumerate(_get_list(hobj, "catalog", hpath))]
-            profile = []
-            for j, tobj in enumerate(_get_list(hobj, "profile", hpath)):
-                tpath = f"{hpath}.profile[{j}]"
-                _check_keys(tobj, tpath, ("request",), ("weight",))
-                weight = _get_number(tobj, "weight", tpath) if "weight" in tobj else 1.0
-                profile.append(RequestTemplate(
-                    request_from_obj(tobj["request"], f"{tpath}.request"),
-                    weight,
-                ))
-        except ManifestError as e:
-            raise ConfigError(str(e)) from e
-        habitats.append(HabitatSpec(id=hid, services=services, profile=profile))
+            return fn(self.value, *args)
+        except _BAD as e:
+            e = _bad(e)
+            node = self
+            for key in e.keys:
+                node = node.at(key)
+            node.fail(str(e))
+
+    def get(self, kind: "Kind"):
+        return self.read(kind.read)
+
+    def object(self, keys) -> dict:
+        """The value, an object whose keys all lie in `keys`."""
+        return self.read(_object, keys)
+
+    def fields(self, record: "Record") -> dict:
+        return self.read(_fields, record)
+
+    def records(self, record: "Record") -> list:
+        """An array of objects, each read as `fields(record)`."""
+        return self.read(_each, _fields, record)
+
+    def rows(self, *kinds: "Kind") -> list:
+        """An array of fixed-length arrays, one kind per element."""
+        return self.read(_each, _row, tuple(k.read for k in kinds))
+
+    def __getitem__(self, key: str) -> "Reader":
+        """A required member of an object."""
+        obj = self.get(OBJECT)
+        if key not in obj:
+            self.at(key).fail("missing")
+        return Reader(obj[key], key, self)
+
+    def __iter__(self):
+        return (Reader(v, i, self) for i, v in enumerate(self.get(ARRAY)))
+
+    def items(self) -> list:
+        return [(k, Reader(v, k, self)) for k, v in self.get(OBJECT).items()]
+
+
+# A token that fails `parse_token` is a bad value like any other.
+_BAD = (_Bad, ManifestError)
+
+
+def _bad(e: Exception) -> _Bad:
+    return e if isinstance(e, _Bad) else _Bad(str(e))
+
+
+def _locate(items, *args):
+    """Read (key, read, value) triples again to report the first bad value
+    at its key."""
+    for key, read, v in items:
+        try:
+            read(v, *args)
+        except _BAD as e:
+            e = _bad(e)
+            e.keys.insert(0, key)
+            raise e from None
+
+
+def _each(values, read: Callable, *args) -> list:
+    """`read(element, *args)` of every element of an array."""
+    if type(values) is not list:
+        raise _Bad("expected an array")
+    try:
+        return [read(v, *args) for v in values]
+    except _BAD:
+        _locate(((i, read, v) for i, v in enumerate(values)), *args)
+        raise
+
+
+def _object(obj, keys) -> dict:
+    if type(obj) is not dict:
+        raise _Bad("expected an object")
+    if not keys.issuperset(obj):
+        raise _Bad(f"unknown key {sorted(obj.keys() - keys)[0]!r}")
+    return obj
+
+
+def _fields(obj, record: "Record") -> dict:
+    """The record's fields present in an object, each read by its kind.
+
+    Absent optional fields are left out, so the record class's default
+    applies.
+    """
+    if type(obj) is not dict or not record.keys.issuperset(obj):
+        _object(obj, record.keys)
+    if len(obj) < len(record.keys) and not record.required.issubset(obj):
+        raise _Bad("missing", sorted(record.required - obj.keys())[0])
+    readers = record.readers
+    try:
+        return {key: readers[key](v) for key, v in obj.items()}
+    except _BAD:
+        _locate((key, readers[key], v) for key, v in obj.items())
+        raise
+
+
+def _row(values, reads: tuple) -> list:
+    """A fixed-length array, one reader per element."""
+    if type(values) is not list:
+        raise _Bad("expected an array")
+    if len(values) != len(reads):
+        raise _Bad(f"expected {len(reads)} elements, got {len(values)}")
+    try:
+        return [read(v) for read, v in zip(reads, values)]
+    except _BAD:
+        _locate((i, read, v) for i, (read, v) in enumerate(zip(reads, values)))
+        raise
+
+
+class Kind:
+    """A JSON kind: `read(value)` returns the Python value or raises
+    `_Bad`; `echo` turns the Python value back into JSON."""
+
+    __slots__ = ("read", "echo")
+
+    def __init__(self, read: Callable, echo: Callable | None = None):
+        self.read = read
+        self.echo = echo
+
+
+def _exact(kind: type, expected: str) -> Callable:
+    def read(v):
+        if type(v) is not kind:
+            raise _Bad(f"expected {expected}")
+        return v
+    return read
+
+
+def _number(v) -> float:
+    """One rule for every number: an int or float, finite, returned as a float."""
+    if type(v) is float and isfinite(v):
+        return v
+    if type(v) is int and abs(v) <= float_info.max:
+        return float(v)
+    raise _Bad("expected a finite number" if type(v) in (int, float) else "expected a number")
+
+
+def _string(v) -> str:
+    if type(v) is not str or not v:
+        raise _Bad("expected a non-empty string")
+    return v
+
+
+def _strings(v) -> list:
+    """An array of non-empty strings."""
+    return _each(v, _string)
+
+
+def _tokens(v) -> frozenset:
+    return frozenset(_each(v, parse_token))
+
+
+OBJECT = Kind(_exact(dict, "an object"))
+ARRAY = Kind(_exact(list, "an array"))
+BOOL = Kind(_exact(bool, "a boolean"))
+INT = Kind(_exact(int, "an integer"))
+NUMBER = Kind(_number)
+STRING = Kind(_string)
+TOKEN = Kind(parse_token)
+TOKENS = Kind(_tokens, sorted)
+
+
+def _union(v, variants: dict) -> tuple:
+    """A tagged union: (kind, fields of the variant record that `kind` names)."""
+    if type(v) is not dict or "kind" not in v:
+        raise _Bad("expected an object with a 'kind' key")
+    kind = v["kind"]
+    if type(kind) is not str or kind not in variants:
+        raise _Bad(f"unknown kind {kind!r}", "kind")
+    return kind, _fields(v, variants[kind])
+
+
+def _eta(v) -> EtaDist:
+    kind, f = _union(v, _ETA_KINDS)
+    return EtaDist(kind, f.get("cap", 1.0) if kind == "uniform" else f["value"])
+
+
+def _eta_obj(eta: EtaDist) -> dict:
+    return {"kind": eta.kind, "cap" if eta.kind == "uniform" else "value": eta.value}
+
+
+def _initial_topology(v) -> tuple:
+    kind, f = _union(v, _INITIAL_TOPOLOGY_KINDS)
+    return (kind, f["m"]) if "m" in f else (kind,)
+
+
+# --- Field tables ---
+
+
+def req(key: str, kind: Kind, *checks) -> tuple:
+    """A required field: (key, kind, True, checks). `checks` alternate a
+    predicate on the whole record (truthy when it holds) and its violation
+    text, a format string over the record `r`."""
+    return key, kind, True, tuple(zip(checks[::2], checks[1::2]))
+
+
+def opt(key: str, kind: Kind, *checks) -> tuple:
+    """An optional field: absent, it takes the record class's default."""
+    return key, kind, False, tuple(zip(checks[::2], checks[1::2]))
+
+
+class Record:
+    """The JSON format of one flat record. Its fields are attributes of the
+    Python record, or of `view(record)` where the Python class is shaped
+    unlike the JSON object.
+
+    `echo(obj)` returns the JSON object, leaving out an optional field whose
+    value is None; `violations(obj)` returns the violation text of every
+    check that fails. Fields are read as attributes, never through
+    `__dict__`: on CPython 3.11, asking an object for its `__dict__` makes
+    every later attribute read on it slower, and echoed records stay in use.
+    """
+
+    def __init__(self, *fields: tuple, view: Callable | None = None):
+        self.fields = fields
+        self.keys = frozenset(key for key, _, _, _ in fields)
+        self.required = frozenset(key for key, _, required, _ in fields if required)
+        self.readers = {key: kind.read for key, kind, _, _ in fields}
+        self.view = view
+        code = _compile(fields, view)
+        self.echo, self.violations = code["echo"], code["violations"]
+
+
+def _compile(fields: tuple, view: Callable | None) -> dict:
+    """`echo` and `violations` of a field table, compiled into straight-line
+    code as `dataclasses` compiles `__init__`: a loop over the fields costs
+    about twice as much per record, and a config or snapshot holds
+    thousands. The source names only the table's own keys."""
+    env = {"view": view}
+    head = ["    o = view(o)"] if view is not None else []
+    required, optional = [], []
+    for key, kind, is_required, _ in fields:
+        value = f"o.{key}"
+        if kind.echo is not None:
+            env[f"echo_{key}"] = kind.echo
+            value = f"echo_{key}({value})"
+        if is_required:
+            required.append(f"{key!r}: {value}")
+        else:
+            optional += [f"    if o.{key} is not None:", f"        out[{key!r}] = {value}"]
+    checks = []
+    for i, (ok, text) in enumerate(check for *_, cs in fields for check in cs):
+        env[f"ok{i}"], env[f"text{i}"] = ok, text
+        checks += [f"    if not ok{i}(o):", f"        bad.append(text{i}.format(r=o))"]
+    exec("\n".join([
+        "def echo(o):", *head, "    out = {" + ", ".join(required) + "}", *optional,
+        "    return out",
+        "def violations(o):", *head, "    bad = []", *checks, "    return bad",
+    ]), env)
+    return env
+
+
+def _array_of(record: Record, cls: type) -> Kind:
+    """An array of records, each built as `cls(**fields)`."""
+    return Kind(lambda v: [cls(**f) for f in _each(v, _fields, record)],
+                lambda objs: list(map(record.echo, objs)))
+
+
+EVOLUTION = Record(
+    opt("population_size", INT, lambda r: r.population_size >= 2, "population_size must be >= 2"),
+    opt("max_generations", INT, lambda r: r.max_generations >= 1, "max_generations must be >= 1"),
+    opt("tournament_size", INT, lambda r: r.tournament_size >= 1, "tournament_size must be >= 1"),
+    opt("crossover_rate", NUMBER,
+        lambda r: 0.0 <= r.crossover_rate <= 1.0, "crossover_rate out of range"),
+    opt("mutation_rate", NUMBER,
+        lambda r: 0.0 <= r.mutation_rate <= 1.0, "mutation_rate out of range"),
+    opt("elitism", INT,
+        lambda r: 0 <= r.elitism < r.population_size, "elitism must be in [0, population_size)"),
+    opt("beta", NUMBER, lambda r: 0.0 <= r.beta < 1.0, "beta out of range"),
+    opt("gamma", NUMBER, lambda r: r.gamma >= 0.0, "gamma must be >= 0"),
+    opt("target_fitness", NUMBER,
+        lambda r: 0.0 < r.target_fitness <= 1.0, "target_fitness out of range"),
+    opt("generation_budget_per_epoch", INT,
+        lambda r: r.generation_budget_per_epoch >= 1, "generation_budget_per_epoch must be >= 1"),
+    view=lambda cfg: SimpleNamespace(**asdict(cfg.evolution),
+                                     generation_budget_per_epoch=cfg.generation_budget_per_epoch),
+)
+
+ECOSYSTEM = Record(
+    opt("p_mig", NUMBER, lambda r: 0.0 <= r.p_mig <= 1.0, "p_mig out of range"),
+    opt("reinforce_delta", NUMBER,
+        lambda r: r.reinforce_delta > 0.0, "reinforce_delta must be > 0"),
+    opt("decay_lambda", NUMBER, lambda r: 0.0 < r.decay_lambda <= 1.0, "decay out of range"),
+    opt("w_min", NUMBER, lambda r: r.w_min > 0.0, "w_min must be > 0"),
+)
+
+INJECT = Record(req("eta", NUMBER), req("at_step", INT))
+
+
+def _topology_view(t: TopologyParams) -> SimpleNamespace:
+    inject = None
+    if t.inject_eta is not None or t.inject_at is not None:
+        inject = {"eta": t.inject_eta, "at_step": t.inject_at}
+    return SimpleNamespace(steps=t.steps, m=t.m, seed_vertices=t.seed_vertices, eta=t.eta,
+                           inject=inject)
+
+
+_KIND = req("kind", STRING)
+_ETA_KINDS = {"uniform": Record(_KIND, opt("cap", NUMBER)),
+              "fixed": Record(_KIND, req("value", NUMBER))}
+_INITIAL_TOPOLOGY_KINDS = {"ring": Record(_KIND), "random_m": Record(_KIND, req("m", INT))}
+
+TOPOLOGY = Record(
+    opt("steps", INT, lambda r: r.steps >= 1, "topology steps must be >= 1"),
+    opt("m", INT, lambda r: r.m >= 1, "topology m must be >= 1"),
+    opt("seed_vertices", INT,
+        lambda r: r.seed_vertices >= r.m, "topology seed_vertices must be >= m"),
+    opt("eta", Kind(_eta, _eta_obj),
+        lambda r: r.eta.kind in ("uniform", "fixed"),
+        "unknown eta distribution kind: {r.eta.kind!r}",
+        lambda r: 0.0 < r.eta.value <= 1.0, "eta distribution value out of (0, 1]"),
+    opt("inject", Kind(lambda v: _fields(v, INJECT)),
+        lambda r: r.inject is None or None not in r.inject.values(),
+        "topology inject needs both eta and at_step",
+        lambda r: r.inject is None or r.inject["eta"] is None or 0.0 < r.inject["eta"] <= 1.0,
+        "topology inject eta out of (0, 1]",
+        lambda r: r.inject is None or r.inject["at_step"] is None
+        or 1 <= r.inject["at_step"] < r.steps,
+        "topology inject at_step must be in [1, steps)"),
+    view=_topology_view,
+)
+
+# attrgetter(key) checks that a string or set field is non-empty, with no
+# Python-level call per record.
+SERVICE = Record(
+    req("id", STRING, attrgetter("id"), "empty id"),
+    req("attrs", TOKENS, attrgetter("attrs"), "empty attribute set"),
+    req("in_port", TOKEN),
+    req("out_port", TOKEN),
+    req("price", NUMBER, lambda r: r.price >= 0, "negative price"),
+    req("reliability", NUMBER, lambda r: 0.0 <= r.reliability <= 1.0, "reliability out of range"),
+)
+
+# A pool entry of a snapshot: the manifest plus its usage counters.
+POOL_SERVICE = Record(
+    *SERVICE.fields,
+    opt("usage_count", INT, lambda r: r.usage_count >= 0, "negative counter"),
+    opt("success_count", INT, lambda r: r.success_count >= 0, "negative counter",
+        lambda r: r.success_count <= r.usage_count, "success exceeds usage"),
+)
+
+REQUEST = Record(
+    req("id", STRING, attrgetter("id"), "empty id"),
+    req("req_attrs", TOKENS, attrgetter("req_attrs"), "empty required attribute set"),
+    req("source_port", TOKEN),
+    req("sink_port", TOKEN),
+    req("max_len", INT, lambda r: r.max_len >= 1, "max_len below 1"),
+    opt("budget", NUMBER, lambda r: r.budget is None or r.budget >= 0, "negative budget"),
+)
+
+TEMPLATE = Record(
+    req("request", Kind(lambda v: Request(**_fields(v, REQUEST)), REQUEST.echo)),
+    opt("weight", NUMBER, lambda r: r.weight > 0.0, "profile weight must be > 0"),
+)
+
+HABITAT = Record(
+    req("id", STRING),
+    req("catalog", _array_of(SERVICE, ServiceManifest)),
+    req("profile", _array_of(TEMPLATE, RequestTemplate)),
+    view=lambda h: SimpleNamespace(id=h.id, catalog=h.services, profile=h.profile),
+)
+
+FAILURE = Record(
+    req("epoch", INT),
+    req("victims", Kind(lambda v: tuple(_strings(v)), list)),
+)
+
+VERTEX = Record(
+    req("id", STRING),
+    req("eta", NUMBER),
+    req("degree", INT),
+    req("birth_step", INT),
+)
+
+
+# --- Configs ---
+
+
+def _topology(node: Reader) -> TopologyParams:
+    vals = node.fields(TOPOLOGY)
+    inject = vals.pop("inject", None)
+    if inject is not None:
+        vals["inject_eta"], vals["inject_at"] = inject["eta"], inject["at_step"]
+    vals.setdefault("seed_vertices", max(vals.get("m", 2), 2) + 1)
+    return TopologyParams(**vals)
+
+
+def _scenario(node: Reader) -> ScenarioConfig:
+    obj = node.object({"habitats", "initial_topology"})
+    habitats = [HabitatSpec(f["id"], f["catalog"], f["profile"])
+                for f in node["habitats"].records(HABITAT)]
+    topo = (node["initial_topology"].read(_initial_topology) if "initial_topology" in obj
+            else ("ring",))
     return ScenarioConfig(habitats=habitats, initial_topology=topo)
 
 
-def _parse_failures(arr, path) -> tuple:
-    failures = []
-    for i, fobj in enumerate(arr):
-        fpath = f"{path}[{i}]"
-        _check_keys(fobj, fpath, ("epoch", "victims"))
-        victims = _get_list(fobj, "victims", fpath)
-        for v in victims:
-            if not isinstance(v, str):
-                raise ConfigError(f"{fpath}.victims: expected habitat id strings")
-        failures.append(FailureEvent(_get_int(fobj, "epoch", fpath), tuple(victims)))
-    return tuple(failures)
-
-
 def config_from_obj(obj, path: str = "config") -> SimConfig:
-    """Build a resolved SimConfig from a parsed JSON object (strict)."""
-    _check_keys(obj, path, ("seed", "epochs", "scenario"),
-                ("evolution", "ecosystem", "topology", "failures"))
-    seed = _get_int(obj, "seed", path)
-    epochs = _get_int(obj, "epochs", path)
-    evolution, budget = (_parse_evolution(obj["evolution"], f"{path}.evolution")
-                         if "evolution" in obj else (EvolutionParams(), 20))
-    ecosystem = (_parse_ecosystem(obj["ecosystem"], f"{path}.ecosystem")
-                 if "ecosystem" in obj else EcosystemParams())
-    topology = (_parse_topology(obj["topology"], f"{path}.topology")
-                if "topology" in obj else TopologyParams())
-    scenario = _parse_scenario(obj["scenario"], f"{path}.scenario")
-    failures = (_parse_failures(_get_list(obj, "failures", path), f"{path}.failures")
-                if "failures" in obj else ())
-    return SimConfig(master_seed=seed, epochs=epochs,
-                     generation_budget_per_epoch=budget, evolution=evolution,
-                     ecosystem=ecosystem, topology=topology, scenario=scenario,
-                     failures=failures)
+    """Build a SimConfig from a parsed JSON object, checking structure and types."""
+    root = Reader(obj, path, error=ConfigError)
+    top = root.object({"seed", "epochs", "scenario", "evolution", "ecosystem", "topology",
+                       "failures"})
+    cfg = SimConfig(master_seed=root["seed"].get(INT), epochs=root["epochs"].get(INT))
+    if "evolution" in top:
+        evo = root["evolution"].fields(EVOLUTION)
+        cfg.generation_budget_per_epoch = evo.pop("generation_budget_per_epoch",
+                                                  cfg.generation_budget_per_epoch)
+        cfg.evolution = EvolutionParams(**evo)
+    if "ecosystem" in top:
+        cfg.ecosystem = EcosystemParams(**root["ecosystem"].fields(ECOSYSTEM))
+    if "topology" in top:
+        cfg.topology = _topology(root["topology"])
+    cfg.scenario = _scenario(root["scenario"])
+    if "failures" in top:
+        cfg.failures = tuple(root["failures"].get(_array_of(FAILURE, FailureEvent)))
+    return cfg
 
 
 def config_to_obj(cfg: SimConfig) -> dict:
     """Serialize a config with every default made explicit (the echo form)."""
-    evo = cfg.evolution
-    topo = cfg.topology
+    scen = cfg.scenario
     obj = {
         "seed": cfg.master_seed,
         "epochs": cfg.epochs,
-        "evolution": {
-            "population_size": evo.population_size,
-            "max_generations": evo.max_generations,
-            "tournament_size": evo.tournament_size,
-            "crossover_rate": evo.crossover_rate,
-            "mutation_rate": evo.mutation_rate,
-            "elitism": evo.elitism,
-            "beta": evo.beta,
-            "gamma": evo.gamma,
-            "target_fitness": evo.target_fitness,
-            "generation_budget_per_epoch": cfg.generation_budget_per_epoch,
-        },
-        "ecosystem": {
-            "p_mig": cfg.ecosystem.p_mig,
-            "reinforce_delta": cfg.ecosystem.reinforce_delta,
-            "decay_lambda": cfg.ecosystem.decay_lambda,
-            "w_min": cfg.ecosystem.w_min,
-        },
-        "topology": {
-            "steps": topo.steps,
-            "m": topo.m,
-            "seed_vertices": topo.seed_vertices,
-            "eta": ({"kind": "uniform", "cap": topo.eta.value}
-                    if topo.eta.kind == "uniform"
-                    else {"kind": "fixed", "value": topo.eta.value}),
-        },
+        "evolution": EVOLUTION.echo(cfg),
+        "ecosystem": ECOSYSTEM.echo(cfg.ecosystem),
+        "topology": TOPOLOGY.echo(cfg.topology),
         "scenario": {
-            "initial_topology": ({"kind": "ring"}
-                                 if cfg.scenario.initial_topology[0] == "ring"
-                                 else {"kind": "random_m",
-                                       "m": cfg.scenario.initial_topology[1]}),
-            "habitats": [
-                {
-                    "id": spec.id,
-                    "catalog": [service_to_obj(s) for s in spec.services],
-                    "profile": [
-                        {"weight": t.weight, "request": request_to_obj(t.request)}
-                        for t in spec.profile
-                    ],
-                }
-                for spec in cfg.scenario.habitats
-            ],
+            "initial_topology": ({"kind": "ring"} if scen.initial_topology[0] == "ring"
+                                 else {"kind": "random_m", "m": scen.initial_topology[1]}),
+            "habitats": [HABITAT.echo(spec) for spec in scen.habitats],
         },
     }
-    if topo.inject_eta is not None:
-        obj["topology"]["inject"] = {"eta": topo.inject_eta, "at_step": topo.inject_at}
     if cfg.failures:
-        obj["failures"] = [
-            {"epoch": f.epoch, "victims": list(f.victims)} for f in cfg.failures
-        ]
+        obj["failures"] = [FAILURE.echo(f) for f in cfg.failures]
     return obj
+
+
+def validate_config(config: SimConfig) -> list[str]:
+    """Check every range and cross-record invariant; returns all violations."""
+    bad = []
+    if not (0 <= config.master_seed <= _MAX_SEED):
+        bad.append("seed must be an unsigned 64-bit integer")
+    if config.epochs < 1:
+        bad.append("epochs must be >= 1")
+    bad.extend(EVOLUTION.violations(config))
+    bad.extend(ECOSYSTEM.violations(config.ecosystem))
+    bad.extend(TOPOLOGY.violations(config.topology))
+
+    if config.scenario is None:
+        bad.append("scenario is required")
+        return bad
+    scen = config.scenario
+    ids = [h.id for h in scen.habitats]
+    if len(ids) != len(set(ids)):
+        bad.append("scenario habitat ids must be unique")
+    if len(ids) < 2:
+        bad.append("scenario needs at least 2 habitats")
+    kind = scen.initial_topology[0]
+    if kind == "random_m":
+        m = scen.initial_topology[1]
+        if not (1 <= m <= max(len(ids) - 1, 0)):
+            bad.append("scenario random_m parameter out of range")
+    elif kind != "ring":
+        bad.append(f"scenario topology kind unknown: {kind!r}")
+    definer: dict[str, str] = {}
+    for h in scen.habitats:
+        if not h.profile:
+            bad.append(f"habitat {h.id!r}: empty request profile")
+        req_ids = [t.request.id for t in h.profile]
+        if len(req_ids) != len(set(req_ids)):
+            bad.append(f"habitat {h.id!r}: duplicate request template ids")
+        sids = [s.id for s in h.services]
+        if len(sids) != len(set(sids)):
+            bad.append(f"habitat {h.id!r}: duplicate service ids")
+        # migration and provenance identify a service by its id alone
+        for sid in dict.fromkeys(sids):
+            first = definer.setdefault(sid, h.id)
+            if first != h.id:
+                bad.append(f"service id {sid!r} defined by habitats {first!r} and {h.id!r}")
+        for t in h.profile:
+            for v in TEMPLATE.violations(t):
+                bad.append(f"habitat {h.id!r}: {v}")
+            for v in REQUEST.violations(t.request):
+                bad.append(f"habitat {h.id!r}: request {t.request.id!r}: {v}")
+        for s in h.services:
+            for v in POOL_SERVICE.violations(s):
+                bad.append(f"habitat {h.id!r}: service {s.id!r}: {v}")
+
+    known = set(ids)
+    alive = set(ids)
+    for f in config.failures:
+        if not (1 <= f.epoch <= config.epochs):
+            bad.append(f"failure epoch {f.epoch} outside [1, epochs]")
+        for v in f.victims:
+            if v not in known:
+                bad.append(f"failure names unknown habitat {v!r}")
+        alive -= set(f.victims)
+    if config.failures and not alive:
+        bad.append("failure schedule removes every habitat")
+    return bad
+
+
+# --- Run state snapshots ---
+
+
+def state_to_obj(eco: Ecosystem, streams: dict, graph: BusinessGraph) -> dict:
+    """Serialize the full mutable run state, exactly enough to resume."""
+    habitats = []
+    for hid in eco.habitat_ids():
+        h = eco.habitats[hid]
+        active = []
+        for rid in sorted(h.active):
+            st = h.active[rid]
+            active.append({
+                "request": rid,
+                "population": [[list(ind.genome), ind.fitness] for ind in st.population],
+                "gens_since_reset": st.gens_since_reset,
+                "total_generations": st.total_generations,
+                "pool_version": st.pool_version,
+                "trace": [[g.generation, g.best_fitness, g.mean_fitness] for g in st.trace],
+            })
+        habitats.append({
+            "id": hid,
+            "pool": [POOL_SERVICE.echo(s) for s in h.pool],
+            "provenance": {k: h.provenance[k] for k in sorted(h.provenance)},
+            "pool_version": h.pool_version,
+            "active": active,
+        })
+    return {
+        "epoch": eco.epoch,
+        "streams": {hid: streams[hid].state for hid in sorted(streams)},
+        "habitats": habitats,
+        "connections": [[a, b, eco.connections[(a, b)]] for a, b in sorted(eco.connections)],
+        "business": {
+            "vertices": [VERTEX.echo(v) for v in graph.vertices.values()],
+            "attachment_edges": [list(e) for e in graph.attachment_edges],
+            "flow_edges": [[e.src, e.dst, e.kind, e.value, e.step] for e in graph.flow_edges],
+            "next_index": graph.next_index,
+            "pool": list(graph._pool),
+            "floor_active": {k: graph._floor_active[k] for k in sorted(graph._floor_active)},
+        },
+    }
+
+
+def _population(rows, pool: Catalog, max_len: int) -> list:
+    """Individuals from [genome, fitness] rows; a genome names 1..max_len pool services."""
+    pop = []
+    for i, (genome, fit) in enumerate(_each(rows, _row, (ARRAY.read, NUMBER.read))):
+        try:
+            for sid in _strings(genome):
+                if sid not in pool:
+                    raise _Bad(f"service {sid!r} not in the habitat's pool")
+            if not 1 <= len(genome) <= max_len:
+                raise _Bad(f"genome length {len(genome)} outside [1, max_len {max_len}]")
+        except _Bad as e:
+            e.keys[:0] = [i, 0]
+            raise
+        pop.append(Individual(tuple(genome), fit))
+    if not pop:
+        raise _Bad("expected a non-empty array")
+    return pop
+
+
+def _evolution_from_state(node: Reader, pool: Catalog, templates: dict) -> ActiveEvolution:
+    node.object({"request", "population", "gens_since_reset", "total_generations",
+                 "pool_version", "trace"})
+    rid = node["request"].get(STRING)
+    if rid not in templates:
+        node["request"].fail(f"evolution state for unknown request {rid!r}")
+    return ActiveEvolution(
+        request_id=rid,
+        population=node["population"].read(_population, pool, templates[rid].request.max_len),
+        gens_since_reset=node["gens_since_reset"].get(INT),
+        total_generations=node["total_generations"].get(INT),
+        pool_version=node["pool_version"].get(INT),
+        trace=[GenerationStat(*t) for t in node["trace"].rows(INT, NUMBER, NUMBER)],
+    )
+
+
+def _graph_from_state(biz: Reader) -> BusinessGraph:
+    biz.object({"vertices", "attachment_edges", "flow_edges", "next_index", "pool",
+                "floor_active"})
+    graph = BusinessGraph()
+    vertices = biz["vertices"]
+    for i, f in enumerate(vertices.records(VERTEX)):
+        try:
+            graph.add_vertex(f["id"], f["eta"], f["birth_step"]).degree = f["degree"]
+        except TopologyError as e:
+            vertices.at(i).fail(str(e))
+    graph.attachment_edges = [tuple(e) for e in biz["attachment_edges"].rows(STRING, STRING)]
+    graph._edge_set = set(graph.attachment_edges)
+    graph.flow_edges = [FlowEdge(*e)
+                        for e in biz["flow_edges"].rows(STRING, STRING, STRING, NUMBER, INT)]
+    graph.next_index = biz["next_index"].get(INT)
+    graph._pool = list(biz["pool"].read(_strings))
+    graph._floor_active = {k: v.get(BOOL) for k, v in biz["floor_active"].items()}
+    return graph
+
+
+def state_from_obj(config: SimConfig, state: dict) -> tuple:
+    """Rebuild (ecosystem, streams, graph) from a serialized state.
+
+    Malformed input raises SnapshotError naming the JSON path at fault,
+    such as `state.habitats[0].pool[1].usage_count`.
+    """
+    root = Reader(state, "state", error=SnapshotError)
+    root.object({"epoch", "streams", "habitats", "connections", "business"})
+    specs = {spec.id: spec for spec in config.scenario.habitats}
+    habitats = []
+    for hnode in root["habitats"]:
+        hnode.object({"id", "pool", "provenance", "pool_version", "active"})
+        hid = hnode["id"].get(STRING)
+        if hid not in specs:
+            hnode["id"].fail(f"snapshot habitat {hid!r} not in scenario")
+        pool_node = hnode["pool"]
+        services = [ServiceManifest(**f) for f in pool_node.records(POOL_SERVICE)]
+        for i, s in enumerate(services):
+            if bad := POOL_SERVICE.violations(s):
+                pool_node.at(i).fail("; ".join(bad))
+        try:
+            pool = Catalog(services)
+        except ManifestError as e:
+            pool_node.fail(str(e))
+        h = Habitat(id=hid, pool=pool, profile=list(specs[hid].profile),
+                    provenance={k: v.get(STRING) for k, v in hnode["provenance"].items()},
+                    pool_version=hnode["pool_version"].get(INT))
+        templates = {t.request.id: t for t in h.profile}
+        for anode in hnode["active"]:
+            evo = _evolution_from_state(anode, pool, templates)
+            h.active[evo.request_id] = evo
+        habitats.append(h)
+    try:
+        eco = Ecosystem(habitats, w_min=config.ecosystem.w_min)
+    except EcosystemError as e:
+        root["habitats"].fail(str(e))
+    eco.epoch = root["epoch"].get(INT)
+    if eco.epoch < 0:
+        root["epoch"].fail("must be >= 0")
+    conns = root["connections"]
+    for i, (a, b, w) in enumerate(conns.rows(STRING, STRING, NUMBER)):
+        try:
+            if edge_key(a, b) in eco.connections:
+                conns.at(i).fail(f"duplicate connection {a}-{b}")
+            eco.add_connection(a, b, w)
+        except EcosystemError as e:
+            conns.at(i).fail(str(e))
+    streams = {hid: Stream(v.get(INT)) for hid, v in root["streams"].items()}
+    for hid in eco.habitat_ids():
+        if hid not in streams:
+            root["streams"].fail(f"missing stream for habitat {hid!r}")
+    return eco, streams, _graph_from_state(root["business"])
+
+
+# --- Files ---
 
 
 def serialize_config(cfg: SimConfig) -> str:
@@ -297,15 +836,13 @@ def parse_config(path, seed_override: int | None = None) -> tuple:
         raise ConfigError(f"{path}: malformed JSON: {e}") from e
     except RecursionError as e:
         raise ConfigError(f"{path}: malformed JSON: nested too deeply") from e
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
     state = None
-    if "format" in data:
+    if type(data) is dict and "format" in data:
         if data["format"] != SNAPSHOT_FORMAT:
             raise ConfigError(f"{path}: unknown snapshot format {data['format']!r}")
-        _check_keys(data, str(path), ("format", "config", "state"))
-        state = data["state"]
-        data = data["config"]
+        root = Reader(data, path, error=ConfigError)
+        root.object({"format", "config", "state"})
+        state, data = root["state"].value, root["config"].value
     cfg = config_from_obj(data, path=str(path))
     if seed_override is not None:
         cfg.master_seed = seed_override

@@ -39,18 +39,6 @@ class EcosystemParams:
     decay_lambda: float = 0.99
     w_min: float = W_MIN_DEFAULT
 
-    def validate(self) -> list[str]:
-        bad = []
-        if not (0.0 <= self.p_mig <= 1.0):
-            bad.append("p_mig out of range")
-        if self.reinforce_delta <= 0.0:
-            bad.append("reinforce_delta must be > 0")
-        if not (0.0 < self.decay_lambda <= 1.0):
-            bad.append("decay out of range")
-        if self.w_min <= 0.0:
-            bad.append("w_min must be > 0")
-        return bad
-
 
 @dataclass(frozen=True)
 class RequestTemplate:

@@ -56,28 +56,6 @@ class EvolutionParams:
     gamma: float = 2.0
     target_fitness: float = 0.999
 
-    def validate(self) -> list[str]:
-        bad = []
-        if self.population_size < 2:
-            bad.append("population_size must be >= 2")
-        if self.max_generations < 1:
-            bad.append("max_generations must be >= 1")
-        if self.tournament_size < 1:
-            bad.append("tournament_size must be >= 1")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            bad.append("crossover_rate out of range")
-        if not (0.0 <= self.mutation_rate <= 1.0):
-            bad.append("mutation_rate out of range")
-        if self.elitism < 0 or self.elitism >= self.population_size:
-            bad.append("elitism must be in [0, population_size)")
-        if not (0.0 <= self.beta < 1.0):
-            bad.append("beta out of range")
-        if self.gamma < 0.0:
-            bad.append("gamma must be >= 0")
-        if not (0.0 < self.target_fitness <= 1.0):
-            bad.append("target_fitness out of range")
-        return bad
-
 
 @dataclass(frozen=True)
 class GenerationStat:

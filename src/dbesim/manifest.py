@@ -10,18 +10,17 @@ ordered chain of services against a request.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
-TOKEN_PATTERN = re.compile(r"[a-z0-9_]+\Z")
 MAX_TOKEN_LEN = 64
+TOKEN_PATTERN = re.compile(rf"[a-z0-9_]{{1,{MAX_TOKEN_LEN}}}\Z")
 
 DEFAULT_BETA = 0.3
 
 
 class ManifestError(ValueError):
-    """Raised for malformed tokens, manifests, requests, or catalog files."""
+    """Raised for malformed tokens and duplicate catalog ids."""
 
 
 def parse_token(value: str) -> str:
@@ -30,21 +29,12 @@ def parse_token(value: str) -> str:
     Tokens are lowercased at parse time; afterwards comparison is exact
     byte equality.
     """
-    if not isinstance(value, str):
+    if type(value) is not str:
         raise ManifestError(f"token must be a string, got {type(value).__name__}")
     tok = value.lower()
-    if not tok or len(tok) > MAX_TOKEN_LEN or not TOKEN_PATTERN.match(tok):
+    if not TOKEN_PATTERN.match(tok):
         raise ManifestError(f"invalid attribute token: {value!r}")
     return tok
-
-
-def parse_token_set(values) -> frozenset[str]:
-    if not isinstance(values, (list, tuple, set, frozenset)):
-        raise ManifestError("attribute set must be an array of strings")
-    toks = frozenset(parse_token(v) for v in values)
-    if not toks:
-        raise ManifestError("attribute set must be non-empty")
-    return toks
 
 
 @dataclass
@@ -93,37 +83,6 @@ class Request:
     budget: float | None = None
 
 
-def validate_manifest(m: ServiceManifest) -> list[str]:
-    """Return all invariant violations of a manifest (empty list means ok)."""
-    violations = []
-    if not m.id:
-        violations.append("empty id")
-    if not m.attrs:
-        violations.append("empty attribute set")
-    if not (0.0 <= m.reliability <= 1.0):
-        violations.append("reliability out of range")
-    if m.price < 0:
-        violations.append("negative price")
-    if m.usage_count < 0 or m.success_count < 0:
-        violations.append("negative counter")
-    if m.success_count > m.usage_count:
-        violations.append("success exceeds usage")
-    return violations
-
-
-def validate_request(r: Request) -> list[str]:
-    violations = []
-    if not r.id:
-        violations.append("empty id")
-    if not r.req_attrs:
-        violations.append("empty required attribute set")
-    if r.max_len < 1:
-        violations.append("max_len below 1")
-    if r.budget is not None and r.budget < 0:
-        violations.append("negative budget")
-    return violations
-
-
 class Catalog:
     """Ordered pool of service manifests keyed by id.
 
@@ -139,9 +98,6 @@ class Catalog:
     def add(self, service: ServiceManifest) -> None:
         if service.id in self._services:
             raise ManifestError(f"duplicate service id: {service.id!r}")
-        bad = validate_manifest(service)
-        if bad:
-            raise ManifestError(f"invalid manifest {service.id!r}: " + "; ".join(bad))
         self._services[service.id] = service
 
     def get(self, service_id: str) -> ServiceManifest:
@@ -239,117 +195,3 @@ def chain_price(chain) -> float:
     for s in chain:
         total += s.price
     return total
-
-
-# --- JSON interchange (strict: unknown keys rejected) ---
-
-_SERVICE_KEYS = {"id", "attrs", "in_port", "out_port", "price", "reliability"}
-_REQUEST_KEYS = {"id", "req_attrs", "source_port", "sink_port", "max_len", "budget"}
-
-
-def _require_str(obj, key, where):
-    v = obj.get(key)
-    if not isinstance(v, str) or not v:
-        raise ManifestError(f"{where}: key {key!r} must be a non-empty string")
-    return v
-
-
-def _require_number(obj, key, where):
-    v = obj.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ManifestError(f"{where}: key {key!r} must be a number")
-    return float(v)
-
-
-def service_from_obj(obj, where: str = "service") -> ServiceManifest:
-    """Build a manifest from a parsed JSON object, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise ManifestError(f"{where}: expected an object")
-    unknown = set(obj) - _SERVICE_KEYS
-    if unknown:
-        raise ManifestError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = _SERVICE_KEYS - set(obj)
-    if missing:
-        raise ManifestError(f"{where}: missing keys {sorted(missing)}")
-    m = ServiceManifest(
-        id=_require_str(obj, "id", where),
-        attrs=parse_token_set(obj["attrs"]),
-        in_port=parse_token(obj["in_port"]),
-        out_port=parse_token(obj["out_port"]),
-        price=_require_number(obj, "price", where),
-        reliability=_require_number(obj, "reliability", where),
-    )
-    bad = validate_manifest(m)
-    if bad:
-        raise ManifestError(f"{where} {m.id!r}: " + "; ".join(bad))
-    return m
-
-
-def service_to_obj(m: ServiceManifest) -> dict:
-    return {
-        "id": m.id,
-        "attrs": sorted(m.attrs),
-        "in_port": m.in_port,
-        "out_port": m.out_port,
-        "price": m.price,
-        "reliability": m.reliability,
-    }
-
-
-def request_from_obj(obj, where: str = "request") -> Request:
-    """Build a request from a parsed JSON object, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise ManifestError(f"{where}: expected an object")
-    unknown = set(obj) - _REQUEST_KEYS
-    if unknown:
-        raise ManifestError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = (_REQUEST_KEYS - {"budget"}) - set(obj)
-    if missing:
-        raise ManifestError(f"{where}: missing keys {sorted(missing)}")
-    max_len = obj["max_len"]
-    if isinstance(max_len, bool) or not isinstance(max_len, int):
-        raise ManifestError(f"{where}: key 'max_len' must be an integer")
-    budget = None
-    if "budget" in obj:
-        budget = _require_number(obj, "budget", where)
-    r = Request(
-        id=_require_str(obj, "id", where),
-        req_attrs=parse_token_set(obj["req_attrs"]),
-        source_port=parse_token(obj["source_port"]),
-        sink_port=parse_token(obj["sink_port"]),
-        max_len=max_len,
-        budget=budget,
-    )
-    bad = validate_request(r)
-    if bad:
-        raise ManifestError(f"{where} {r.id!r}: " + "; ".join(bad))
-    return r
-
-
-def request_to_obj(r: Request) -> dict:
-    obj = {
-        "id": r.id,
-        "req_attrs": sorted(r.req_attrs),
-        "source_port": r.source_port,
-        "sink_port": r.sink_port,
-        "max_len": r.max_len,
-    }
-    if r.budget is not None:
-        obj["budget"] = r.budget
-    return obj
-
-
-def load_catalog(path) -> Catalog:
-    """Load a catalog file: a JSON array of service objects."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    if not isinstance(data, list):
-        raise ManifestError(f"{path}: catalog file must be a JSON array")
-    return Catalog(service_from_obj(obj, f"{path}[{i}]") for i, obj in enumerate(data))
-
-
-def load_request(path) -> Request:
-    """Load a request file: a single JSON request object."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return request_from_obj(data, str(path))

@@ -47,14 +47,6 @@ class EtaDist:
     kind: str  # "uniform" | "fixed"
     value: float = 1.0  # cap for uniform, the value itself for fixed
 
-    def validate(self) -> list[str]:
-        bad = []
-        if self.kind not in ("uniform", "fixed"):
-            bad.append(f"unknown eta distribution kind: {self.kind!r}")
-        if not (0.0 < self.value <= 1.0):
-            bad.append("eta distribution value out of (0, 1]")
-        return bad
-
     def draw(self, rng: Stream) -> float:
         """Uniform consumes one draw and maps [0,1) onto (0, cap]; fixed consumes none."""
         if self.kind == "uniform":

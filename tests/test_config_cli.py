@@ -1,6 +1,7 @@
 """Config schema strictness, echo round-trips, and CLI behavior."""
 
 import json
+import math
 import os
 
 import pytest
@@ -76,6 +77,13 @@ def test_unknown_nested_key_named_in_error():
         config_from_obj(obj)
 
 
+def test_missing_key_named_at_its_path():
+    obj = minimal_obj()
+    del obj["seed"]
+    with pytest.raises(ConfigError, match=r"^config\.seed: missing$"):
+        config_from_obj(obj)
+
+
 def test_wrong_types_rejected():
     obj = minimal_obj()
     obj["epochs"] = "many"
@@ -145,12 +153,44 @@ def test_cli_validate_reference_configs():
         assert cli.main(["validate", "--config", asset_path(name)]) == 0
 
 
+def _set_config(path, value):
+    def damage(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+    return damage
+
+
+# A NaN or an infinity passes every range check written as a comparison, so
+# the reader rejects non-finite numbers wherever a number is read.
+BAD_CONFIGS = [
+    (_set_config(["epochs"], 0), "epochs"),
+    (_set_config(["ecosystem"], {"reinforce_delta": math.nan}),
+     "config.json.ecosystem.reinforce_delta: expected a finite number"),
+    (_set_config(["ecosystem"], {"reinforce_delta": math.inf}),
+     "config.json.ecosystem.reinforce_delta: expected a finite number"),
+    (_set_config(["ecosystem"], {"w_min": math.nan}),
+     "config.json.ecosystem.w_min: expected a finite number"),
+    (_set_config(["scenario", "habitats", 0, "profile", 0, "weight"], math.nan),
+     "config.json.scenario.habitats[0].profile[0].weight: expected a finite number"),
+    (_set_config(["scenario", "habitats", 1, "catalog", 0, "price"], math.inf),
+     "config.json.scenario.habitats[1].catalog[0].price: expected a finite number"),
+    (_set_config(["evolution"], {"gamma": math.nan}),
+     "config.json.evolution.gamma: expected a finite number"),
+]
+
+
 def test_cli_validate_bad_config(tmp_path, capsys):
-    obj = minimal_obj()
-    obj["epochs"] = 0
-    path = write_config(tmp_path, obj)
-    assert cli.main(["validate", "--config", path]) == 1
-    assert "epochs" in capsys.readouterr().err
+    for damage, message in BAD_CONFIGS:
+        obj = minimal_obj()
+        damage(obj)
+        path = write_config(tmp_path, obj)
+        for sub in ("validate", "run"):
+            assert cli.main([sub, "--config", path, "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert message in err, (sub, message, err)
+            assert len(err.strip().splitlines()) == 1, err
 
 
 def test_cli_validate_missing_file(tmp_path, capsys):
@@ -247,6 +287,16 @@ def test_cli_snapshot_short_connection_triple(tmp_path, capsys):
 
     err = _malformed_snapshot_run(tmp_path, capsys, damage)
     assert "state.connections[0]: expected 3 elements, got 2" in err
+
+
+def test_cli_snapshot_genome_over_max_len(tmp_path, capsys):
+    def damage(st):
+        genome = st["habitats"][0]["active"][0]["population"][0][0]
+        genome.append(genome[0])
+
+    err = _malformed_snapshot_run(tmp_path, capsys, damage)
+    assert ("state.habitats[0].active[0].population[0][0]: "
+            "genome length 2 outside [1, max_len 1]") in err
 
 
 def test_cli_lock_file_blocks_concurrent_use(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Whole-run orchestration: determinism, metrics, transactions, snapshots."""
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_asset_config, svc
 from dbesim import engine
-from dbesim.config import config_from_obj
+from dbesim.config import config_from_obj, serialize_snapshot
 from dbesim.engine import (
     MetricsRow,
     SimConfig,
@@ -323,6 +325,60 @@ def test_snapshot_resume_across_failure():
     assert resumed.final_state() == full.final_state()
 
 
+def _evolving_scenario_obj(seed, failure_epoch):
+    """Six habitats in a ring; each one's second request needs a service its
+    neighbour owns, so populations evolve, stall at max_generations, and
+    re-open when a migrated service arrives."""
+    habitats = []
+    for i in range(6):
+        hid, nxt = f"h{i}", (i + 1) % 6
+        habitats.append({
+            "id": hid,
+            "catalog": [{"id": f"{hid}_a", "attrs": [f"a{i}"], "in_port": "raw",
+                         "out_port": "mid", "price": 1.0, "reliability": 0.9},
+                        {"id": f"{hid}_b", "attrs": [f"b{i}"], "in_port": "mid",
+                         "out_port": "done", "price": 2.0, "reliability": 0.95}],
+            "profile": [{"request": {"id": f"{hid}_own", "req_attrs": [f"a{i}", f"b{i}"],
+                                     "source_port": "raw", "sink_port": "done", "max_len": 3}},
+                        {"request": {"id": f"{hid}_pair", "req_attrs": [f"a{nxt}", f"b{i}"],
+                                     "source_port": "raw", "sink_port": "done", "max_len": 3}}],
+        })
+    return {
+        "seed": seed,
+        "epochs": 6,
+        "evolution": {"population_size": 6, "max_generations": 6,
+                      "generation_budget_per_epoch": 4},
+        "ecosystem": {"p_mig": 0.5},
+        "scenario": {"habitats": habitats},
+        "failures": [{"epoch": failure_epoch, "victims": ["h2"]}],
+    }
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), failure_epoch=st.integers(1, 6))
+def test_snapshot_resume_at_every_epoch(seed, failure_epoch):
+    """The snapshot written after any epoch k, read back from its JSON text,
+    resumes into the unbroken run's tail events, metrics and final snapshot."""
+    base = _evolving_scenario_obj(seed, failure_epoch)
+    cfg_full = config_from_obj(base)
+    full = engine.run(cfg_full)
+    final = serialize_snapshot(cfg_full, full.final_state())
+    for k in range(base["epochs"]):
+        if k == 0:
+            cfg_head, state = cfg_full, engine.state_to_obj(*engine.build_run_state(cfg_full))
+        else:
+            head_obj = dict(base, epochs=k,
+                            failures=[f for f in base["failures"] if f["epoch"] <= k])
+            cfg_head = config_from_obj(head_obj)
+            state = engine.run(cfg_head).final_state()
+        state = json.loads(serialize_snapshot(cfg_head, state))["state"]
+        resumed = engine.run(cfg_full, state=state)
+        tail = [e for e in full.events if e.epoch > k]
+        assert serialize_events(resumed.events) == serialize_events(tail), k
+        assert serialize_metrics(resumed.metrics) == serialize_metrics(full.metrics[k:]), k
+        assert serialize_snapshot(cfg_full, resumed.final_state()) == final, k
+
+
 def test_snapshot_rejects_unknown_habitat():
     cfg = config_from_obj(scenario_obj())
     result = engine.run(cfg)
@@ -355,6 +411,18 @@ def _set(path, value):
     (_set(["business", "floor_active", "h0"], 1),
      "state.business.floor_active.h0: expected a boolean"),
     (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0]: eta out of"),
+    (_set(["habitats", 0, "pool", 0, "success_count"], 99),
+     "state.habitats[0].pool[0]: success exceeds usage"),
+    (_set(["connections", 0, 2], math.inf), "state.connections[0][2]: expected a finite number"),
+    (_set(["habitats", 0, "active", 0, "population"], []),
+     "state.habitats[0].active[0].population: expected a non-empty array"),
+    (_set(["habitats", 0, "active", 0, "population", 0], [["h0_svc"] * 3, 0.5]),
+     "state.habitats[0].active[0].population[0][0]: genome length 3 outside [1, max_len 2]"),
+    (_set(["colour"], "blue"), "state: unknown key 'colour'"),
+    (_set(["habitats", 1, "colour"], "blue"), "state.habitats[1]: unknown key 'colour'"),
+    (_set(["epoch"], -2), "state.epoch: must be >= 0"),
+    (lambda st: st["connections"].append(list(st["connections"][0])),
+     "state.connections[1]: duplicate connection h0-h1"),
 ])
 def test_snapshot_errors_name_the_json_path(damage, message):
     cfg = config_from_obj(scenario_obj())

@@ -10,8 +10,11 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from conftest import asset_path
-from dbesim import cli
+from dbesim import cli, engine
+from dbesim.config import parse_config, serialize_snapshot
 
 OUTPUTS = ("events.jsonl", "metrics.csv", "snapshot.json")
 
@@ -86,9 +89,22 @@ def run_digests(config_path, out, subcommand="run", outputs=OUTPUTS):
     return digests
 
 
-def test_golden_two_communities(tmp_path):
-    got = run_digests(asset_path("two_communities.json"), tmp_path / "out")
+@pytest.fixture(scope="module")
+def two_communities_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("two_communities") / "out"
+    return out, run_digests(asset_path("two_communities.json"), out)
+
+
+def test_golden_two_communities(two_communities_out):
+    _, got = two_communities_out
     assert got == GOLDEN["two_communities"]
+
+
+def test_snapshot_reserializes_to_the_written_bytes(two_communities_out):
+    path = two_communities_out[0] / "snapshot.json"
+    cfg, state = parse_config(path)
+    again = serialize_snapshot(cfg, engine.state_to_obj(*engine.state_from_obj(cfg, state)))
+    assert again.encode("utf-8") == path.read_bytes()
 
 
 def test_golden_bridged24(tmp_path):

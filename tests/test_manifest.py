@@ -1,27 +1,21 @@
 """Descriptor algebra, fitness, and the JSON interchange schemas."""
 
-import json
-
 import pytest
 
 from conftest import req, svc
+from dbesim.config import POOL_SERVICE, REQUEST, SERVICE, Reader
 from dbesim.manifest import (
     Catalog,
     ManifestError,
+    Request,
+    ServiceManifest,
     chain_descriptor,
     chain_price,
     compat,
     coverage,
     fitness,
-    load_catalog,
-    load_request,
     parse_token,
-    request_from_obj,
-    request_to_obj,
-    service_from_obj,
-    service_to_obj,
     surplus,
-    validate_manifest,
 )
 from dbesim.rng import derive_substream
 
@@ -200,24 +194,24 @@ def test_adding_requested_service_monotone():
 # --- manifest validation ---
 
 def test_validate_manifest_ok():
-    assert validate_manifest(svc("s", {"a"})) == []
+    assert POOL_SERVICE.violations(svc("s", {"a"})) == []
 
 
 def test_validate_manifest_reliability_out_of_range():
     m = svc("s", {"a"})
     m.reliability = 1.5
-    assert "reliability out of range" in validate_manifest(m)
+    assert "reliability out of range" in POOL_SERVICE.violations(m)
 
 
 def test_validate_manifest_success_exceeds_usage():
     m = svc("s", {"a"}, usage=3, success=5)
-    assert "success exceeds usage" in validate_manifest(m)
+    assert "success exceeds usage" in POOL_SERVICE.violations(m)
 
 
 def test_validate_manifest_negative_price():
     m = svc("s", {"a"})
     m.price = -1.0
-    assert "negative price" in validate_manifest(m)
+    assert "negative price" in POOL_SERVICE.violations(m)
 
 
 # --- catalog ---
@@ -240,6 +234,14 @@ def test_chain_price_sums():
 
 # --- JSON interchange ---
 
+def service_from_obj(obj):
+    return ServiceManifest(**Reader(obj, "service", error=ManifestError).fields(SERVICE))
+
+
+def request_from_obj(obj):
+    return Request(**Reader(obj, "request", error=ManifestError).fields(REQUEST))
+
+
 def _service_obj():
     return {"id": "s1", "attrs": ["a", "b"], "in_port": "src", "out_port": "dst",
             "price": 2.0, "reliability": 0.9}
@@ -247,7 +249,7 @@ def _service_obj():
 
 def test_service_obj_roundtrip():
     m = service_from_obj(_service_obj())
-    assert service_from_obj(service_to_obj(m)) == m
+    assert service_from_obj(SERVICE.echo(m)) == m
 
 
 def test_service_obj_rejects_unknown_key():
@@ -269,7 +271,9 @@ def test_request_obj_roundtrip_with_budget():
            "sink_port": "dst", "max_len": 2, "budget": 10.0}
     r = request_from_obj(obj)
     assert r.budget == 10.0
-    assert request_from_obj(request_to_obj(r)) == r
+    assert request_from_obj(REQUEST.echo(r)) == r
+    del obj["budget"]
+    assert request_from_obj(obj).budget is None
 
 
 def test_request_obj_rejects_unknown_key():
@@ -277,24 +281,3 @@ def test_request_obj_rejects_unknown_key():
            "sink_port": "dst", "max_len": 2, "deadline": 5}
     with pytest.raises(ManifestError, match="deadline"):
         request_from_obj(obj)
-
-
-def test_load_catalog_and_request(tmp_path):
-    cat_path = tmp_path / "catalog.json"
-    cat_path.write_text(json.dumps([_service_obj()]), encoding="utf-8")
-    c = load_catalog(cat_path)
-    assert len(c) == 1 and "s1" in c
-
-    req_path = tmp_path / "request.json"
-    req_path.write_text(json.dumps({"id": "r", "req_attrs": ["a"],
-                                    "source_port": "src", "sink_port": "dst",
-                                    "max_len": 1}), encoding="utf-8")
-    r = load_request(req_path)
-    assert r.max_len == 1 and r.budget is None
-
-
-def test_load_catalog_rejects_non_array(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"not": "array"}), encoding="utf-8")
-    with pytest.raises(ManifestError):
-        load_catalog(p)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from dbesim.config import TOPOLOGY, TopologyParams
 from dbesim.rng import derive_substream
 from dbesim.topology import (
     CAPITAL_FLOW,
@@ -74,11 +75,14 @@ def test_grow_rejects_m_above_vertex_count():
 
 
 def test_eta_dist_validation():
-    assert EtaDist("uniform", 0.5).validate() == []
-    assert EtaDist("fixed", 1.0).validate() == []
-    assert EtaDist("weird", 0.5).validate()
-    assert EtaDist("uniform", 0.0).validate()
-    assert EtaDist("fixed", 1.5).validate()
+    def violations(eta):
+        return TOPOLOGY.violations(TopologyParams(eta=eta))
+
+    assert violations(EtaDist("uniform", 0.5)) == []
+    assert violations(EtaDist("fixed", 1.0)) == []
+    assert violations(EtaDist("weird", 0.5)) == ["unknown eta distribution kind: 'weird'"]
+    assert violations(EtaDist("uniform", 0.0))
+    assert violations(EtaDist("fixed", 1.5))
 
 
 def test_eta_uniform_draw_in_half_open_interval():
