@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
@@ -91,6 +92,31 @@ def _first_habitat_inputs(cfg):
 
 
 def cmd_run(cfg, state, out: OutputDir, quiet: bool) -> int:
+    """Run the simulation and write its outputs, with the cyclic collector paused.
+
+    A run makes no reference cycles, so the collector would find nothing;
+    left on, it rescans the growing event log several times, some of them
+    inside epochs. Its state on entry is restored on every exit path, after
+    the run's objects are freed, so re-enabling it triggers no scan of them.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        n_events, last = _run_and_write(cfg, state, out)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    if not quiet:
+        print(f"run complete: {cfg.epochs} epochs, {n_events} events")
+        if last:
+            print(f"final epoch {last.epoch}: mean_best_fitness={last.mean_best_fitness:.4f} "
+                  f"success_rate={last.deployment_success_rate:.4f} "
+                  f"clustering={last.clustering_statistic:.4f}")
+    return EXIT_OK
+
+
+def _run_and_write(cfg, state, out: OutputDir) -> tuple:
+    """Run and write every output; returns (event count, last metrics row or None)."""
     result = engine.run(cfg, state=state)
     out.write("resolved_config.json", serialize_config(cfg))
     out.write("events.jsonl", engine.serialize_events(result.events))
@@ -99,14 +125,7 @@ def cmd_run(cfg, state, out: OutputDir, quiet: bool) -> int:
     out.write("ecosystem.dot", result.eco.to_dot())
     out.write("business.dot", result.graph.to_dot())
     out.write("flows.csv", result.graph.flows_csv())
-    if not quiet:
-        last = result.metrics[-1] if result.metrics else None
-        print(f"run complete: {cfg.epochs} epochs, {len(result.events)} events")
-        if last:
-            print(f"final epoch {last.epoch}: mean_best_fitness={last.mean_best_fitness:.4f} "
-                  f"success_rate={last.deployment_success_rate:.4f} "
-                  f"clustering={last.clustering_statistic:.4f}")
-    return EXIT_OK
+    return len(result.events), (result.metrics[-1] if result.metrics else None)
 
 
 def cmd_evolve(cfg, out: OutputDir | None, quiet: bool) -> int:
@@ -156,19 +175,6 @@ def cmd_topology(cfg, out: OutputDir, quiet: bool) -> int:
     return EXIT_OK
 
 
-def cmd_validate(path, seed_override) -> int:
-    try:
-        parse_config(path, seed_override=seed_override)
-    except ConfigError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"cannot read config: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    print("ok")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbesim",
@@ -199,8 +205,6 @@ def dispatch(args) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.subcommand == "validate":
-        return cmd_validate(args.config, args.seed)
     try:
         cfg, state = parse_config(args.config, seed_override=args.seed)
     except ConfigError as e:
@@ -209,6 +213,9 @@ def _dispatch(args) -> int:
     except OSError as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    if args.subcommand == "validate":
+        print("ok")
+        return EXIT_OK
 
     try:
         if args.subcommand == "run":

@@ -202,8 +202,8 @@ def random_m_edges(ids: list, m: int, rng: Stream) -> list:
     if m < 1 or m > len(ids) - 1:
         raise EcosystemError("random_m parameter out of range")
     edges = set()
-    for hid in ids:
-        candidates = [x for x in ids if x != hid]
+    for i, hid in enumerate(ids):
+        candidates = ids[:i] + ids[i + 1:]
         for _ in range(m):
             idx = rng.below(len(candidates))
             peer = candidates.pop(idx)

@@ -81,14 +81,21 @@ METRICS_HEADER = ("epoch,mean_best_fitness,deployment_success_rate,"
                   "total_migrations,clustering_statistic,habitat_count,connection_count")
 
 
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def serialize_events(events) -> str:
-    """Event log as JSON Lines (UTF-8, LF); events are (epoch, kind, payload) triples."""
-    lines = []
-    for epoch, kind, payload in events:
-        lines.append(json.dumps(
-            {"epoch": epoch, "kind": kind, "payload": payload},
-            sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Event log as JSON Lines (UTF-8, LF); events are (epoch, kind, payload) triples.
+
+    Each line is the compact, key-sorted JSON of {"epoch", "kind", "payload"}.
+    The wrapper is written out by hand around the one shared encoder's
+    payload text: its keys are already in sorted order, an epoch is an int
+    and a kind is a code constant token that needs no escaping, so the bytes
+    are those of `json.dumps(record, sort_keys=True, separators=(",", ":"))`.
+    """
+    encode = _EVENT_ENCODER.encode
+    return "".join([f'{{"epoch":{epoch},"kind":"{kind}","payload":{encode(payload)}}}\n'
+                    for epoch, kind, payload in events])
 
 
 def serialize_metrics(rows) -> str:

@@ -22,7 +22,9 @@ from .manifest import (
     Catalog,
     Request,
     ServiceManifest,
+    chain_fitness,
     chain_price,
+    check_beta,
     fitness,
 )
 from .rng import Stream
@@ -123,11 +125,15 @@ def draw_service(catalog: Catalog, gamma: float, rng: Stream, table=None) -> Ser
 
 
 def evaluate_genome(genome: ChainGenome, catalog: Catalog, req: Request, params: EvolutionParams) -> float:
-    """Fitness of a genome; chains priced over the request budget score 0."""
+    """Fitness of a genome; chains priced over the request budget score 0.
+
+    Unchecked: the GA's operators keep genomes within 1..max_len and the
+    parameters are checked at the boundary (`evolve`, the config schema).
+    """
     chain = catalog.resolve(genome)
     if req.budget is not None and chain_price(chain) > req.budget:
         return 0.0
-    return fitness(chain, req, params.beta)
+    return chain_fitness(chain, req, params.beta)
 
 
 def population_stats(pop) -> tuple[float, float]:
@@ -171,17 +177,17 @@ def init_population(catalog: Catalog, req: Request, params: EvolutionParams, rng
 
 
 def tournament_select(pop, k: int, rng: Stream) -> Individual:
-    """Best of k uniform draws with replacement; ties favor the lower index.
+    """Best of k >= 1 uniform draws with replacement; ties favor the lower index.
 
-    Consumes exactly k draws.
+    Consumes exactly k draws; the first draw seeds the best.
     """
     n = len(pop)
-    best_i = -1
-    best_f = 0.0
-    for _ in range(k):
+    best_i = rng.below(n)
+    best_f = pop[best_i].fitness
+    for _ in range(k - 1):
         i = rng.below(n)
         f = pop[i].fitness
-        if best_i < 0 or f > best_f or (f == best_f and i < best_i):
+        if f > best_f or (f == best_f and i < best_i):
             best_i = i
             best_f = f
     return pop[best_i]
@@ -229,7 +235,8 @@ def mutate(g: ChainGenome, catalog: Catalog, req: Request, rng: Stream, gamma: f
     return g[:pos] + (svc.id,) + g[pos + 1:]
 
 
-def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream) -> list:
+def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream,
+                    table=None) -> list:
     """Produce the next generation, preserving population size.
 
     The top-elitism individuals (ties by index) carry over unchanged. Each
@@ -241,11 +248,13 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
     individual: fitness depends only on the request and on the attributes,
     ports and prices of pool members, which never change once in a pool.
     One gene table serves the whole generation: pool membership and usage
-    counters do not change within it.
+    counters do not change within it. `table` is a precomputed
+    `gene_table(catalog, params.gamma)`.
     """
     size = len(pop)
     known = {ind.genome: ind for ind in pop}
-    table = gene_table(catalog, params.gamma)
+    if table is None:
+        table = gene_table(catalog, params.gamma)
     next_pop = sorted(pop, key=attrgetter("fitness"), reverse=True)[: params.elitism]
     while len(next_pop) < size:
         p1 = tournament_select(pop, params.tournament_size, rng)
@@ -271,14 +280,16 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
     """Run up to max_steps generations, stopping once target fitness is hit.
 
     Returns (population, per-step (best, mean) stats). The caller owns
-    generation numbering.
+    generation numbering. One gene table serves every step: pool membership
+    and usage counters do not change inside this call.
     """
     stats = []
     best, _ = population_stats(pop)
+    table = gene_table(catalog, params.gamma)
     for _ in range(max_steps):
         if best >= params.target_fitness:
             break
-        pop = step_generation(pop, catalog, req, params, rng)
+        pop = step_generation(pop, catalog, req, params, rng, table)
         stats.append(population_stats(pop))
         best = stats[-1][0]
     return pop, stats
@@ -286,6 +297,7 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
 
 def evolve(catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream) -> EvolutionTrace:
     """Evolve until target fitness or the generation cap is reached."""
+    check_beta(params.beta)
     pop = init_population(catalog, req, params, rng)
     best, mean = population_stats(pop)
     trace = EvolutionTrace()

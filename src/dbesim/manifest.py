@@ -167,6 +167,11 @@ def surplus(chain_attrs: frozenset[str], req: Request) -> float:
     return len(chain_attrs - req.req_attrs) / len(chain_attrs)
 
 
+def check_beta(beta: float) -> None:
+    if not (0.0 <= beta < 1.0):
+        raise ValueError("beta must be in [0, 1)")
+
+
 def fitness(chain, req: Request, beta: float = DEFAULT_BETA) -> float:
     """Score a chain against a request in [0, 1].
 
@@ -176,8 +181,7 @@ def fitness(chain, req: Request, beta: float = DEFAULT_BETA) -> float:
     is 1 exactly when coverage is full, there is no surplus, and every
     junction is satisfied.
     """
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("beta must be in [0, 1)")
+    check_beta(beta)
     chain = list(chain)
     if len(chain) > req.max_len:
         raise ValueError(f"chain length {len(chain)} exceeds max_len {req.max_len}")
@@ -188,6 +192,35 @@ def fitness(chain, req: Request, beta: float = DEFAULT_BETA) -> float:
     if semantic < 0.0:
         semantic = 0.0
     return semantic * compat(chain, req)
+
+
+def chain_fitness(chain: list, req: Request, beta: float) -> float:
+    """`fitness` without its argument checks: the GA's evaluation kernel.
+
+    The caller guarantees a list of at most req.max_len members and
+    0 <= beta < 1. The arithmetic is `fitness`'s, operation for operation,
+    so both return the same float.
+    """
+    k = len(chain)
+    if k == 0:
+        return 0.0
+    attrs: frozenset[str] = frozenset()
+    for s in chain:
+        attrs |= s.attrs
+    want = req.req_attrs
+    extra = len(attrs - want) / len(attrs) if attrs else 0.0
+    semantic = len(attrs & want) / len(want) - beta * extra
+    if semantic < 0.0:
+        semantic = 0.0
+    matches = 0
+    port = req.source_port
+    for s in chain:  # each junction: the port offered against the member's input
+        if s.in_port == port:
+            matches += 1
+        port = s.out_port
+    if port == req.sink_port:
+        matches += 1
+    return semantic * (matches / (k + 1))
 
 
 def chain_price(chain) -> float:

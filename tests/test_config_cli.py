@@ -1,13 +1,15 @@
 """Config schema strictness, echo round-trips, and CLI behavior."""
 
+import gc
 import json
 import math
 import os
+from collections import Counter
 
 import pytest
 
 from conftest import asset_path, load_asset_obj
-from dbesim import cli
+from dbesim import cli, engine
 from dbesim.config import (
     ConfigError,
     config_from_obj,
@@ -17,6 +19,7 @@ from dbesim.config import (
     serialize_snapshot,
 )
 from dbesim.engine import run as engine_run
+from test_golden import bridged24_obj
 
 
 def minimal_obj():
@@ -186,11 +189,14 @@ def test_cli_validate_bad_config(tmp_path, capsys):
         obj = minimal_obj()
         damage(obj)
         path = write_config(tmp_path, obj)
+        errs = []
         for sub in ("validate", "run"):
             assert cli.main([sub, "--config", path, "--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
             assert message in err, (sub, message, err)
             assert len(err.strip().splitlines()) == 1, err
+            errs.append(err)
+        assert errs[0] == errs[1] and errs[0].startswith("invalid config: "), errs
 
 
 def test_cli_validate_missing_file(tmp_path, capsys):
@@ -399,6 +405,68 @@ def test_cli_unexpected_exception_is_one_line_exit_2(tmp_path, monkeypatch, caps
     assert len(err.strip().splitlines()) == 1
     assert "KeyError" in err and "'h9'" in err
     assert not os.path.exists(os.path.join(out, cli.LOCK_NAME))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_run_restores_the_collector_state(tmp_path, monkeypatch, enabled):
+    """`run` pauses the cyclic collector and leaves it as it found it, on
+    success (exit 0), on a validation failure (exit 1) and on an unexpected
+    exception (exit 2)."""
+    seen = []
+
+    def broken_run(error):
+        def run(cfg, state=None):
+            seen.append(gc.isenabled())
+            raise error
+        return run
+
+    path = write_config(tmp_path, minimal_obj())
+    argv = ["run", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert gc.isenabled() is enabled
+        for error, code in ((engine.ValidationFailure(["epochs must be >= 1"]), cli.EXIT_VALIDATION),
+                            (KeyError("h9"), cli.EXIT_RUNTIME)):
+            monkeypatch.setattr(cli.engine, "run", broken_run(error))
+            assert cli.main(argv) == code
+            assert gc.isenabled() is enabled
+        assert seen == [False, False]
+    finally:
+        gc.enable()
+
+
+def cyclic_garbage(fn):
+    """Type names of the unreachable cyclic objects that calling `fn` leaves."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("scenario", ["two_communities", "bridged24"])
+def test_cmd_run_makes_no_cyclic_garbage(tmp_path, scenario):
+    """The premise of pausing the collector during `run`: the run leaves no
+    reference cycle for it to free, and its outputs leave only the constant
+    few of one `indent=2` JSON encoding (`json`'s pure-Python encoder makes
+    its recursive closures into one cycle per call)."""
+    if scenario == "bridged24":
+        path = write_config(tmp_path, bridged24_obj())
+    else:
+        path = asset_path("two_communities.json")
+    cfg, state = parse_config(path)
+    assert cyclic_garbage(lambda: engine_run(cfg, state=state)) == Counter()
+
+    def run_and_write():
+        with cli.OutputDir(str(tmp_path / "out")) as out:
+            assert cli.cmd_run(cfg, state, out, quiet=True) == cli.EXIT_OK
+
+    assert cyclic_garbage(run_and_write) == cyclic_garbage(lambda: serialize_config(cfg))
 
 
 def test_output_write_is_atomic(tmp_path):

@@ -1,11 +1,11 @@
-"""The GA gene table and the per-edge similarity memo against the memo-free
-computations they replace, and the written event log against its records.
+"""The GA gene table, the unchecked fitness kernel, the per-edge similarity
+memo and the event-log writer against the plain computations they replace.
 
 Each reference below is the plain computation: gene draws through
 `Stream.weighted_index` over freshly computed replication weights, the
-clustering statistic with every profile similarity recomputed, and the
-event log serialized from the run's `EventRecord`s. Equality is exact: the
-fast paths keep the draw order and the float accumulation order.
+checked `fitness`, the clustering statistic with every profile similarity
+recomputed, and one `json.dumps` of the sorted record per event. Equality
+is exact: the fast paths keep the draw order and the float arithmetic.
 """
 
 import json
@@ -37,7 +37,7 @@ from dbesim.evolution import (
     record_deployment,
     replication_weight,
 )
-from dbesim.manifest import Catalog
+from dbesim.manifest import Catalog, chain_fitness, fitness
 from dbesim.rng import Stream, derive_substream
 
 MASK = (1 << 64) - 1
@@ -172,6 +172,26 @@ def test_ga_across_deployments_matches_fresh_weights(data):
     assert trajectory(draw_service) == trajectory(reference_draw)
 
 
+# --- fitness kernel ---
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chain_fitness_equals_fitness(data):
+    tokens = st.sampled_from("abcdefg")
+    ports = st.sampled_from(["p", "q", "r"])
+    request = req("r", data.draw(st.frozensets(tokens, min_size=1, max_size=5), label="want"),
+                  source=data.draw(ports), sink=data.draw(ports),
+                  max_len=data.draw(st.integers(1, 5), label="max_len"))
+    chain = [svc(f"s{i}", data.draw(st.frozensets(tokens, max_size=4)),
+                 in_port=data.draw(ports), out_port=data.draw(ports))
+             for i in range(data.draw(st.integers(0, request.max_len), label="length"))]
+    beta = data.draw(st.sampled_from([0.0, 0.3, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+                     label="beta")
+    got = chain_fitness(chain, request, beta)
+    assert repr(got) == repr(fitness(chain, request, beta))
+
+
 # --- clustering statistic ---
 
 
@@ -247,6 +267,33 @@ def test_clustering_after_snapshot_restore():
 # --- event log ---
 
 
+def reference_events(records):
+    return "".join(json.dumps({"epoch": e, "kind": k, "payload": p},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+                   for e, k, p in records)
+
+
+def test_serialize_events_equals_json_dumps_for_every_kind():
+    records = [engine.EventRecord(*ev) for ev in [
+        (1, "request_sampled", {"habitat": "h0", "request": "r0"}),
+        (1, "warning", {"habitat": "h0", "message": "empty pool, epoch skipped"}),
+        (1, "deployment", {"habitat": "h0", "request": "r0", "chain": ["s1", "s0"],
+                           "fitness": 0.1 + 0.2, "success": True}),
+        (1, "deployment", {"habitat": "h1", "request": "r1", "chain": ["s9"],
+                           "fitness": 5e-324, "success": False}),
+        (2, "reinforcement", {"a": "h0", "b": "h1", "service": "s1", "weight": 1.0000000000000002}),
+        (2, "migration", {"service": "s1", "source": "h0", "destination": "h1"}),
+        (10, "failure", {"victims": ["h1", "h2"]}),
+        (10, "heal", {"created": [["h0", "h3", 0.01], ["h3", "h4", 1e-17]]}),
+        (123456, "warning", {"message": 'quote " backslash \\ newline \n tab \t '
+                                        "caf\u00e9 \u2603 \U0001F600 nul \x00"}),
+    ]]
+    assert {r.kind for r in records} == {"request_sampled", "warning", "deployment",
+                                         "reinforcement", "migration", "failure", "heal"}
+    assert engine.serialize_events(records) == reference_events(records)
+    assert engine.serialize_events([]) == ""
+
+
 def test_events_jsonl_equals_serialized_event_records(tmp_path):
     obj = load_asset_obj("two_communities.json")
     obj["epochs"] = 12
@@ -262,3 +309,4 @@ def test_events_jsonl_equals_serialized_event_records(tmp_path):
     assert all(isinstance(ev, engine.EventRecord) for ev in records)
     assert {ev.kind for ev in records} >= {"deployment", "failure", "heal", "migration"}
     assert written == engine.serialize_events(records).encode("utf-8")
+    assert written == reference_events(records).encode("utf-8")
