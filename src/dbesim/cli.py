@@ -175,6 +175,9 @@ def cmd_topology(cfg, out: OutputDir, quiet: bool) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"evolve": cmd_evolve, "oracle": cmd_oracle, "topology": cmd_topology}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbesim",
@@ -217,29 +220,14 @@ def _dispatch(args) -> int:
         print("ok")
         return EXIT_OK
 
+    # run and topology always write (to ./out by default); evolve and oracle
+    # write only when given --out
+    out_path = args.out or ("out" if args.subcommand in ("run", "topology") else None)
     try:
-        if args.subcommand == "run":
-            out_path = args.out or "out"
-            with OutputDir(out_path) as out:
+        with OutputDir(out_path) if out_path else contextlib.nullcontext() as out:
+            if args.subcommand == "run":
                 return cmd_run(cfg, state, out, args.quiet)
-        if args.subcommand == "evolve":
-            if args.out:
-                with OutputDir(args.out) as out:
-                    return cmd_evolve(cfg, out, args.quiet)
-            return cmd_evolve(cfg, None, args.quiet)
-        if args.subcommand == "oracle":
-            if args.out:
-                with OutputDir(args.out) as out:
-                    return cmd_oracle(cfg, out, args.quiet)
-            return cmd_oracle(cfg, None, args.quiet)
-        if args.subcommand == "topology":
-            out_path = args.out or "out"
-            with OutputDir(out_path) as out:
-                return cmd_topology(cfg, out, args.quiet)
-    except engine.ValidationFailure as e:
-        for v in e.violations:
-            print(f"invalid config: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
+            return COMMANDS[args.subcommand](cfg, out, args.quiet)
     except engine.SnapshotError as e:
         print(f"invalid snapshot: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -247,7 +235,6 @@ def _dispatch(args) -> int:
             RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
 
 
 def main(argv=None) -> int:

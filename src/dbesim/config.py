@@ -38,7 +38,7 @@ from .ecosystem import (
 from .evolution import EvolutionParams, GenerationStat, Individual
 from .manifest import Catalog, ManifestError, Request, ServiceManifest, parse_token
 from .rng import Stream
-from .topology import BusinessGraph, EtaDist, FlowEdge, TopologyError
+from .topology import CAPITAL_FLOW, SERVICE_FLOW, BusinessGraph, EtaDist, FlowEdge, TopologyError
 
 SNAPSHOT_FORMAT = "dbesim-snapshot-v1"
 
@@ -290,6 +290,15 @@ def _number(v) -> float:
     raise _Bad("expected a finite number" if type(v) in (int, float) else "expected a number")
 
 
+def _int_in(lo: int, hi: float, message: str) -> Callable:
+    """An integer in [lo, hi]; `message` is the fault of one outside it."""
+    def read(v):
+        if not lo <= INT.read(v) <= hi:
+            raise _Bad(message)
+        return v
+    return read
+
+
 def _string(v) -> str:
     if type(v) is not str or not v:
         raise _Bad("expected a non-empty string")
@@ -309,6 +318,8 @@ OBJECT = Kind(_exact(dict, "an object"))
 ARRAY = Kind(_exact(list, "an array"))
 BOOL = Kind(_exact(bool, "a boolean"))
 INT = Kind(_exact(int, "an integer"))
+COUNT = Kind(_int_in(0, float("inf"), "must be >= 0"))
+STREAM_STATE = Kind(_int_in(0, _MAX_SEED, "stream state outside [0, 2**64)"))
 NUMBER = Kind(_number)
 STRING = Kind(_string)
 TOKEN = Kind(parse_token)
@@ -725,14 +736,33 @@ def _evolution_from_state(node: Reader, pool: Catalog, templates: dict) -> Activ
     return ActiveEvolution(
         request_id=rid,
         population=node["population"].read(_population, pool, templates[rid].request.max_len),
-        gens_since_reset=node["gens_since_reset"].get(INT),
-        total_generations=node["total_generations"].get(INT),
-        pool_version=node["pool_version"].get(INT),
+        gens_since_reset=node["gens_since_reset"].get(COUNT),
+        total_generations=node["total_generations"].get(COUNT),
+        pool_version=node["pool_version"].get(COUNT),
         trace=[GenerationStat(*t) for t in node["trace"].rows(INT, NUMBER, NUMBER)],
     )
 
 
-def _graph_from_state(biz: Reader) -> BusinessGraph:
+_FLOW_ROW = (STRING.read, STRING.read, STRING.read, NUMBER.read, INT.read)
+
+
+def _flow(row, vertices: dict) -> FlowEdge:
+    """A [src, dst, kind, value, step] row between two distinct vertices."""
+    src, dst, kind, value, step = _row(row, _FLOW_ROW)
+    for i, vid in enumerate((src, dst)):
+        if vid not in vertices:
+            raise _Bad(f"unknown vertex {vid!r}", i)
+    if src == dst:
+        raise _Bad("flow endpoints must differ")
+    if kind not in (SERVICE_FLOW, CAPITAL_FLOW):
+        raise _Bad(f"unknown flow kind {kind!r}", 2)
+    if value < 0.0:
+        raise _Bad("negative flow value", 3)
+    return FlowEdge(src, dst, kind, value, step)
+
+
+def _graph_from_state(biz: Reader, habitat_ids) -> BusinessGraph:
+    """The business graph; every scenario habitat is one of its vertices."""
     biz.object({"vertices", "attachment_edges", "flow_edges", "next_index", "pool",
                 "floor_active"})
     graph = BusinessGraph()
@@ -742,10 +772,12 @@ def _graph_from_state(biz: Reader) -> BusinessGraph:
             graph.add_vertex(f["id"], f["eta"], f["birth_step"]).degree = f["degree"]
         except TopologyError as e:
             vertices.at(i).fail(str(e))
+    for hid in habitat_ids:
+        if hid not in graph.vertices:
+            vertices.fail(f"missing vertex for habitat {hid!r}")
     graph.attachment_edges = [tuple(e) for e in biz["attachment_edges"].rows(STRING, STRING)]
     graph._edge_set = set(graph.attachment_edges)
-    graph.flow_edges = [FlowEdge(*e)
-                        for e in biz["flow_edges"].rows(STRING, STRING, STRING, NUMBER, INT)]
+    graph.flow_edges = biz["flow_edges"].read(_each, _flow, graph.vertices)
     graph.next_index = biz["next_index"].get(INT)
     graph._pool = list(biz["pool"].read(_strings))
     graph._floor_active = {k: v.get(BOOL) for k, v in biz["floor_active"].items()}
@@ -756,7 +788,12 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     """Rebuild (ecosystem, streams, graph) from a serialized state.
 
     Malformed input raises SnapshotError naming the JSON path at fault,
-    such as `state.habitats[0].pool[1].usage_count`.
+    such as `state.habitats[0].pool[1].usage_count`. Besides its types, the
+    state must hold what the run core relies on unchecked: one habitat or
+    more, each provenance entry maps a pool service to another scenario
+    habitat, streams belong to scenario habitats and are 64-bit, counters
+    are >= 0, every scenario habitat is a business vertex, and flows join
+    two distinct vertices with a known kind and a value >= 0.
     """
     root = Reader(state, "state", error=SnapshotError)
     root.object({"epoch", "streams", "habitats", "connections", "business"})
@@ -776,21 +813,30 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
             pool = Catalog(services)
         except ManifestError as e:
             pool_node.fail(str(e))
+        provenance = {}
+        for sid, node in hnode["provenance"].items():
+            src = node.get(STRING)
+            if sid not in pool:
+                node.fail(f"service {sid!r} not in the habitat's pool")
+            if src not in specs:
+                node.fail(f"unknown source habitat {src!r}")
+            if src == hid:
+                node.fail("source is the habitat itself")
+            provenance[sid] = src
         h = Habitat(id=hid, pool=pool, profile=list(specs[hid].profile),
-                    provenance={k: v.get(STRING) for k, v in hnode["provenance"].items()},
-                    pool_version=hnode["pool_version"].get(INT))
+                    provenance=provenance, pool_version=hnode["pool_version"].get(COUNT))
         templates = {t.request.id: t for t in h.profile}
         for anode in hnode["active"]:
             evo = _evolution_from_state(anode, pool, templates)
             h.active[evo.request_id] = evo
         habitats.append(h)
+    if not habitats:  # no run removes its last habitat
+        root["habitats"].fail("expected a non-empty array")
     try:
         eco = Ecosystem(habitats, w_min=config.ecosystem.w_min)
     except EcosystemError as e:
         root["habitats"].fail(str(e))
-    eco.epoch = root["epoch"].get(INT)
-    if eco.epoch < 0:
-        root["epoch"].fail("must be >= 0")
+    eco.epoch = root["epoch"].get(COUNT)
     conns = root["connections"]
     for i, (a, b, w) in enumerate(conns.rows(STRING, STRING, NUMBER)):
         try:
@@ -799,11 +845,15 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
             eco.add_connection(a, b, w)
         except EcosystemError as e:
             conns.at(i).fail(str(e))
-    streams = {hid: Stream(v.get(INT)) for hid, v in root["streams"].items()}
+    streams = {}
+    for hid, node in root["streams"].items():
+        if hid not in specs:
+            node.fail(f"stream for unknown habitat {hid!r}")
+        streams[hid] = Stream(node.get(STREAM_STATE))
     for hid in eco.habitat_ids():
         if hid not in streams:
             root["streams"].fail(f"missing stream for habitat {hid!r}")
-    return eco, streams, _graph_from_state(root["business"])
+    return eco, streams, _graph_from_state(root["business"], specs)
 
 
 # --- Files ---

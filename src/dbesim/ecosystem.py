@@ -197,10 +197,9 @@ def ring_edges(ids: list) -> list:
 
 
 def random_m_edges(ids: list, m: int, rng: Stream) -> list:
-    """Each habitat draws m distinct peers; the undirected union is the edge set."""
+    """Each habitat draws m distinct peers (1 <= m < len(ids)); the undirected
+    union is the edge set."""
     ids = sorted(ids)
-    if m < 1 or m > len(ids) - 1:
-        raise EcosystemError("random_m parameter out of range")
     edges = set()
     for i, hid in enumerate(ids):
         candidates = ids[:i] + ids[i + 1:]
@@ -217,35 +216,22 @@ def build_ecosystem(habitats, topology, rng: Stream, w_min: float = W_MIN_DEFAUL
 
     topology is ("ring",) or ("random_m", m). All connections start at
     weight 1.0. A disconnected random_m sample is redrawn up to max_retries
-    times.
+    times. The habitats and the topology are a validated scenario's.
     """
-    habitats = list(habitats)
-    if len(habitats) < 2:
-        raise EcosystemError("ecosystem needs at least 2 habitats")
-    for h in habitats:
-        if not h.profile:
-            raise EcosystemError(f"habitat {h.id!r} has an empty request profile")
-        for t in h.profile:
-            if t.weight <= 0:
-                raise EcosystemError(f"habitat {h.id!r} has a non-positive profile weight")
     eco = Ecosystem(habitats, w_min=w_min)
     ids = eco.habitat_ids()
-    kind = topology[0]
-    if kind == "ring":
+    if topology[0] == "ring":
         for a, b in ring_edges(ids):
             eco.add_connection(a, b, 1.0)
         return eco
-    if kind == "random_m":
-        m = topology[1]
-        for _ in range(max_retries):
-            for key in list(eco.connections):
-                eco.remove_connection(*key)
-            for a, b in random_m_edges(ids, m, rng):
-                eco.add_connection(a, b, 1.0)
-            if eco.connected():
-                return eco
-        raise EcosystemError("could not build connected topology")
-    raise EcosystemError(f"unknown topology kind: {kind!r}")
+    for _ in range(max_retries):
+        for key in list(eco.connections):
+            eco.remove_connection(*key)
+        for a, b in random_m_edges(ids, topology[1], rng):
+            eco.add_connection(a, b, 1.0)
+        if eco.connected():
+            return eco
+    raise EcosystemError("could not build connected topology")
 
 
 # --- Connection dynamics ---
@@ -255,12 +241,9 @@ def reinforce(eco: Ecosystem, a: str, b: str, delta: float) -> float:
     """Strengthen the connection between two habitats; returns the new weight.
 
     A currently unconnected pair is first connected at the weight floor.
+    Both habitats exist and delta > 0.
     """
-    if delta <= 0:
-        raise EcosystemError("reinforce delta must be > 0")
     key = edge_key(a, b)
-    if a not in eco.habitats or b not in eco.habitats:
-        raise EcosystemError(f"reinforce on unknown habitat pair {key}")
     if key not in eco.connections:
         eco.add_connection(a, b, eco.w_min)
     eco.connections[key] += delta
@@ -268,9 +251,7 @@ def reinforce(eco: Ecosystem, a: str, b: str, delta: float) -> float:
 
 
 def decay_all(eco: Ecosystem, decay_lambda: float) -> None:
-    """Multiply every weight by decay_lambda, clamped at the floor."""
-    if not (0.0 < decay_lambda <= 1.0):
-        raise EcosystemError("decay out of range")
+    """Multiply every weight by decay_lambda in (0, 1], clamped at the floor."""
     for key in eco.connections:
         w = eco.connections[key] * decay_lambda
         eco.connections[key] = w if w > eco.w_min else eco.w_min
@@ -278,8 +259,6 @@ def decay_all(eco: Ecosystem, decay_lambda: float) -> None:
 
 def profile_similarity(h1: Habitat, h2: Habitat) -> float:
     """Jaccard similarity of the attribute unions of two request profiles."""
-    if not h1.profile or not h2.profile:
-        raise EcosystemError("empty profile")
     u1: frozenset = frozenset()
     u2: frozenset = frozenset()
     for t in h1.profile:
@@ -295,12 +274,11 @@ def profile_similarity(h1: Habitat, h2: Habitat) -> float:
 def clustering_statistic(eco: Ecosystem) -> float:
     """Pearson correlation between edge weight and endpoint profile similarity.
 
-    Zero variance in either series yields 0. Edges are visited in sorted
-    order so the float accumulation is reproducible.
+    Needs at least 3 connections; zero variance in either series yields 0.
+    Edges are visited in sorted order so the float accumulation is
+    reproducible.
     """
     keys = sorted(eco.connections)
-    if len(keys) < 3:
-        raise EcosystemError("clustering statistic needs at least 3 connections")
     xs = [eco.connections[k] for k in keys]
     memo = eco._similarity
     ys = []
@@ -393,15 +371,11 @@ def self_heal(eco: Ecosystem, lost: dict | None = None) -> list:
 def failure_inject(eco: Ecosystem, victims) -> tuple:
     """Remove habitats and their connections, then heal immediately.
 
-    Returns (removed ids sorted, created edges). Removing every habitat is
-    rejected; migrated copies hosted elsewhere survive their source.
+    `victims` names one or more current habitats. Returns (removed ids
+    sorted, created edges). Removing every habitat is rejected; migrated
+    copies hosted elsewhere survive their source.
     """
     victim_set = set(victims)
-    unknown = victim_set - set(eco.habitats)
-    if unknown:
-        raise EcosystemError(f"unknown victim habitats: {sorted(unknown)}")
-    if not victim_set:
-        return [], []
     if victim_set >= set(eco.habitats):
         raise EcosystemError("total failure not modellable")
     lost: dict[str, list] = {}

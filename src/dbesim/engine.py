@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .config import (  # noqa: F401  (callers catch engine.SnapshotError)
+from .config import (  # noqa: F401  (SnapshotError and validate_config are re-exported)
     SimConfig,
     SnapshotError,
     state_from_obj,
@@ -30,14 +30,6 @@ from .ecosystem import (
 from .manifest import Catalog, chain_price
 from .rng import Stream, derive_substream
 from .topology import BusinessGraph, record_transaction
-
-
-class ValidationFailure(ValueError):
-    """A config failed validation; carries the full violation list."""
-
-    def __init__(self, violations):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 # --- Execution phenotype ---
@@ -149,10 +141,11 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
     transaction pair for each successful deployment whose provider habitat
     differs from the requesting one, and append one metrics row. Means are
     accumulated in habitat-id order.
+
+    Precondition: a config that `parse_config` returned, or one that
+    `validate_config` returned `[]` for. The run core does not check it
+    again. A snapshot state is checked as it is read (`SnapshotError`).
     """
-    violations = validate_config(config)
-    if violations:
-        raise ValidationFailure(violations)
     if state is None:
         eco, streams, graph = build_run_state(config)
     else:

@@ -24,7 +24,6 @@ from .manifest import (
     ServiceManifest,
     chain_fitness,
     chain_price,
-    check_beta,
     fitness,
 )
 from .rng import Stream
@@ -87,10 +86,8 @@ def replication_weight(s: ServiceManifest, gamma: float) -> float:
     """Sampling weight of a service given its usage feedback (>= 1).
 
     Services with no usage history weigh 1; a perfect success record weighs
-    1 + gamma. Failures confer no bonus beyond the baseline.
+    1 + gamma (gamma >= 0). Failures confer no bonus beyond the baseline.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
     if s.usage_count > 0:
         return 1.0 + gamma * (s.success_count / s.usage_count)
     return 1.0
@@ -111,11 +108,11 @@ def draw_service(catalog: Catalog, gamma: float, rng: Stream, table=None) -> Ser
     """Sample a service with probability proportional to replication weight.
 
     Consumes exactly one draw. Weights are accumulated in catalog insertion
-    order; `table` is a precomputed `gene_table(catalog, gamma)`.
+    order; `table` is a precomputed `gene_table(catalog, gamma)`. The
+    catalog is non-empty: `init_population` checks it, and pools never
+    shrink.
     """
     services, cum = table if table is not None else gene_table(catalog, gamma)
-    if not services:
-        raise EvolutionError("empty catalog")
     # the first index whose running sum exceeds r, as in weighted_index
     idx = bisect_right(cum, rng.random() * cum[-1])
     return services[idx] if idx < len(services) else services[-1]
@@ -128,7 +125,7 @@ def evaluate_genome(genome: ChainGenome, catalog: Catalog, req: Request, params:
     """Fitness of a genome; chains priced over the request budget score 0.
 
     Unchecked: the GA's operators keep genomes within 1..max_len and the
-    parameters are checked at the boundary (`evolve`, the config schema).
+    parameters are checked at the boundary (the config schema).
     """
     chain = catalog.resolve(genome)
     if req.budget is not None and chain_price(chain) > req.budget:
@@ -296,8 +293,10 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
 
 
 def evolve(catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream) -> EvolutionTrace:
-    """Evolve until target fitness or the generation cap is reached."""
-    check_beta(params.beta)
+    """Evolve until target fitness or the generation cap is reached.
+
+    `params` are a validated config's.
+    """
     pop = init_population(catalog, req, params, rng)
     best, mean = population_stats(pop)
     trace = EvolutionTrace()

@@ -55,9 +55,6 @@ class ServiceManifest:
     usage_count: int = 0
     success_count: int = 0
 
-    def success_rate(self) -> float:
-        return self.success_count / self.usage_count if self.usage_count > 0 else 0.0
-
     def copy(self) -> "ServiceManifest":
         return ServiceManifest(
             id=self.id,
@@ -167,11 +164,6 @@ def surplus(chain_attrs: frozenset[str], req: Request) -> float:
     return len(chain_attrs - req.req_attrs) / len(chain_attrs)
 
 
-def check_beta(beta: float) -> None:
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("beta must be in [0, 1)")
-
-
 def fitness(chain, req: Request, beta: float = DEFAULT_BETA) -> float:
     """Score a chain against a request in [0, 1].
 
@@ -181,7 +173,8 @@ def fitness(chain, req: Request, beta: float = DEFAULT_BETA) -> float:
     is 1 exactly when coverage is full, there is no surplus, and every
     junction is satisfied.
     """
-    check_beta(beta)
+    if not (0.0 <= beta < 1.0):
+        raise ValueError("beta must be in [0, 1)")
     chain = list(chain)
     if len(chain) > req.max_len:
         raise ValueError(f"chain length {len(chain)} exceeds max_len {req.max_len}")

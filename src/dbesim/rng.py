@@ -60,14 +60,6 @@ class Stream:
             raise ValueError("below() needs n >= 1")
         return (self.next_u64() * n) >> 64
 
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform float in [lo, hi) (one output)."""
-        return lo + (hi - lo) * self.random()
-
-    def choice(self, seq):
-        """Uniform element of a non-empty sequence (one output)."""
-        return seq[self.below(len(seq))]
-
     def weighted_index(self, weights) -> int:
         """Index drawn with probability proportional to weights (one output).
 

@@ -220,15 +220,8 @@ def record_transaction(g: BusinessGraph, provider: str, client: str, value: floa
     """Append the paired flow edges of one transaction.
 
     A service flow runs provider -> client and a capital flow client ->
-    provider, both carrying the same value and step.
+    provider, both carrying the same value and step. The endpoints are
+    distinct vertices of `g` and the value is >= 0.
     """
-    if provider not in g.vertices:
-        raise TopologyError(f"unknown vertex: {provider!r}")
-    if client not in g.vertices:
-        raise TopologyError(f"unknown vertex: {client!r}")
-    if provider == client:
-        raise TopologyError("transaction endpoints must differ")
-    if value < 0:
-        raise TopologyError("transaction value must be >= 0")
     g.flow_edges.append(FlowEdge(provider, client, SERVICE_FLOW, value, step))
     g.flow_edges.append(FlowEdge(client, provider, CAPITAL_FLOW, value, step))

@@ -51,6 +51,15 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(p)
 
 
+def _set_config(path, value):
+    def damage(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+    return damage
+
+
 # --- schema ---
 
 def test_minimal_config_gets_defaults():
@@ -105,12 +114,35 @@ def test_echo_round_trip_identity():
         assert config_to_obj(cfg2) == echoed
 
 
+# The config boundary is the only place these values are rejected: the run
+# core (build_ecosystem, reinforce, decay_all, replication_weight, evolve)
+# relies on them unchecked.
+RANGE_VIOLATIONS = [
+    (_set_config(["ecosystem"], {"decay_lambda": 0.0}), "decay out of range"),
+    (_set_config(["ecosystem"], {"reinforce_delta": 0.0}), "reinforce_delta must be > 0"),
+    (_set_config(["evolution"], {"gamma": -1.0}), "gamma must be >= 0"),
+    (_set_config(["evolution"], {"beta": 1.0}), "beta out of range"),
+    (_set_config(["scenario", "habitats", 0, "profile", 0, "weight"], 0.0),
+     "habitat 'h0': profile weight must be > 0"),
+    (_set_config(["scenario", "habitats", 0, "profile"], []),
+     "habitat 'h0': empty request profile"),
+    (_set_config(["scenario", "initial_topology"], {"kind": "random_m", "m": 2}),
+     "scenario random_m parameter out of range"),
+    (_set_config(["scenario", "initial_topology"], {"kind": "random_m", "m": 0}),
+     "scenario random_m parameter out of range"),
+    (_set_config(["scenario", "initial_topology"], {"kind": "star"}),
+     ".scenario.initial_topology.kind: unknown kind 'star'"),
+]
+
+
 def test_parse_config_range_violations_reported(tmp_path):
-    obj = minimal_obj()
-    obj["ecosystem"] = {"decay_lambda": 0.0}
-    path = write_config(tmp_path, obj)
-    with pytest.raises(ConfigError, match="decay out of range"):
-        parse_config(path)
+    for damage, message in RANGE_VIOLATIONS:
+        obj = minimal_obj()
+        damage(obj)
+        path = write_config(tmp_path, obj)
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert message in str(info.value), (message, str(info.value))
 
 
 def test_parse_config_malformed_json(tmp_path):
@@ -154,15 +186,6 @@ def test_failures_parse_and_echo():
 def test_cli_validate_reference_configs():
     for name in ("catalog8.json", "two_communities.json", "topology_experiment.json"):
         assert cli.main(["validate", "--config", asset_path(name)]) == 0
-
-
-def _set_config(path, value):
-    def damage(obj):
-        *head, last = path
-        for key in head:
-            obj = obj[key]
-        obj[last] = value
-    return damage
 
 
 # A NaN or an infinity passes every range check written as a comparison, so
@@ -305,6 +328,17 @@ def test_cli_snapshot_genome_over_max_len(tmp_path, capsys):
             "genome length 2 outside [1, max_len 1]") in err
 
 
+def test_cli_snapshot_bad_provenance(tmp_path, capsys):
+    """A provenance the run core would trip over deep inside (exit 2) is
+    rejected as the snapshot is read."""
+    def damage(st):
+        st["habitats"][0]["provenance"] = {"s0": "nowhere"}
+
+    err = _malformed_snapshot_run(tmp_path, capsys, damage)
+    assert err == ("invalid snapshot: state.habitats[0].provenance.s0: "
+                   "unknown source habitat 'nowhere'\n")
+
+
 def test_cli_lock_file_blocks_concurrent_use(tmp_path, capsys):
     path = write_config(tmp_path, minimal_obj())
     out = str(tmp_path / "out")
@@ -410,7 +444,7 @@ def test_cli_unexpected_exception_is_one_line_exit_2(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("enabled", [True, False])
 def test_cli_run_restores_the_collector_state(tmp_path, monkeypatch, enabled):
     """`run` pauses the cyclic collector and leaves it as it found it, on
-    success (exit 0), on a validation failure (exit 1) and on an unexpected
+    success (exit 0), on a bad snapshot (exit 1) and on an unexpected
     exception (exit 2)."""
     seen = []
 
@@ -426,7 +460,7 @@ def test_cli_run_restores_the_collector_state(tmp_path, monkeypatch, enabled):
         (gc.enable if enabled else gc.disable)()
         assert cli.main(argv) == cli.EXIT_OK
         assert gc.isenabled() is enabled
-        for error, code in ((engine.ValidationFailure(["epochs must be >= 1"]), cli.EXIT_VALIDATION),
+        for error, code in ((engine.SnapshotError("state.epoch: missing"), cli.EXIT_VALIDATION),
                             (KeyError("h9"), cli.EXIT_RUNTIME)):
             monkeypatch.setattr(cli.engine, "run", broken_run(error))
             assert cli.main(argv) == code

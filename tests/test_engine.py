@@ -12,7 +12,6 @@ from dbesim.config import config_from_obj, serialize_snapshot
 from dbesim.engine import (
     MetricsRow,
     SimConfig,
-    ValidationFailure,
     serialize_events,
     serialize_metrics,
     simulate_execution,
@@ -118,14 +117,6 @@ def test_validate_requires_two_habitats():
     obj["scenario"]["habitats"] = obj["scenario"]["habitats"][:1]
     cfg = config_from_obj(obj)
     assert any("at least 2 habitats" in v for v in validate_config(cfg))
-
-
-def test_run_raises_validation_failure_before_executing():
-    cfg = config_from_obj(scenario_obj())
-    cfg.epochs = 0
-    with pytest.raises(ValidationFailure) as err:
-        engine.run(cfg)
-    assert any("epochs" in v for v in err.value.violations)
 
 
 # --- run basics ---
@@ -397,6 +388,12 @@ def _set(path, value):
     return damage
 
 
+def _flow(row):
+    def damage(state):
+        state["business"]["flow_edges"].insert(0, row)
+    return damage
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda st: st.clear(), "state.habitats: missing"),
     (_set(["habitats", 1, "pool_version"], 1.5),
@@ -423,6 +420,34 @@ def _set(path, value):
     (_set(["epoch"], -2), "state.epoch: must be >= 0"),
     (lambda st: st["connections"].append(list(st["connections"][0])),
      "state.connections[1]: duplicate connection h0-h1"),
+    # what the run core relies on unchecked
+    (_set(["habitats"], []), "state.habitats: expected a non-empty array"),
+    (_set(["habitats", 0, "provenance"], {"h0_svc": "nowhere"}),
+     "state.habitats[0].provenance.h0_svc: unknown source habitat 'nowhere'"),
+    (_set(["habitats", 0, "provenance"], {"h0_svc": "h0"}),
+     "state.habitats[0].provenance.h0_svc: source is the habitat itself"),
+    (_set(["habitats", 0, "provenance"], {"ghost": "h1"}),
+     "state.habitats[0].provenance.ghost: service 'ghost' not in the habitat's pool"),
+    (lambda st: st["business"]["vertices"].pop(),
+     "state.business.vertices: missing vertex for habitat 'h1'"),
+    (_flow(["h0", "nowhere", "service_flow", 1.0, 3]),
+     "state.business.flow_edges[0][1]: unknown vertex 'nowhere'"),
+    (_flow(["h0", "h0", "service_flow", 1.0, 3]),
+     "state.business.flow_edges[0]: flow endpoints must differ"),
+    (_flow(["h0", "h1", "gift", 1.0, 3]),
+     "state.business.flow_edges[0][2]: unknown flow kind 'gift'"),
+    (_flow(["h0", "h1", "service_flow", -1.0, 3]),
+     "state.business.flow_edges[0][3]: negative flow value"),
+    (_set(["streams", "ghost"], 1), "state.streams.ghost: stream for unknown habitat 'ghost'"),
+    (_set(["streams", "h0"], -1), "state.streams.h0: stream state outside [0, 2**64)"),
+    (_set(["streams", "h0"], 2**64), "state.streams.h0: stream state outside [0, 2**64)"),
+    (_set(["habitats", 0, "active", 0, "gens_since_reset"], -1),
+     "state.habitats[0].active[0].gens_since_reset: must be >= 0"),
+    (_set(["habitats", 0, "active", 0, "total_generations"], -1),
+     "state.habitats[0].active[0].total_generations: must be >= 0"),
+    (_set(["habitats", 0, "active", 0, "pool_version"], -1),
+     "state.habitats[0].active[0].pool_version: must be >= 0"),
+    (_set(["habitats", 1, "pool_version"], -1), "state.habitats[1].pool_version: must be >= 0"),
 ])
 def test_snapshot_errors_name_the_json_path(damage, message):
     cfg = config_from_obj(scenario_obj())

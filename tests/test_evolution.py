@@ -41,11 +41,6 @@ def test_replication_weight_failures_confer_no_bonus():
     assert replication_weight(svc("s", {"a"}, usage=10, success=0), 2.0) == 1.0
 
 
-def test_replication_weight_rejects_negative_gamma():
-    with pytest.raises(ValueError):
-        replication_weight(svc("s", {"a"}), -1.0)
-
-
 def test_feedback_ratio_over_weighted_draws():
     # Success rates 1.0 vs 0.0 with gamma 2 give weights 3 : 1.
     catalog = Catalog([

@@ -126,25 +126,6 @@ def test_weighted_index_rejects_zero_total():
         pass
 
 
-def test_uniform_bounds():
-    s = derive_substream(5, "uniform")
-    for _ in range(1000):
-        v = s.uniform(-2.0, 3.0)
-        assert -2.0 <= v < 3.0
-
-
-def test_choice_uniform():
-    s = derive_substream(6, "choice")
-    seq = ["a", "b", "c", "d"]
-    counts = {x: 0 for x in seq}
-    n = 8000
-    for _ in range(n):
-        counts[s.choice(seq)] += 1
-    sigma = math.sqrt(n * 0.25 * 0.75)
-    for x in seq:
-        assert abs(counts[x] - n / 4) < 3.5 * sigma
-
-
 def test_state_roundtrip():
     s = derive_substream(9, "resume")
     s.next_u64()

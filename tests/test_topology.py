@@ -243,24 +243,6 @@ def test_zero_value_transaction_recorded():
     assert len(g.flow_edges) == 2
 
 
-def test_transaction_rejects_unknown_vertex():
-    g = _two_vertex_graph()
-    with pytest.raises(TopologyError, match="unknown vertex"):
-        record_transaction(g, "p", "nope", 1.0, 1)
-
-
-def test_transaction_rejects_self_loop():
-    g = _two_vertex_graph()
-    with pytest.raises(TopologyError):
-        record_transaction(g, "p", "p", 1.0, 1)
-
-
-def test_transaction_rejects_negative_value():
-    g = _two_vertex_graph()
-    with pytest.raises(TopologyError):
-        record_transaction(g, "p", "c", -1.0, 1)
-
-
 # --- exports ---
 
 def test_exports_have_expected_shape():
