@@ -123,8 +123,8 @@ def _run_and_write(cfg, state, out: OutputDir) -> tuple:
     out.write("metrics.csv", engine.serialize_metrics(result.metrics))
     out.write("snapshot.json", serialize_snapshot(cfg, result.final_state()))
     out.write("ecosystem.dot", result.eco.to_dot())
-    out.write("business.dot", result.graph.to_dot())
-    out.write("flows.csv", result.graph.flows_csv())
+    out.write("business.dot", result.ledger.to_dot())
+    out.write("flows.csv", result.ledger.flows_csv())
     return len(result.events), (result.metrics[-1] if result.metrics else None)
 
 

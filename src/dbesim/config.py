@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from math import isfinite
 from operator import attrgetter
 from sys import float_info
@@ -38,7 +39,7 @@ from .ecosystem import (
 from .evolution import EvolutionParams, GenerationStat, Individual
 from .manifest import Catalog, ManifestError, Request, ServiceManifest, parse_token
 from .rng import Stream
-from .topology import CAPITAL_FLOW, SERVICE_FLOW, BusinessGraph, EtaDist, FlowEdge, TopologyError
+from .topology import CAPITAL_FLOW, SERVICE_FLOW, EtaDist, FlowEdge, FlowLedger
 
 SNAPSHOT_FORMAT = "dbesim-snapshot-v1"
 
@@ -316,7 +317,6 @@ def _tokens(v) -> frozenset:
 
 OBJECT = Kind(_exact(dict, "an object"))
 ARRAY = Kind(_exact(list, "an array"))
-BOOL = Kind(_exact(bool, "a boolean"))
 INT = Kind(_exact(int, "an integer"))
 COUNT = Kind(_int_in(0, float("inf"), "must be >= 0"))
 STREAM_STATE = Kind(_int_in(0, _MAX_SEED, "stream state outside [0, 2**64)"))
@@ -531,14 +531,6 @@ FAILURE = Record(
     req("victims", Kind(lambda v: tuple(_strings(v)), list)),
 )
 
-VERTEX = Record(
-    req("id", STRING),
-    req("eta", NUMBER),
-    req("degree", INT),
-    req("birth_step", INT),
-)
-
-
 # --- Configs ---
 
 
@@ -669,7 +661,7 @@ def validate_config(config: SimConfig) -> list[str]:
 # --- Run state snapshots ---
 
 
-def state_to_obj(eco: Ecosystem, streams: dict, graph: BusinessGraph) -> dict:
+def state_to_obj(eco: Ecosystem, streams: dict, ledger: FlowLedger) -> dict:
     """Serialize the full mutable run state, exactly enough to resume."""
     habitats = []
     for hid in eco.habitat_ids():
@@ -698,12 +690,8 @@ def state_to_obj(eco: Ecosystem, streams: dict, graph: BusinessGraph) -> dict:
         "habitats": habitats,
         "connections": [[a, b, eco.connections[(a, b)]] for a, b in sorted(eco.connections)],
         "business": {
-            "vertices": [VERTEX.echo(v) for v in graph.vertices.values()],
-            "attachment_edges": [list(e) for e in graph.attachment_edges],
-            "flow_edges": [[e.src, e.dst, e.kind, e.value, e.step] for e in graph.flow_edges],
-            "next_index": graph.next_index,
-            "pool": list(graph._pool),
-            "floor_active": {k: graph._floor_active[k] for k in sorted(graph._floor_active)},
+            **ledger.fixed_fields(),
+            "flow_edges": [[e.src, e.dst, e.kind, e.value, e.step] for e in ledger.flow_edges],
         },
     }
 
@@ -746,11 +734,11 @@ def _evolution_from_state(node: Reader, pool: Catalog, templates: dict) -> Activ
 _FLOW_ROW = (STRING.read, STRING.read, STRING.read, NUMBER.read, INT.read)
 
 
-def _flow(row, vertices: dict) -> FlowEdge:
-    """A [src, dst, kind, value, step] row between two distinct vertices."""
+def _flow(row, habitat_ids: set) -> FlowEdge:
+    """A [src, dst, kind, value, step] row between two distinct habitats."""
     src, dst, kind, value, step = _row(row, _FLOW_ROW)
     for i, vid in enumerate((src, dst)):
-        if vid not in vertices:
+        if vid not in habitat_ids:
             raise _Bad(f"unknown vertex {vid!r}", i)
     if src == dst:
         raise _Bad("flow endpoints must differ")
@@ -761,39 +749,40 @@ def _flow(row, vertices: dict) -> FlowEdge:
     return FlowEdge(src, dst, kind, value, step)
 
 
-def _graph_from_state(biz: Reader, habitat_ids) -> BusinessGraph:
-    """The business graph; every scenario habitat is one of its vertices."""
-    biz.object({"vertices", "attachment_edges", "flow_edges", "next_index", "pool",
-                "floor_active"})
-    graph = BusinessGraph()
-    vertices = biz["vertices"]
-    for i, f in enumerate(vertices.records(VERTEX)):
-        try:
-            graph.add_vertex(f["id"], f["eta"], f["birth_step"]).degree = f["degree"]
-        except TopologyError as e:
-            vertices.at(i).fail(str(e))
-    for hid in habitat_ids:
-        if hid not in graph.vertices:
-            vertices.fail(f"missing vertex for habitat {hid!r}")
-    graph.attachment_edges = [tuple(e) for e in biz["attachment_edges"].rows(STRING, STRING)]
-    graph._edge_set = set(graph.attachment_edges)
-    graph.flow_edges = biz["flow_edges"].read(_each, _flow, graph.vertices)
-    graph.next_index = biz["next_index"].get(INT)
-    graph._pool = list(biz["pool"].read(_strings))
-    graph._floor_active = {k: v.get(BOOL) for k, v in biz["floor_active"].items()}
-    return graph
+def _same(v, expected) -> None:
+    """`v` equals `expected` type for type, else `_Bad` at the first difference.
+    A JSON 1 where 1.0 or true is expected would not re-serialize to the same
+    bytes."""
+    if type(expected) is list:
+        _row(v, [partial(_same, expected=e) for e in expected])
+    elif type(expected) is dict:
+        _object(v, set(expected))
+        _locate((key, partial(_same, expected=e), v.get(key)) for key, e in expected.items())
+    elif type(v) is not type(expected) or v != expected:
+        raise _Bad(f"expected {json.dumps(expected)}")
+
+
+def _ledger_from_state(biz: Reader, habitat_ids) -> FlowLedger:
+    """The flow ledger; every other business field is the one a run writes."""
+    ledger = FlowLedger(habitat_ids)
+    fixed = ledger.fixed_fields()
+    biz.object({*fixed, "flow_edges"})
+    for key, expected in fixed.items():
+        biz[key].read(_same, expected)
+    ledger.flow_edges = biz["flow_edges"].read(_each, _flow, set(ledger.ids))
+    return ledger
 
 
 def state_from_obj(config: SimConfig, state: dict) -> tuple:
-    """Rebuild (ecosystem, streams, graph) from a serialized state.
+    """Rebuild (ecosystem, streams, ledger) from a serialized state.
 
     Malformed input raises SnapshotError naming the JSON path at fault,
     such as `state.habitats[0].pool[1].usage_count`. Besides its types, the
     state must hold what the run core relies on unchecked: one habitat or
     more, each provenance entry maps a pool service to another scenario
     habitat, streams belong to scenario habitats and are 64-bit, counters
-    are >= 0, every scenario habitat is a business vertex, and flows join
-    two distinct vertices with a known kind and a value >= 0.
+    are >= 0, the business fields other than flows are the ones a run
+    writes, and flows join two habitats with a known kind and a value >= 0.
     """
     root = Reader(state, "state", error=SnapshotError)
     root.object({"epoch", "streams", "habitats", "connections", "business"})
@@ -853,7 +842,7 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     for hid in eco.habitat_ids():
         if hid not in streams:
             root["streams"].fail(f"missing stream for habitat {hid!r}")
-    return eco, streams, _graph_from_state(root["business"], specs)
+    return eco, streams, _ledger_from_state(root["business"], specs)
 
 
 # --- Files ---

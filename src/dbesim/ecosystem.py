@@ -26,6 +26,7 @@ from .manifest import Catalog, Request
 from .rng import Stream
 
 W_MIN_DEFAULT = 0.01
+BUILD_RETRIES = 100
 
 
 class EcosystemError(ValueError):
@@ -53,16 +54,13 @@ class MigrationEvent:
     service_id: str
     source: str
     destination: str
-    epoch: int
 
 
 @dataclass
 class Deployment:
     """What a habitat deployed this epoch."""
 
-    request_id: str
     genome: tuple
-    fitness: float
     success: bool
 
 
@@ -210,13 +208,12 @@ def random_m_edges(ids: list, m: int, rng: Stream) -> list:
     return sorted(edges)
 
 
-def build_ecosystem(habitats, topology, rng: Stream, w_min: float = W_MIN_DEFAULT,
-                    max_retries: int = 100) -> Ecosystem:
+def build_ecosystem(habitats, topology, rng: Stream, w_min: float = W_MIN_DEFAULT) -> Ecosystem:
     """Assemble habitats into a connected ecosystem at epoch 0.
 
     topology is ("ring",) or ("random_m", m). All connections start at
-    weight 1.0. A disconnected random_m sample is redrawn up to max_retries
-    times. The habitats and the topology are a validated scenario's.
+    weight 1.0. A disconnected random_m sample is redrawn BUILD_RETRIES
+    times at most. The habitats and the topology are a validated scenario's.
     """
     eco = Ecosystem(habitats, w_min=w_min)
     ids = eco.habitat_ids()
@@ -224,7 +221,7 @@ def build_ecosystem(habitats, topology, rng: Stream, w_min: float = W_MIN_DEFAUL
         for a, b in ring_edges(ids):
             eco.add_connection(a, b, 1.0)
         return eco
-    for _ in range(max_retries):
+    for _ in range(BUILD_RETRIES):
         for key in list(eco.connections):
             eco.remove_connection(*key)
         for a, b in random_m_edges(ids, topology[1], rng):
@@ -329,7 +326,7 @@ def migrate(h: Habitat, eco: Ecosystem, p_mig: float, rng: Stream) -> list:
                 dest.pool.add(h.pool.get(sid).copy())
                 dest.provenance[sid] = h.id
                 dest.pool_version += 1
-                events.append(MigrationEvent(sid, h.id, dest_id, eco.epoch + 1))
+                events.append(MigrationEvent(sid, h.id, dest_id))
     return events
 
 
@@ -456,7 +453,7 @@ def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: Ecosystem
         chain = h.pool.resolve(best_ind.genome)
         success = execute(chain, rng)
         record_deployment(chain, success)
-        h.last_deployment = Deployment(req.id, best_ind.genome, best_ind.fitness, success)
+        h.last_deployment = Deployment(best_ind.genome, success)
         report.deployments += 1
         report.successes += 1 if success else 0
         report.best_fitness[hid] = best_ind.fitness

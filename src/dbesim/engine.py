@@ -29,7 +29,7 @@ from .ecosystem import (
 )
 from .manifest import Catalog, chain_price
 from .rng import Stream, derive_substream
-from .topology import BusinessGraph, record_transaction
+from .topology import FlowLedger, record_transaction
 
 
 # --- Execution phenotype ---
@@ -107,15 +107,15 @@ class RunResult:
     events: list
     metrics: list
     eco: Ecosystem
-    graph: BusinessGraph
+    ledger: FlowLedger
     streams: dict
 
     def final_state(self) -> dict:
-        return state_to_obj(self.eco, self.streams, self.graph)
+        return state_to_obj(self.eco, self.streams, self.ledger)
 
 
 def build_run_state(config: SimConfig) -> tuple:
-    """Fresh (ecosystem, streams, graph) for a run, derived from the config."""
+    """Fresh (ecosystem, streams, ledger) for a run, derived from the config."""
     habitats = []
     for spec in config.scenario.habitats:
         habitats.append(Habitat(
@@ -128,10 +128,7 @@ def build_run_state(config: SimConfig) -> tuple:
                           w_min=config.ecosystem.w_min)
     streams = {hid: derive_substream(config.master_seed, f"habitat:{hid}")
                for hid in eco.habitat_ids()}
-    graph = BusinessGraph()
-    for hid in eco.habitat_ids():
-        graph.add_vertex(hid, 1.0, 0)
-    return eco, streams, graph
+    return eco, streams, FlowLedger(eco.habitat_ids())
 
 
 def run(config: SimConfig, state: dict | None = None) -> RunResult:
@@ -147,9 +144,9 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
     again. A snapshot state is checked as it is read (`SnapshotError`).
     """
     if state is None:
-        eco, streams, graph = build_run_state(config)
+        eco, streams, ledger = build_run_state(config)
     else:
-        eco, streams, graph = state_from_obj(config, state)
+        eco, streams, ledger = state_from_obj(config, state)
 
     events: list[EventRecord] = []
     metrics: list[MetricsRow] = []
@@ -185,7 +182,7 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
             if provider == hid:
                 continue  # native first service: no inter-habitat transaction
             value = chain_price(h.pool.resolve(d.genome))
-            record_transaction(graph, provider, hid, value, epoch_now)
+            record_transaction(ledger, provider, hid, value, epoch_now)
 
         total = 0.0
         for hid in sorted(report.best_fitness):
@@ -203,4 +200,4 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
             connection_count=len(eco.connections),
         ))
 
-    return RunResult(events=events, metrics=metrics, eco=eco, graph=graph, streams=streams)
+    return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams)

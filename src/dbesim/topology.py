@@ -1,12 +1,12 @@
-"""The dynamic business graph: growth, hub formation, and transaction flows.
+"""The business graph of the growth experiment, and the flow ledger of a run.
 
 Vertices are businesses with an attractiveness score eta in (0, 1]. The
 graph grows one vertex per step; each new vertex attaches m distinct edges
 to existing vertices with probability proportional to eta * degree, so
 well-connected and attractive businesses become hubs, and a late vertex
-with higher eta can displace them. Transactions add typed directed flow
-edges on top: a service flow from provider to client paired with a capital
-flow back.
+with higher eta can displace them. A run's ledger records typed directed
+flow edges instead: a service flow from provider to client paired with a
+capital flow back.
 """
 
 from __future__ import annotations
@@ -55,28 +55,25 @@ class EtaDist:
 
 
 class BusinessGraph:
-    """Undirected attachment graph plus directed typed flow edges.
+    """Undirected attachment graph of the growth experiment.
 
     The sampling pool holds one entry per unit of degree, with a single
     floor entry for degree-0 vertices, so a uniform proposal over the pool
     is proportional to max(degree, 1); an eta-acceptance step then yields
     target probability proportional to eta * max(degree, 1).
+
+    Only `seed_business_graph` and `_add_grown_vertex` add to it, with fresh
+    ids, checked etas and distinct targets, so no method checks them again.
     """
 
     def __init__(self):
         self.vertices: dict[str, BusinessVertex] = {}
         self.attachment_edges: list[tuple] = []
-        self._edge_set: set[tuple] = set()
-        self.flow_edges: list[FlowEdge] = []
         self.next_index = 0
         self._pool: list[str] = []
         self._floor_active: dict[str, bool] = {}
 
     def add_vertex(self, vertex_id: str, eta: float, birth_step: int) -> BusinessVertex:
-        if vertex_id in self.vertices:
-            raise TopologyError(f"duplicate vertex id: {vertex_id!r}")
-        if not (0.0 < eta <= 1.0):
-            raise TopologyError(f"eta out of (0, 1] for {vertex_id!r}")
         v = BusinessVertex(vertex_id, eta, 0, birth_step)
         self.vertices[vertex_id] = v
         self._pool.append(vertex_id)
@@ -84,15 +81,7 @@ class BusinessGraph:
         return v
 
     def add_attachment_edge(self, a: str, b: str) -> None:
-        if a == b:
-            raise TopologyError("attachment self-loop")
-        if a not in self.vertices or b not in self.vertices:
-            raise TopologyError(f"attachment edge references unknown vertex: {(a, b)}")
-        key = (a, b) if a < b else (b, a)
-        if key in self._edge_set:
-            raise TopologyError(f"duplicate attachment edge: {key}")
-        self._edge_set.add(key)
-        self.attachment_edges.append(key)
+        self.attachment_edges.append((a, b) if a < b else (b, a))
         for vid in (a, b):
             self.vertices[vid].degree += 1
             if self._floor_active[vid]:
@@ -115,7 +104,7 @@ class BusinessGraph:
         for vid in sorted(self.vertices):
             v = self.vertices[vid]
             lines.append(f'  "{vid}" [label="{vid} eta={v.eta:.4f} k={v.degree}"];')
-        for a, b in sorted(self._edge_set):
+        for a, b in sorted(self.attachment_edges):
             lines.append(f'  "{a}" -- "{b}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -126,6 +115,31 @@ class BusinessGraph:
             v = self.vertices[vid]
             lines.append(f"{vid},{v.eta!r},{v.degree},{v.birth_step}")
         return "\n".join(lines) + "\n"
+
+
+class FlowLedger:
+    """The business side of a run. Its vertices are fixed: one per habitat,
+    each with eta 1.0, degree 0 and birth step 0, and no attachment edges.
+    It writes the DOT and snapshot fields a `BusinessGraph` of them would.
+    """
+
+    def __init__(self, habitat_ids):
+        self.ids = sorted(habitat_ids)
+        self.flow_edges: list[FlowEdge] = []
+
+    def fixed_fields(self) -> dict:
+        """The snapshot's business fields other than `flow_edges`, new on every call."""
+        return {
+            "vertices": [{"id": vid, "eta": 1.0, "degree": 0, "birth_step": 0} for vid in self.ids],
+            "attachment_edges": [],
+            "next_index": 0,
+            "pool": list(self.ids),
+            "floor_active": dict.fromkeys(self.ids, True),
+        }
+
+    def to_dot(self) -> str:
+        vertices = [f'  "{vid}" [label="{vid} eta=1.0000 k=0"];' for vid in self.ids]
+        return "\n".join(["graph business {", *vertices, "}"]) + "\n"
 
     def flows_csv(self) -> str:
         lines = ["from,to,kind,value,step"]
@@ -216,12 +230,13 @@ def inject_and_track(g: BusinessGraph, eta_star: float, at_step: int, total_step
     return trajectory
 
 
-def record_transaction(g: BusinessGraph, provider: str, client: str, value: float, step: int) -> None:
+def record_transaction(ledger: FlowLedger, provider: str, client: str, value: float,
+                       step: int) -> None:
     """Append the paired flow edges of one transaction.
 
     A service flow runs provider -> client and a capital flow client ->
     provider, both carrying the same value and step. The endpoints are
-    distinct vertices of `g` and the value is >= 0.
+    distinct habitats of `ledger` and the value is >= 0.
     """
-    g.flow_edges.append(FlowEdge(provider, client, SERVICE_FLOW, value, step))
-    g.flow_edges.append(FlowEdge(client, provider, CAPITAL_FLOW, value, step))
+    ledger.flow_edges.append(FlowEdge(provider, client, SERVICE_FLOW, value, step))
+    ledger.flow_edges.append(FlowEdge(client, provider, CAPITAL_FLOW, value, step))

@@ -208,7 +208,7 @@ def test_criterion_6_hub_displacement():
 
 
 def test_criterion_7_flow_pairing(reference_run):
-    flows = reference_run.graph.flow_edges
+    flows = reference_run.ledger.flow_edges
     services = [e for e in flows if e.kind == "service_flow"]
     capitals = [e for e in flows if e.kind == "capital_flow"]
     count_ok = len(services) == len(capitals)

@@ -204,6 +204,7 @@ BAD_CONFIGS = [
      "config.json.scenario.habitats[1].catalog[0].price: expected a finite number"),
     (_set_config(["evolution"], {"gamma": math.nan}),
      "config.json.evolution.gamma: expected a finite number"),
+    (lambda obj: obj["scenario"]["habitats"].pop(), "scenario needs at least 2 habitats"),
 ]
 
 

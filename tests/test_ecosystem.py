@@ -77,11 +77,6 @@ def test_build_random_m_always_connected_across_seeds():
         assert nx.is_connected(as_networkx(eco))
 
 
-def test_build_rejects_single_habitat():
-    with pytest.raises(EcosystemError):
-        build_ecosystem([make_habitat("h0")], ("ring",), derive_substream(0, "build"))
-
-
 # --- reinforcement and decay ---
 
 def test_reinforce_adds_delta():
@@ -223,7 +218,7 @@ def _migration_eco():
 
 def test_migrate_zero_probability_no_events():
     eco, center = _migration_eco()
-    center.last_deployment = Deployment("r", ("payload",), 1.0, True)
+    center.last_deployment = Deployment(("payload",), True)
     assert migrate(center, eco, 0.0, derive_substream(1, "mig")) == []
 
 
@@ -234,7 +229,7 @@ def test_migrate_without_deployment_no_events():
 
 def test_migrate_copies_manifest_with_counters_and_provenance():
     eco, center = _migration_eco()
-    center.last_deployment = Deployment("r", ("payload",), 1.0, True)
+    center.last_deployment = Deployment(("payload",), True)
     events = migrate(center, eco, 1.0, derive_substream(2, "mig"))
     assert len(events) == 1
     ev = events[0]
@@ -250,7 +245,7 @@ def test_migrate_copies_manifest_with_counters_and_provenance():
 
 def test_migrate_skips_existing_id_but_consumes_draws():
     eco, center = _migration_eco()
-    center.last_deployment = Deployment("r", ("payload",), 1.0, True)
+    center.last_deployment = Deployment(("payload",), True)
     for target in ("aleft", "zright"):
         eco.habitats[target].pool.add(svc("payload", {"a"}))
     assert migrate(center, eco, 1.0, derive_substream(3, "mig")) == []
@@ -260,7 +255,7 @@ def test_migrate_single_neighbor_always_chosen():
     a = make_habitat("a", services=[svc("x", {"a"})])
     b = make_habitat("b")
     eco = build_ecosystem([a, b], ("ring",), derive_substream(0, "b"))
-    a.last_deployment = Deployment("r", ("x",), 1.0, True)
+    a.last_deployment = Deployment(("x",), True)
     events = migrate(a, eco, 1.0, derive_substream(4, "mig"))
     assert [e.destination for e in events] == ["b"]
 
@@ -278,7 +273,7 @@ def test_migrate_destination_frequency_tracks_weights():
     rng = derive_substream(5, "mig-freq")
     counts = {"n1": 0, "n2": 0}
     for i in range(10000):
-        hub.last_deployment = Deployment("r", (f"m{i:05d}",), 1.0, True)
+        hub.last_deployment = Deployment((f"m{i:05d}",), True)
         for ev in migrate(hub, eco, 1.0, rng):
             counts[ev.destination] += 1
     total = counts["n1"] + counts["n2"]

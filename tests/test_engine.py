@@ -224,7 +224,7 @@ def test_migrated_service_enters_destination_deployments_next_epoch():
 
 def test_transactions_pair_and_match_deployments():
     result = engine.run(config_from_obj(_migration_scenario_obj()))
-    flows = result.graph.flow_edges
+    flows = result.ledger.flow_edges
     services = [e for e in flows if e.kind == "service_flow"]
     capitals = [e for e in flows if e.kind == "capital_flow"]
     assert len(services) == len(capitals)
@@ -405,9 +405,8 @@ def _flow(row):
      "state.habitats[0].active[0].trace[0]: expected 3 elements"),
     (_set(["connections", 0, 2], 0.0), "state.connections[0]: weight below floor"),
     (lambda st: st["streams"].pop("h1"), "state.streams: missing stream for habitat 'h1'"),
-    (_set(["business", "floor_active", "h0"], 1),
-     "state.business.floor_active.h0: expected a boolean"),
-    (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0]: eta out of"),
+    (_set(["business", "floor_active", "h0"], 1), "state.business.floor_active.h0: expected true"),
+    (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0].eta: expected 1.0"),
     (_set(["habitats", 0, "pool", 0, "success_count"], 99),
      "state.habitats[0].pool[0]: success exceeds usage"),
     (_set(["connections", 0, 2], math.inf), "state.connections[0][2]: expected a finite number"),
@@ -429,7 +428,15 @@ def _flow(row):
     (_set(["habitats", 0, "provenance"], {"ghost": "h1"}),
      "state.habitats[0].provenance.ghost: service 'ghost' not in the habitat's pool"),
     (lambda st: st["business"]["vertices"].pop(),
-     "state.business.vertices: missing vertex for habitat 'h1'"),
+     "state.business.vertices: expected 2 elements, got 1"),
+    # the business fields other than flows are the ones a run writes, type for type
+    (_set(["business", "attachment_edges"], [["h0", "h1"]]),
+     "state.business.attachment_edges: expected 0 elements, got 1"),
+    (_set(["business", "next_index"], 1), "state.business.next_index: expected 0"),
+    (lambda st: st["business"]["pool"].reverse(), 'state.business.pool[0]: expected "h0"'),
+    (_set(["business", "vertices", 1, "eta"], 1), "state.business.vertices[1].eta: expected 1.0"),
+    (_set(["business", "floor_active", "h1"], False),
+     "state.business.floor_active.h1: expected true"),
     (_flow(["h0", "nowhere", "service_flow", 1.0, 3]),
      "state.business.flow_edges[0][1]: unknown vertex 'nowhere'"),
     (_flow(["h0", "h0", "service_flow", 1.0, 3]),

@@ -1,4 +1,4 @@
-"""Business graph growth kernel, transactions, and exports."""
+"""Business graph growth kernel, the flow ledger, and exports."""
 
 import copy
 import math
@@ -12,6 +12,7 @@ from dbesim.topology import (
     SERVICE_FLOW,
     BusinessGraph,
     EtaDist,
+    FlowLedger,
     TopologyError,
     grow,
     inject_and_track,
@@ -212,18 +213,11 @@ def test_degree_rank_competition_style():
 
 # --- transactions ---
 
-def _two_vertex_graph():
-    g = BusinessGraph()
-    g.add_vertex("p", 1.0, 0)
-    g.add_vertex("c", 1.0, 0)
-    return g
-
-
 def test_transaction_appends_matched_pair():
-    g = _two_vertex_graph()
-    record_transaction(g, "p", "c", 3.5, 7)
-    assert len(g.flow_edges) == 2
-    sflow, cflow = g.flow_edges
+    ledger = FlowLedger(["p", "c"])
+    record_transaction(ledger, "p", "c", 3.5, 7)
+    assert len(ledger.flow_edges) == 2
+    sflow, cflow = ledger.flow_edges
     assert (sflow.src, sflow.dst, sflow.kind) == ("p", "c", SERVICE_FLOW)
     assert (cflow.src, cflow.dst, cflow.kind) == ("c", "p", CAPITAL_FLOW)
     assert sflow.value == cflow.value == 3.5
@@ -231,16 +225,16 @@ def test_transaction_appends_matched_pair():
 
 
 def test_k_transactions_give_2k_edges():
-    g = _two_vertex_graph()
+    ledger = FlowLedger(["p", "c"])
     for step in range(5):
-        record_transaction(g, "p", "c", 1.0, step)
-    assert len(g.flow_edges) == 10
+        record_transaction(ledger, "p", "c", 1.0, step)
+    assert len(ledger.flow_edges) == 10
 
 
 def test_zero_value_transaction_recorded():
-    g = _two_vertex_graph()
-    record_transaction(g, "p", "c", 0.0, 1)
-    assert len(g.flow_edges) == 2
+    ledger = FlowLedger(["p", "c"])
+    record_transaction(ledger, "p", "c", 0.0, 1)
+    assert len(ledger.flow_edges) == 2
 
 
 # --- exports ---
@@ -248,7 +242,6 @@ def test_zero_value_transaction_recorded():
 def test_exports_have_expected_shape():
     g = seed_business_graph(3, fixed(0.5), derive_substream(26, "seed"))
     grow(g, 5, 1, fixed(0.5), derive_substream(26, "grow"))
-    record_transaction(g, "v0", "v1", 2.0, 3)
 
     dot = g.to_dot()
     assert dot.startswith("graph business {") and dot.rstrip().endswith("}")
@@ -258,7 +251,20 @@ def test_exports_have_expected_shape():
     assert csv_lines[0] == "vertex,eta,degree,birth_step"
     assert len(csv_lines) == 1 + len(g.vertices)
 
-    flow_lines = g.flows_csv().strip().split("\n")
+
+def test_ledger_flows_csv_shape():
+    ledger = FlowLedger(["v0", "v1", "v2"])
+    record_transaction(ledger, "v0", "v1", 2.0, 3)
+    flow_lines = ledger.flows_csv().strip().split("\n")
     assert flow_lines[0] == "from,to,kind,value,step"
     assert flow_lines[1] == "v0,v1,service_flow,2.0,3"
     assert flow_lines[2] == "v1,v0,capital_flow,2.0,3"
+
+
+@pytest.mark.parametrize("ids", [["h0", "h1"], ["zeta", "alpha", "mid"],
+                                 [f"h{i:02d}" for i in range(16)], ["b", "a", "B", "a1"]])
+def test_ledger_dot_matches_graph_of_its_habitats(ids):
+    graph = BusinessGraph()
+    for vid in ids:
+        graph.add_vertex(vid, 1.0, 0)
+    assert FlowLedger(ids).to_dot() == graph.to_dot()
