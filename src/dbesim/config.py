@@ -1,11 +1,14 @@
 """Configuration records and the JSON format of every record dbesim reads or writes.
 
-One strict reader (`Reader`) reads configs and snapshots: unknown keys are
-rejected everywhere, numbers must be finite, and every error names the JSON
-path at fault: a silently ignored typo in a simulation config is a
-reproducibility bug. Each flat record has one field table (`Record`): the
-JSON key, kind and range checks of every field. The same table reads the
-record, echoes it and lists its range violations.
+One strict reader reads configs and snapshots: unknown keys are rejected
+everywhere, numbers must be finite, and every error names the JSON path at
+fault: a silently ignored typo in a simulation config is a reproducibility
+bug. A bad value raises `_Bad`; each reader that descends into a member or
+element puts that key in front of the fault's path as it passes, and
+`read_json` names the fault once, at the entry point, as a `ConfigError` or
+`SnapshotError`. Each flat record has one field table (`Record`): the JSON
+key, kind and range checks of every field. The same table reads the record,
+echoes it and lists its range violations.
 
 Reading a config checks structure and types; `validate_config` checks
 ranges and cross-record rules, so configs built in code are checked the
@@ -110,87 +113,12 @@ class SimConfig:
 
 
 class _Bad(Exception):
-    """A JSON value of the wrong kind; `keys` is its path below the
-    `Reader` that reports it."""
+    """A bad JSON value; `keys` is its path, outermost key first, below the
+    value being read."""
 
     def __init__(self, message: str, *keys):
         super().__init__(message)
         self.keys = list(keys)
-
-
-class Reader:
-    """A JSON value being read; its path is built only when it fails.
-
-    The root names the document (`config`, a file name, `state`) and
-    carries the error class that every failure below it raises.
-    """
-
-    __slots__ = ("value", "key", "parent", "error")
-
-    def __init__(self, value, key, parent: "Reader | None" = None, error=None):
-        self.value = value
-        self.key = key
-        self.parent = parent
-        self.error = error
-
-    @property
-    def path(self) -> str:
-        if self.parent is None:
-            return str(self.key)
-        if isinstance(self.key, int):
-            return f"{self.parent.path}[{self.key}]"
-        return f"{self.parent.path}.{self.key}"
-
-    def fail(self, message: str):
-        root = self
-        while root.parent is not None:
-            root = root.parent
-        raise root.error(f"{self.path}: {message}")
-
-    def at(self, key, value=None) -> "Reader":
-        return Reader(value, key, self)
-
-    def read(self, fn: Callable, *args):
-        """`fn(value, *args)`; a bad value it meets fails at its path."""
-        try:
-            return fn(self.value, *args)
-        except _BAD as e:
-            e = _bad(e)
-            node = self
-            for key in e.keys:
-                node = node.at(key)
-            node.fail(str(e))
-
-    def get(self, kind: "Kind"):
-        return self.read(kind.read)
-
-    def object(self, keys) -> dict:
-        """The value, an object whose keys all lie in `keys`."""
-        return self.read(_object, keys)
-
-    def fields(self, record: "Record") -> dict:
-        return self.read(_fields, record)
-
-    def records(self, record: "Record") -> list:
-        """An array of objects, each read as `fields(record)`."""
-        return self.read(_each, _fields, record)
-
-    def rows(self, *kinds: "Kind") -> list:
-        """An array of fixed-length arrays, one kind per element."""
-        return self.read(_each, _row, tuple(k.read for k in kinds))
-
-    def __getitem__(self, key: str) -> "Reader":
-        """A required member of an object."""
-        obj = self.get(OBJECT)
-        if key not in obj:
-            self.at(key).fail("missing")
-        return Reader(obj[key], key, self)
-
-    def __iter__(self):
-        return (Reader(v, i, self) for i, v in enumerate(self.get(ARRAY)))
-
-    def items(self) -> list:
-        return [(k, Reader(v, k, self)) for k, v in self.get(OBJECT).items()]
 
 
 # A token that fails `parse_token` is a bad value like any other.
@@ -201,16 +129,40 @@ def _bad(e: Exception) -> _Bad:
     return e if isinstance(e, _Bad) else _Bad(str(e))
 
 
+def read_json(value, root: str, error: type, read: Callable, *args):
+    """`read(value, *args)` of the JSON document `root`; a bad value it meets
+    is raised as `error`, named at its path such as `state.habitats[0].pool`."""
+    try:
+        return read(value, *args)
+    except _BAD as e:
+        e = _bad(e)
+        path = root + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in e.keys)
+        raise error(f"{path}: {e}") from None
+
+
+def _at(key, read: Callable, value, *args):
+    """`read(value, *args)` of the member or element `key`: a bad value below
+    it gets `key` in front of its path."""
+    try:
+        return read(value, *args)
+    except _BAD as e:
+        e = _bad(e)
+        e.keys.insert(0, key)
+        raise e from None
+
+
+def _get(obj: dict, key: str, read: Callable, *args):
+    """`read` of a required member of an object."""
+    if key not in obj:
+        raise _Bad("missing", key)
+    return _at(key, read, obj[key], *args)
+
+
 def _locate(items, *args):
     """Read (key, read, value) triples again to report the first bad value
     at its key."""
     for key, read, v in items:
-        try:
-            read(v, *args)
-        except _BAD as e:
-            e = _bad(e)
-            e.keys.insert(0, key)
-            raise e from None
+        _at(key, read, v, *args)
 
 
 def _each(values, read: Callable, *args) -> list:
@@ -230,24 +182,6 @@ def _object(obj, keys) -> dict:
     if not keys.issuperset(obj):
         raise _Bad(f"unknown key {sorted(obj.keys() - keys)[0]!r}")
     return obj
-
-
-def _fields(obj, record: "Record") -> dict:
-    """The record's fields present in an object, each read by its kind.
-
-    Absent optional fields are left out, so the record class's default
-    applies.
-    """
-    if type(obj) is not dict or not record.keys.issuperset(obj):
-        _object(obj, record.keys)
-    if len(obj) < len(record.keys) and not record.required.issubset(obj):
-        raise _Bad("missing", sorted(record.required - obj.keys())[0])
-    readers = record.readers
-    try:
-        return {key: readers[key](v) for key, v in obj.items()}
-    except _BAD:
-        _locate((key, readers[key], v) for key, v in obj.items())
-        raise
 
 
 def _row(values, reads: tuple) -> list:
@@ -316,7 +250,6 @@ def _tokens(v) -> frozenset:
 
 
 OBJECT = Kind(_exact(dict, "an object"))
-ARRAY = Kind(_exact(list, "an array"))
 INT = Kind(_exact(int, "an integer"))
 COUNT = Kind(_int_in(0, float("inf"), "must be >= 0"))
 STREAM_STATE = Kind(_int_in(0, _MAX_SEED, "stream state outside [0, 2**64)"))
@@ -333,7 +266,7 @@ def _union(v, variants: dict) -> tuple:
     kind = v["kind"]
     if type(kind) is not str or kind not in variants:
         raise _Bad(f"unknown kind {kind!r}", "kind")
-    return kind, _fields(v, variants[kind])
+    return kind, variants[kind].read(v)
 
 
 def _eta(v) -> EtaDist:
@@ -370,11 +303,14 @@ class Record:
     Python record, or of `view(record)` where the Python class is shaped
     unlike the JSON object.
 
-    `echo(obj)` returns the JSON object, leaving out an optional field whose
-    value is None; `violations(obj)` returns the violation text of every
-    check that fails. Fields are read as attributes, never through
-    `__dict__`: on CPython 3.11, asking an object for its `__dict__` makes
-    every later attribute read on it slower, and echoed records stay in use.
+    `read(obj)` returns the fields present in a JSON object, each read by its
+    kind; absent optional fields are left out, so the record class's default
+    applies. `echo(record)` returns the JSON object, leaving out an optional
+    field whose value is None; `violations(record)` returns the violation
+    text of every check that fails. Fields are read as attributes, never
+    through `__dict__`: on CPython 3.11, asking an object for its `__dict__`
+    makes every later attribute read on it slower, and echoed records stay
+    in use.
     """
 
     def __init__(self, *fields: tuple, view: Callable | None = None):
@@ -382,43 +318,40 @@ class Record:
         self.keys = frozenset(key for key, _, _, _ in fields)
         self.required = frozenset(key for key, _, required, _ in fields if required)
         self.readers = {key: kind.read for key, kind, _, _ in fields}
+        self.checks = tuple(check for *_, checks in fields for check in checks)
         self.view = view
-        code = _compile(fields, view)
-        self.echo, self.violations = code["echo"], code["violations"]
 
+    def read(self, obj) -> dict:
+        if type(obj) is not dict or not self.keys.issuperset(obj):
+            _object(obj, self.keys)
+        if len(obj) < len(self.keys) and not self.required.issubset(obj):
+            raise _Bad("missing", sorted(self.required - obj.keys())[0])
+        readers = self.readers
+        try:
+            return {key: readers[key](v) for key, v in obj.items()}
+        except _BAD:
+            _locate((key, readers[key], v) for key, v in obj.items())
+            raise
 
-def _compile(fields: tuple, view: Callable | None) -> dict:
-    """`echo` and `violations` of a field table, compiled into straight-line
-    code as `dataclasses` compiles `__init__`: a loop over the fields costs
-    about twice as much per record, and a config or snapshot holds
-    thousands. The source names only the table's own keys."""
-    env = {"view": view}
-    head = ["    o = view(o)"] if view is not None else []
-    required, optional = [], []
-    for key, kind, is_required, _ in fields:
-        value = f"o.{key}"
-        if kind.echo is not None:
-            env[f"echo_{key}"] = kind.echo
-            value = f"echo_{key}({value})"
-        if is_required:
-            required.append(f"{key!r}: {value}")
-        else:
-            optional += [f"    if o.{key} is not None:", f"        out[{key!r}] = {value}"]
-    checks = []
-    for i, (ok, text) in enumerate(check for *_, cs in fields for check in cs):
-        env[f"ok{i}"], env[f"text{i}"] = ok, text
-        checks += [f"    if not ok{i}(o):", f"        bad.append(text{i}.format(r=o))"]
-    exec("\n".join([
-        "def echo(o):", *head, "    out = {" + ", ".join(required) + "}", *optional,
-        "    return out",
-        "def violations(o):", *head, "    bad = []", *checks, "    return bad",
-    ]), env)
-    return env
+    def echo(self, record) -> dict:
+        if self.view is not None:
+            record = self.view(record)
+        out = {}
+        for key, kind, required, _ in self.fields:
+            value = getattr(record, key)
+            if required or value is not None:
+                out[key] = value if kind.echo is None else kind.echo(value)
+        return out
+
+    def violations(self, record) -> list:
+        if self.view is not None:
+            record = self.view(record)
+        return [text.format(r=record) for ok, text in self.checks if not ok(record)]
 
 
 def _array_of(record: Record, cls: type) -> Kind:
     """An array of records, each built as `cls(**fields)`."""
-    return Kind(lambda v: [cls(**f) for f in _each(v, _fields, record)],
+    return Kind(lambda v: [cls(**f) for f in _each(v, record.read)],
                 lambda objs: list(map(record.echo, objs)))
 
 
@@ -475,7 +408,7 @@ TOPOLOGY = Record(
         lambda r: r.eta.kind in ("uniform", "fixed"),
         "unknown eta distribution kind: {r.eta.kind!r}",
         lambda r: 0.0 < r.eta.value <= 1.0, "eta distribution value out of (0, 1]"),
-    opt("inject", Kind(lambda v: _fields(v, INJECT)),
+    opt("inject", Kind(INJECT.read),
         lambda r: r.inject is None or None not in r.inject.values(),
         "topology inject needs both eta and at_step",
         lambda r: r.inject is None or r.inject["eta"] is None or 0.0 < r.inject["eta"] <= 1.0,
@@ -515,7 +448,7 @@ REQUEST = Record(
 )
 
 TEMPLATE = Record(
-    req("request", Kind(lambda v: Request(**_fields(v, REQUEST)), REQUEST.echo)),
+    req("request", Kind(lambda v: Request(**REQUEST.read(v)), REQUEST.echo)),
     opt("weight", NUMBER, lambda r: r.weight > 0.0, "profile weight must be > 0"),
 )
 
@@ -534,8 +467,8 @@ FAILURE = Record(
 # --- Configs ---
 
 
-def _topology(node: Reader) -> TopologyParams:
-    vals = node.fields(TOPOLOGY)
+def _topology(v) -> TopologyParams:
+    vals = TOPOLOGY.read(v)
     inject = vals.pop("inject", None)
     if inject is not None:
         vals["inject_eta"], vals["inject_at"] = inject["eta"], inject["at_step"]
@@ -543,34 +476,37 @@ def _topology(node: Reader) -> TopologyParams:
     return TopologyParams(**vals)
 
 
-def _scenario(node: Reader) -> ScenarioConfig:
-    obj = node.object({"habitats", "initial_topology"})
+def _scenario(v) -> ScenarioConfig:
+    obj = _object(v, {"habitats", "initial_topology"})
     habitats = [HabitatSpec(f["id"], f["catalog"], f["profile"])
-                for f in node["habitats"].records(HABITAT)]
-    topo = (node["initial_topology"].read(_initial_topology) if "initial_topology" in obj
+                for f in _get(obj, "habitats", _each, HABITAT.read)]
+    topo = (_get(obj, "initial_topology", _initial_topology) if "initial_topology" in obj
             else ("ring",))
     return ScenarioConfig(habitats=habitats, initial_topology=topo)
 
 
-def config_from_obj(obj, path: str = "config") -> SimConfig:
-    """Build a SimConfig from a parsed JSON object, checking structure and types."""
-    root = Reader(obj, path, error=ConfigError)
-    top = root.object({"seed", "epochs", "scenario", "evolution", "ecosystem", "topology",
-                       "failures"})
-    cfg = SimConfig(master_seed=root["seed"].get(INT), epochs=root["epochs"].get(INT))
-    if "evolution" in top:
-        evo = root["evolution"].fields(EVOLUTION)
+def _config(v) -> SimConfig:
+    obj = _object(v, {"seed", "epochs", "scenario", "evolution", "ecosystem", "topology",
+                      "failures"})
+    cfg = SimConfig(master_seed=_get(obj, "seed", INT.read), epochs=_get(obj, "epochs", INT.read))
+    if "evolution" in obj:
+        evo = _get(obj, "evolution", EVOLUTION.read)
         cfg.generation_budget_per_epoch = evo.pop("generation_budget_per_epoch",
                                                   cfg.generation_budget_per_epoch)
         cfg.evolution = EvolutionParams(**evo)
-    if "ecosystem" in top:
-        cfg.ecosystem = EcosystemParams(**root["ecosystem"].fields(ECOSYSTEM))
-    if "topology" in top:
-        cfg.topology = _topology(root["topology"])
-    cfg.scenario = _scenario(root["scenario"])
-    if "failures" in top:
-        cfg.failures = tuple(root["failures"].get(_array_of(FAILURE, FailureEvent)))
+    if "ecosystem" in obj:
+        cfg.ecosystem = EcosystemParams(**_get(obj, "ecosystem", ECOSYSTEM.read))
+    if "topology" in obj:
+        cfg.topology = _get(obj, "topology", _topology)
+    cfg.scenario = _get(obj, "scenario", _scenario)
+    if "failures" in obj:
+        cfg.failures = tuple(_get(obj, "failures", _array_of(FAILURE, FailureEvent).read))
     return cfg
+
+
+def config_from_obj(obj, path: str = "config") -> SimConfig:
+    """Build a SimConfig from a parsed JSON object, checking structure and types."""
+    return read_json(obj, path, ConfigError, _config)
 
 
 def config_to_obj(cfg: SimConfig) -> dict:
@@ -696,39 +632,111 @@ def state_to_obj(eco: Ecosystem, streams: dict, ledger: FlowLedger) -> dict:
     }
 
 
+def _genome(v, pool: Catalog, max_len: int) -> tuple:
+    """1..max_len services of the habitat's pool."""
+    for sid in _strings(v):
+        if sid not in pool:
+            raise _Bad(f"service {sid!r} not in the habitat's pool")
+    if not 1 <= len(v) <= max_len:
+        raise _Bad(f"genome length {len(v)} outside [1, max_len {max_len}]")
+    return tuple(v)
+
+
 def _population(rows, pool: Catalog, max_len: int) -> list:
-    """Individuals from [genome, fitness] rows; a genome names 1..max_len pool services."""
-    pop = []
-    for i, (genome, fit) in enumerate(_each(rows, _row, (ARRAY.read, NUMBER.read))):
-        try:
-            for sid in _strings(genome):
-                if sid not in pool:
-                    raise _Bad(f"service {sid!r} not in the habitat's pool")
-            if not 1 <= len(genome) <= max_len:
-                raise _Bad(f"genome length {len(genome)} outside [1, max_len {max_len}]")
-        except _Bad as e:
-            e.keys[:0] = [i, 0]
-            raise
-        pop.append(Individual(tuple(genome), fit))
+    """Individuals from [genome, fitness] rows."""
+    reads = (partial(_genome, pool=pool, max_len=max_len), NUMBER.read)
+    pop = [Individual(*row) for row in _each(rows, _row, reads)]
     if not pop:
         raise _Bad("expected a non-empty array")
     return pop
 
 
-def _evolution_from_state(node: Reader, pool: Catalog, templates: dict) -> ActiveEvolution:
-    node.object({"request", "population", "gens_since_reset", "total_generations",
-                 "pool_version", "trace"})
-    rid = node["request"].get(STRING)
+_TRACE_ROW = (INT.read, NUMBER.read, NUMBER.read)
+
+
+def _evolution(v, pool: Catalog, templates: dict) -> ActiveEvolution:
+    obj = _object(v, {"request", "population", "gens_since_reset", "total_generations",
+                      "pool_version", "trace"})
+    rid = _get(obj, "request", STRING.read)
     if rid not in templates:
-        node["request"].fail(f"evolution state for unknown request {rid!r}")
+        raise _Bad(f"evolution state for unknown request {rid!r}", "request")
     return ActiveEvolution(
         request_id=rid,
-        population=node["population"].read(_population, pool, templates[rid].request.max_len),
-        gens_since_reset=node["gens_since_reset"].get(COUNT),
-        total_generations=node["total_generations"].get(COUNT),
-        pool_version=node["pool_version"].get(COUNT),
-        trace=[GenerationStat(*t) for t in node["trace"].rows(INT, NUMBER, NUMBER)],
+        population=_get(obj, "population", _population, pool, templates[rid].request.max_len),
+        gens_since_reset=_get(obj, "gens_since_reset", COUNT.read),
+        total_generations=_get(obj, "total_generations", COUNT.read),
+        pool_version=_get(obj, "pool_version", COUNT.read),
+        trace=[GenerationStat(*t) for t in _get(obj, "trace", _each, _row, _TRACE_ROW)],
     )
+
+
+def _pool(v) -> Catalog:
+    services = [ServiceManifest(**f) for f in _each(v, POOL_SERVICE.read)]
+    for i, s in enumerate(services):
+        if bad := POOL_SERVICE.violations(s):
+            raise _Bad("; ".join(bad), i)
+    return Catalog(services)
+
+
+def _provenance(v, pool: Catalog, hid: str, specs: dict) -> dict:
+    """Each migrated pool service, mapped to the other scenario habitat it came from."""
+    obj = OBJECT.read(v)
+    for sid, src in obj.items():
+        _at(sid, STRING.read, src)
+        if sid not in pool:
+            raise _Bad(f"service {sid!r} not in the habitat's pool", sid)
+        if src not in specs:
+            raise _Bad(f"unknown source habitat {src!r}", sid)
+        if src == hid:
+            raise _Bad("source is the habitat itself", sid)
+    return dict(obj)
+
+
+def _habitat(v, specs: dict) -> Habitat:
+    obj = _object(v, {"id", "pool", "provenance", "pool_version", "active"})
+    hid = _get(obj, "id", STRING.read)
+    if hid not in specs:
+        raise _Bad(f"snapshot habitat {hid!r} not in scenario", "id")
+    pool = _get(obj, "pool", _pool)
+    h = Habitat(id=hid, pool=pool, profile=list(specs[hid].profile),
+                provenance=_get(obj, "provenance", _provenance, pool, hid, specs),
+                pool_version=_get(obj, "pool_version", COUNT.read))
+    templates = {t.request.id: t for t in h.profile}
+    for evo in _get(obj, "active", _each, _evolution, pool, templates):
+        h.active[evo.request_id] = evo
+    return h
+
+
+def _ecosystem(v, specs: dict, w_min: float) -> Ecosystem:
+    habitats = _each(v, _habitat, specs)
+    if not habitats:  # no run removes its last habitat
+        raise _Bad("expected a non-empty array")
+    try:
+        return Ecosystem(habitats, w_min=w_min)
+    except EcosystemError as e:
+        raise _Bad(str(e)) from None
+
+
+_CONNECTION_ROW = (STRING.read, STRING.read, NUMBER.read)
+
+
+def _connect(rows, eco: Ecosystem) -> None:
+    for i, (a, b, w) in enumerate(_each(rows, _row, _CONNECTION_ROW)):
+        try:
+            if edge_key(a, b) in eco.connections:
+                raise _Bad(f"duplicate connection {a}-{b}", i)
+            eco.add_connection(a, b, w)
+        except EcosystemError as e:
+            raise _Bad(str(e), i) from None
+
+
+def _streams(v, specs: dict) -> dict:
+    streams = {}
+    for hid, state in OBJECT.read(v).items():
+        if hid not in specs:
+            raise _Bad(f"stream for unknown habitat {hid!r}", hid)
+        streams[hid] = Stream(_at(hid, STREAM_STATE.read, state))
+    return streams
 
 
 _FLOW_ROW = (STRING.read, STRING.read, STRING.read, NUMBER.read, INT.read)
@@ -762,15 +770,28 @@ def _same(v, expected) -> None:
         raise _Bad(f"expected {json.dumps(expected)}")
 
 
-def _ledger_from_state(biz: Reader, habitat_ids) -> FlowLedger:
+def _ledger(v, habitat_ids) -> FlowLedger:
     """The flow ledger; every other business field is the one a run writes."""
     ledger = FlowLedger(habitat_ids)
     fixed = ledger.fixed_fields()
-    biz.object({*fixed, "flow_edges"})
+    obj = _object(v, {*fixed, "flow_edges"})
     for key, expected in fixed.items():
-        biz[key].read(_same, expected)
-    ledger.flow_edges = biz["flow_edges"].read(_each, _flow, set(ledger.ids))
+        _get(obj, key, _same, expected)
+    ledger.flow_edges = _get(obj, "flow_edges", _each, _flow, set(ledger.ids))
     return ledger
+
+
+def _state(v, config: SimConfig) -> tuple:
+    obj = _object(v, {"epoch", "streams", "habitats", "connections", "business"})
+    specs = {spec.id: spec for spec in config.scenario.habitats}
+    eco = _get(obj, "habitats", _ecosystem, specs, config.ecosystem.w_min)
+    eco.epoch = _get(obj, "epoch", COUNT.read)
+    _get(obj, "connections", _connect, eco)
+    streams = _get(obj, "streams", _streams, specs)
+    for hid in eco.habitat_ids():
+        if hid not in streams:
+            raise _Bad(f"missing stream for habitat {hid!r}", "streams")
+    return eco, streams, _get(obj, "business", _ledger, specs)
 
 
 def state_from_obj(config: SimConfig, state: dict) -> tuple:
@@ -784,65 +805,7 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     are >= 0, the business fields other than flows are the ones a run
     writes, and flows join two habitats with a known kind and a value >= 0.
     """
-    root = Reader(state, "state", error=SnapshotError)
-    root.object({"epoch", "streams", "habitats", "connections", "business"})
-    specs = {spec.id: spec for spec in config.scenario.habitats}
-    habitats = []
-    for hnode in root["habitats"]:
-        hnode.object({"id", "pool", "provenance", "pool_version", "active"})
-        hid = hnode["id"].get(STRING)
-        if hid not in specs:
-            hnode["id"].fail(f"snapshot habitat {hid!r} not in scenario")
-        pool_node = hnode["pool"]
-        services = [ServiceManifest(**f) for f in pool_node.records(POOL_SERVICE)]
-        for i, s in enumerate(services):
-            if bad := POOL_SERVICE.violations(s):
-                pool_node.at(i).fail("; ".join(bad))
-        try:
-            pool = Catalog(services)
-        except ManifestError as e:
-            pool_node.fail(str(e))
-        provenance = {}
-        for sid, node in hnode["provenance"].items():
-            src = node.get(STRING)
-            if sid not in pool:
-                node.fail(f"service {sid!r} not in the habitat's pool")
-            if src not in specs:
-                node.fail(f"unknown source habitat {src!r}")
-            if src == hid:
-                node.fail("source is the habitat itself")
-            provenance[sid] = src
-        h = Habitat(id=hid, pool=pool, profile=list(specs[hid].profile),
-                    provenance=provenance, pool_version=hnode["pool_version"].get(COUNT))
-        templates = {t.request.id: t for t in h.profile}
-        for anode in hnode["active"]:
-            evo = _evolution_from_state(anode, pool, templates)
-            h.active[evo.request_id] = evo
-        habitats.append(h)
-    if not habitats:  # no run removes its last habitat
-        root["habitats"].fail("expected a non-empty array")
-    try:
-        eco = Ecosystem(habitats, w_min=config.ecosystem.w_min)
-    except EcosystemError as e:
-        root["habitats"].fail(str(e))
-    eco.epoch = root["epoch"].get(COUNT)
-    conns = root["connections"]
-    for i, (a, b, w) in enumerate(conns.rows(STRING, STRING, NUMBER)):
-        try:
-            if edge_key(a, b) in eco.connections:
-                conns.at(i).fail(f"duplicate connection {a}-{b}")
-            eco.add_connection(a, b, w)
-        except EcosystemError as e:
-            conns.at(i).fail(str(e))
-    streams = {}
-    for hid, node in root["streams"].items():
-        if hid not in specs:
-            node.fail(f"stream for unknown habitat {hid!r}")
-        streams[hid] = Stream(node.get(STREAM_STATE))
-    for hid in eco.habitat_ids():
-        if hid not in streams:
-            root["streams"].fail(f"missing stream for habitat {hid!r}")
-    return eco, streams, _ledger_from_state(root["business"], specs)
+    return read_json(state, "state", SnapshotError, _state, config)
 
 
 # --- Files ---
@@ -859,6 +822,15 @@ def snapshot_to_obj(cfg: SimConfig, state: dict) -> dict:
 def serialize_snapshot(cfg: SimConfig, state: dict) -> str:
     return json.dumps(snapshot_to_obj(cfg, state), sort_keys=True,
                       separators=(",", ":")) + "\n"
+
+
+def _snapshot_parts(v) -> tuple:
+    """(state, config) of a snapshot object, neither read yet."""
+    obj = _object(v, {"format", "config", "state"})
+    for key in ("state", "config"):
+        if key not in obj:
+            raise _Bad("missing", key)
+    return obj["state"], obj["config"]
 
 
 def parse_config(path, seed_override: int | None = None) -> tuple:
@@ -879,9 +851,7 @@ def parse_config(path, seed_override: int | None = None) -> tuple:
     if type(data) is dict and "format" in data:
         if data["format"] != SNAPSHOT_FORMAT:
             raise ConfigError(f"{path}: unknown snapshot format {data['format']!r}")
-        root = Reader(data, path, error=ConfigError)
-        root.object({"format", "config", "state"})
-        state, data = root["state"].value, root["config"].value
+        state, data = read_json(data, str(path), ConfigError, _snapshot_parts)
     cfg = config_from_obj(data, path=str(path))
     if seed_override is not None:
         cfg.master_seed = seed_override

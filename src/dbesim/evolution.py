@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .manifest import (
+    DEFAULT_BETA,
     Catalog,
     Request,
     ServiceManifest,
@@ -53,7 +54,7 @@ class EvolutionParams:
     crossover_rate: float = 0.7
     mutation_rate: float = 0.3
     elitism: int = 1
-    beta: float = 0.3
+    beta: float = DEFAULT_BETA
     gamma: float = 2.0
     target_fitness: float = 0.999
 
@@ -311,19 +312,19 @@ def evolve(catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream)
 # --- Exhaustive oracle ---
 
 
-def brute_force_best(catalog: Catalog, req: Request, beta: float = 0.3,
-                     guard: int = ORACLE_GUARD) -> tuple:
+def brute_force_best(catalog: Catalog, req: Request, beta: float = DEFAULT_BETA) -> tuple:
     """Exhaustively find the best chain of length 1..max_len.
 
     Chains are enumerated by increasing length, ids in lexicographic order
     within each length; the first chain attaining the maximum fitness wins.
     Budget-infeasible chains are excluded; if none is feasible the result
-    is (None, 0.0).
+    is (None, 0.0). A catalog of n services with n ** max_len above
+    ORACLE_GUARD is refused.
     """
     n = len(catalog)
     if n == 0:
         raise EvolutionError("empty catalog")
-    if n ** req.max_len > guard:
+    if n ** req.max_len > ORACLE_GUARD:
         raise EvolutionError("oracle too large")
     ids = sorted(catalog.ids())
     best_genome = None

@@ -1,10 +1,12 @@
 """Config schema strictness, echo round-trips, and CLI behavior."""
 
 import gc
+import importlib.util
 import json
 import math
 import os
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -94,6 +96,53 @@ def test_missing_key_named_at_its_path():
     del obj["seed"]
     with pytest.raises(ConfigError, match=r"^config\.seed: missing$"):
         config_from_obj(obj)
+
+
+@cache
+def _documents() -> dict:
+    """A config with a failure and a topology inject block, and the state of
+    its run: root name -> (JSON document, reader, error)."""
+    obj = load_asset_obj("two_communities.json")
+    obj["epochs"] = 6
+    obj["failures"] = [{"epoch": 3, "victims": ["a3"]}]
+    obj["topology"] = {"inject": {"eta": 1.0, "at_step": 5}}
+    cfg = config_from_obj(obj)
+    state = json.loads(json.dumps(engine_run(cfg).final_state()))
+    return {
+        "config": (obj, config_from_obj, ConfigError),
+        "state": (state, lambda s: engine.state_from_obj(cfg, s), engine.SnapshotError),
+    }
+
+
+def _scalar_leaves(value, keys=()) -> list:
+    """The key path of every scalar in a JSON value."""
+    if type(value) not in (dict, list):
+        return [keys]
+    items = value.items() if type(value) is dict else enumerate(value)
+    return [leaf for key, v in items for leaf in _scalar_leaves(v, keys + (key,))]
+
+
+@pytest.mark.parametrize("root", ["config", "state"])
+def test_every_fault_is_named_at_its_path(root):
+    """A wrong-typed scalar is named at its exact path. One leaf per shape (the
+    path with array indices wildcarded) is damaged: the last in document
+    order, so each array reader meets it past its first element."""
+    doc, read, error = _documents()[root]
+    last_of_shape = {tuple("*" if type(k) is int else k for k in keys): keys
+                     for keys in _scalar_leaves(doc)}
+    assert len(last_of_shape) > 20
+    for *head, last in last_of_shape.values():
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        path = root + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in (*head, last))
+        leaf, parent[last] = parent[last], {"bad": []}
+        try:
+            with pytest.raises(error) as info:
+                read(doc)
+        finally:
+            parent[last] = leaf
+        assert str(info.value).startswith(path + ": "), str(info.value)
 
 
 def test_wrong_types_rejected():
@@ -186,6 +235,18 @@ def test_failures_parse_and_echo():
 def test_cli_validate_reference_configs():
     for name in ("catalog8.json", "two_communities.json", "topology_experiment.json"):
         assert cli.main(["validate", "--config", asset_path(name)]) == 0
+
+
+def test_make_assets_regenerates_the_shipped_assets():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_assets.py")
+    spec = importlib.util.spec_from_file_location("make_assets", script)
+    make_assets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_assets)
+    for name, build in (("catalog8.json", make_assets.catalog8),
+                        ("two_communities.json", make_assets.two_communities),
+                        ("topology_experiment.json", make_assets.topology_experiment)):
+        with open(asset_path(name), "r", encoding="utf-8") as f:
+            assert f.read() == json.dumps(build(), indent=2) + "\n", name
 
 
 # A NaN or an infinity passes every range check written as a comparison, so

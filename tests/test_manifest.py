@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import req, svc
-from dbesim.config import POOL_SERVICE, REQUEST, SERVICE, Reader
+from dbesim.config import POOL_SERVICE, REQUEST, SERVICE, read_json
 from dbesim.manifest import (
     Catalog,
     ManifestError,
@@ -235,11 +235,11 @@ def test_chain_price_sums():
 # --- JSON interchange ---
 
 def service_from_obj(obj):
-    return ServiceManifest(**Reader(obj, "service", error=ManifestError).fields(SERVICE))
+    return ServiceManifest(**read_json(obj, "service", ManifestError, SERVICE.read))
 
 
 def request_from_obj(obj):
-    return Request(**Reader(obj, "request", error=ManifestError).fields(REQUEST))
+    return Request(**read_json(obj, "request", ManifestError, REQUEST.read))
 
 
 def _service_obj():
