@@ -5,7 +5,7 @@ Subcommands:
   evolve    single-habitat evolution of the first habitat's first request
   oracle    exhaustive best chain for the same inputs as evolve
   topology  business-graph growth experiment (degree CSV, DOT, trajectory)
-  validate  parse and validate a config, printing all violations
+  validate  parse and validate a config or snapshot, printing all violations
 
 Exit status: 0 on success, 1 on validation failure, 2 on runtime error.
 Every failure is reported as one line on stderr, never as a traceback.
@@ -216,14 +216,16 @@ def _dispatch(args) -> int:
     except OSError as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    if args.subcommand == "validate":
-        print("ok")
-        return EXIT_OK
 
     # run and topology always write (to ./out by default); evolve and oracle
     # write only when given --out
     out_path = args.out or ("out" if args.subcommand in ("run", "topology") else None)
     try:
+        if args.subcommand == "validate":
+            if state is not None:  # read as `run` would resume from it
+                engine.state_from_obj(cfg, state)
+            print("ok")
+            return EXIT_OK
         with OutputDir(out_path) if out_path else contextlib.nullcontext() as out:
             if args.subcommand == "run":
                 return cmd_run(cfg, state, out, args.quiet)

@@ -848,14 +848,16 @@ def parse_config(path, seed_override: int | None = None) -> tuple:
     except RecursionError as e:
         raise ConfigError(f"{path}: malformed JSON: nested too deeply") from e
     state = None
+    where = str(path)
     if type(data) is dict and "format" in data:
         if data["format"] != SNAPSHOT_FORMAT:
             raise ConfigError(f"{path}: unknown snapshot format {data['format']!r}")
-        state, data = read_json(data, str(path), ConfigError, _snapshot_parts)
-    cfg = config_from_obj(data, path=str(path))
+        state, data = read_json(data, where, ConfigError, _snapshot_parts)
+        where += ".config"
+    cfg = config_from_obj(data, path=where)
     if seed_override is not None:
         cfg.master_seed = seed_override
     violations = validate_config(cfg)
     if violations:
-        raise ConfigError("; ".join(f"{path}: {v}" for v in violations))
+        raise ConfigError("; ".join(f"{where}: {v}" for v in violations))
     return cfg, state

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .evolution import (
     EvolutionParams,
@@ -49,21 +50,6 @@ class RequestTemplate:
     weight: float = 1.0
 
 
-@dataclass(frozen=True)
-class MigrationEvent:
-    service_id: str
-    source: str
-    destination: str
-
-
-@dataclass
-class Deployment:
-    """What a habitat deployed this epoch."""
-
-    genome: tuple
-    success: bool
-
-
 @dataclass
 class ActiveEvolution:
     """Resumable evolution state for one request template.
@@ -92,7 +78,15 @@ class Habitat:
     provenance: dict = field(default_factory=dict)  # service id -> source habitat id
     active: dict = field(default_factory=dict)  # request id -> ActiveEvolution
     pool_version: int = 0
-    last_deployment: Deployment | None = None
+
+
+class Deployment(NamedTuple):
+    """What a habitat deployed this epoch."""
+
+    habitat: Habitat
+    genome: tuple
+    fitness: float
+    success: bool
 
 
 def edge_key(a: str, b: str) -> tuple:
@@ -302,23 +296,22 @@ def clustering_statistic(eco: Ecosystem) -> float:
 # --- Migration ---
 
 
-def migrate(h: Habitat, eco: Ecosystem, p_mig: float, rng: Stream) -> list:
-    """Spread the habitat's best deployed chain to weighted neighbors.
+def migrate(h: Habitat, genome: tuple, eco: Ecosystem, p_mig: float, rng: Stream) -> list:
+    """Spread the habitat's deployed chain `genome` to weighted neighbors.
 
     Per constituent service, one uniform draw decides whether migration
     fires; if it does, one weighted draw picks the destination among the
     habitat's neighbors (sorted by id). The manifest is copied with its
     counters, provenance pointing at this habitat, unless the destination
-    already holds that id (the draw is still consumed).
+    already holds that id (the draw is still consumed). Returns the
+    (service id, destination id) pairs copied.
     """
-    if h.last_deployment is None:
-        return []
     neighbors = eco.neighbors(h.id)
     if not neighbors:
         return []
     weights = [w for _, w in neighbors]
-    events = []
-    for sid in h.last_deployment.genome:
+    copied = []
+    for sid in genome:
         if rng.random() < p_mig:
             dest_id = neighbors[rng.weighted_index(weights)][0]
             dest = eco.habitats[dest_id]
@@ -326,8 +319,8 @@ def migrate(h: Habitat, eco: Ecosystem, p_mig: float, rng: Stream) -> list:
                 dest.pool.add(h.pool.get(sid).copy())
                 dest.provenance[sid] = h.id
                 dest.pool_version += 1
-                events.append(MigrationEvent(sid, h.id, dest_id))
-    return events
+                copied.append((sid, dest_id))
+    return copied
 
 
 # --- Failure and healing ---
@@ -391,17 +384,8 @@ def failure_inject(eco: Ecosystem, victims) -> tuple:
 # --- The epoch loop body ---
 
 
-@dataclass
-class EpochReport:
-    epoch: int
-    deployments: int = 0
-    successes: int = 0
-    migrations: list = field(default_factory=list)
-    best_fitness: dict = field(default_factory=dict)  # habitat id -> deployed fitness
-
-
 def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: EcosystemParams,
-              generation_budget: int, streams: dict, execute, emit) -> EpochReport:
+              generation_budget: int, streams: dict, execute, emit) -> tuple:
     """Advance the ecosystem by one epoch.
 
     Habitats are processed in id order. Per habitat (all draws from its own
@@ -413,15 +397,13 @@ def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: Ecosystem
     and one decay pass over all weights.
 
     `execute(chain, stream) -> bool` simulates chain execution; `emit(kind,
-    payload)` receives the epoch's events.
+    payload)` receives the epoch's events. Returns (deployments in habitat
+    id order, number of services migrated).
     """
-    report = EpochReport(epoch=eco.epoch + 1)
-    ids = eco.habitat_ids()
-
-    for hid in ids:
+    deployments = []
+    for hid in eco.habitat_ids():
         h = eco.habitats[hid]
         rng = streams[hid]
-        h.last_deployment = None
         idx = rng.weighted_index([t.weight for t in h.profile])
         req = h.profile[idx].request
         emit("request_sampled", {"habitat": hid, "request": req.id})
@@ -453,10 +435,7 @@ def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: Ecosystem
         chain = h.pool.resolve(best_ind.genome)
         success = execute(chain, rng)
         record_deployment(chain, success)
-        h.last_deployment = Deployment(best_ind.genome, success)
-        report.deployments += 1
-        report.successes += 1 if success else 0
-        report.best_fitness[hid] = best_ind.fitness
+        deployments.append(Deployment(h, best_ind.genome, best_ind.fitness, success))
         emit("deployment", {
             "habitat": hid,
             "request": req.id,
@@ -465,30 +444,22 @@ def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: Ecosystem
             "success": success,
         })
 
-    for hid in ids:
-        h = eco.habitats[hid]
-        d = h.last_deployment
-        if d is None or not d.success:
+    for h, genome, _, success in deployments:
+        if not success:
             continue
-        for sid in d.genome:
+        for sid in genome:
             src = h.provenance.get(sid)
             if src is not None and src in eco.habitats:
-                w = reinforce(eco, hid, src, eco_params.reinforce_delta)
-                a, b = edge_key(hid, src)
+                w = reinforce(eco, h.id, src, eco_params.reinforce_delta)
+                a, b = edge_key(h.id, src)
                 emit("reinforcement", {"a": a, "b": b, "service": sid, "weight": w})
 
-    for hid in ids:
-        h = eco.habitats[hid]
-        if h.last_deployment is None:
-            continue
-        for ev in migrate(h, eco, eco_params.p_mig, streams[hid]):
-            report.migrations.append(ev)
-            emit("migration", {
-                "service": ev.service_id,
-                "source": ev.source,
-                "destination": ev.destination,
-            })
+    migrations = 0
+    for h, genome, _, _ in deployments:
+        for sid, dest_id in migrate(h, genome, eco, eco_params.p_mig, streams[h.id]):
+            migrations += 1
+            emit("migration", {"service": sid, "source": h.id, "destination": dest_id})
 
     decay_all(eco, eco_params.decay_lambda)
-    eco.epoch = report.epoch
-    return report
+    eco.epoch += 1
+    return deployments, migrations

@@ -169,32 +169,32 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
             if created:
                 emit("heal", {"created": [[a, b, w] for a, b, w in created]})
 
-        report = run_epoch(eco, config.evolution, config.ecosystem,
-                           config.generation_budget_per_epoch, streams,
-                           simulate_execution, emit)
-
-        for hid in eco.habitat_ids():
-            h = eco.habitats[hid]
-            d = h.last_deployment
-            if d is None or not d.success:
-                continue
-            provider = h.provenance.get(d.genome[0], hid)
-            if provider == hid:
-                continue  # native first service: no inter-habitat transaction
-            value = chain_price(h.pool.resolve(d.genome))
-            record_transaction(ledger, provider, hid, value, epoch_now)
+        deployments, migrations = run_epoch(eco, config.evolution, config.ecosystem,
+                                            config.generation_budget_per_epoch, streams,
+                                            simulate_execution, emit)
 
         total = 0.0
-        for hid in sorted(report.best_fitness):
-            total += report.best_fitness[hid]
-        mean_best = total / len(report.best_fitness) if report.best_fitness else 0.0
-        rate = report.successes / report.deployments if report.deployments else 0.0
+        successes = 0
+        for h, genome, fitness, success in deployments:
+            total += fitness
+            if not success:
+                continue
+            successes += 1
+            provider = h.provenance.get(genome[0], h.id)
+            if provider == h.id:
+                continue  # native first service: no inter-habitat transaction
+            record_transaction(ledger, provider, h.id, chain_price(h.pool.resolve(genome)),
+                               epoch_now)
+
+        n = len(deployments)
+        mean_best = total / n if n else 0.0
+        rate = successes / n if n else 0.0
         clustering = clustering_statistic(eco) if len(eco.connections) >= 3 else 0.0
         metrics.append(MetricsRow(
             epoch=epoch_now,
             mean_best_fitness=mean_best,
             deployment_success_rate=rate,
-            total_migrations=len(report.migrations),
+            total_migrations=migrations,
             clustering_statistic=clustering,
             habitat_count=len(eco.habitats),
             connection_count=len(eco.connections),

@@ -105,15 +105,14 @@ def gene_table(catalog: Catalog, gamma: float) -> tuple:
     return services, list(itertools.accumulate(replication_weight(s, gamma) for s in services))
 
 
-def draw_service(catalog: Catalog, gamma: float, rng: Stream, table=None) -> ServiceManifest:
+def draw_service(table: tuple, rng: Stream) -> ServiceManifest:
     """Sample a service with probability proportional to replication weight.
 
-    Consumes exactly one draw. Weights are accumulated in catalog insertion
-    order; `table` is a precomputed `gene_table(catalog, gamma)`. The
-    catalog is non-empty: `init_population` checks it, and pools never
-    shrink.
+    Consumes exactly one draw. `table` is a `gene_table(catalog, gamma)`,
+    whose weights are accumulated in catalog insertion order. The catalog
+    is non-empty: `init_population` checks it, and pools never shrink.
     """
-    services, cum = table if table is not None else gene_table(catalog, gamma)
+    services, cum = table
     # the first index whose running sum exceeds r, as in weighted_index
     idx = bisect_right(cum, rng.random() * cum[-1])
     return services[idx] if idx < len(services) else services[-1]
@@ -169,7 +168,7 @@ def init_population(catalog: Catalog, req: Request, params: EvolutionParams, rng
     pop = []
     for _ in range(params.population_size):
         length = 1 + rng.below(req.max_len)
-        genome = tuple(draw_service(catalog, params.gamma, rng, table).id for _ in range(length))
+        genome = tuple(draw_service(table, rng).id for _ in range(length))
         pop.append(Individual(genome, evaluate_genome(genome, catalog, req, params)))
     return pop
 
@@ -207,21 +206,20 @@ def crossover(a: ChainGenome, b: ChainGenome, max_len: int, rng: Stream) -> tupl
     return child1, child2
 
 
-def mutate(g: ChainGenome, catalog: Catalog, req: Request, rng: Stream, gamma: float,
-           table=None) -> ChainGenome:
+def mutate(g: ChainGenome, table: tuple, max_len: int, rng: Stream) -> ChainGenome:
     """Apply one of insert / delete / replace, chosen uniformly.
 
     Draw order: operator, then position, then gene (where applicable).
     Insert is skipped at the length ceiling and delete at the floor, in
-    which case no further draws are consumed. `table` is passed on to
-    `draw_service`.
+    which case no further draws are consumed. Genes are drawn from the
+    gene table `table`.
     """
     op = rng.below(3)
     if op == 0:  # insert
-        if len(g) >= req.max_len:
+        if len(g) >= max_len:
             return g
         pos = rng.below(len(g) + 1)
-        svc = draw_service(catalog, gamma, rng, table)
+        svc = draw_service(table, rng)
         return g[:pos] + (svc.id,) + g[pos:]
     if op == 1:  # delete
         if len(g) <= 1:
@@ -229,12 +227,12 @@ def mutate(g: ChainGenome, catalog: Catalog, req: Request, rng: Stream, gamma: f
         pos = rng.below(len(g))
         return g[:pos] + g[pos + 1:]
     pos = rng.below(len(g))  # replace
-    svc = draw_service(catalog, gamma, rng, table)
+    svc = draw_service(table, rng)
     return g[:pos] + (svc.id,) + g[pos + 1:]
 
 
 def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream,
-                    table=None) -> list:
+                    table: tuple) -> list:
     """Produce the next generation, preserving population size.
 
     The top-elitism individuals (ties by index) carry over unchanged. Each
@@ -246,13 +244,11 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
     individual: fitness depends only on the request and on the attributes,
     ports and prices of pool members, which never change once in a pool.
     One gene table serves the whole generation: pool membership and usage
-    counters do not change within it. `table` is a precomputed
+    counters do not change within it. `table` is
     `gene_table(catalog, params.gamma)`.
     """
     size = len(pop)
     known = {ind.genome: ind for ind in pop}
-    if table is None:
-        table = gene_table(catalog, params.gamma)
     next_pop = sorted(pop, key=attrgetter("fitness"), reverse=True)[: params.elitism]
     while len(next_pop) < size:
         p1 = tournament_select(pop, params.tournament_size, rng)
@@ -265,7 +261,7 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
             if len(next_pop) >= size:
                 break
             if rng.random() < params.mutation_rate:
-                child = mutate(child, catalog, req, rng, params.gamma, table)
+                child = mutate(child, table, req.max_len, rng)
             ind = known.get(child)
             if ind is None:
                 ind = known[child] = Individual(child, evaluate_genome(child, catalog, req, params))

@@ -115,9 +115,6 @@ class Catalog:
     def resolve(self, service_ids) -> list[ServiceManifest]:
         return [self._services[sid] for sid in service_ids]
 
-    def copy(self) -> "Catalog":
-        return Catalog(s.copy() for s in self)
-
 
 # --- Descriptor algebra and fitness ---
 

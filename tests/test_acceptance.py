@@ -22,6 +22,7 @@ from dbesim.evolution import (
     brute_force_best,
     draw_service,
     evolve,
+    gene_table,
 )
 from dbesim.ecosystem import failure_inject
 from dbesim.manifest import Catalog, ServiceManifest
@@ -93,8 +94,9 @@ def test_criterion_3_feedback_replication():
     ])
     rng = derive_substream(3, "acceptance:feedback")
     counts = {"reliable": 0, "flaky": 0}
+    table = gene_table(catalog, 2.0)
     for _ in range(10000):
-        counts[draw_service(catalog, 2.0, rng).id] += 1
+        counts[draw_service(table, rng).id] += 1
     ratio = counts["reliable"] / counts["flaky"]
     ok = 2.5 <= ratio <= 3.5
     verdict(3, "feedback-replication", ok, f"ratio {ratio:.3f}")

@@ -220,6 +220,22 @@ def test_parse_snapshot_form(tmp_path):
     assert state["epoch"] == 2
 
 
+def test_snapshot_config_faults_are_named_under_config(tmp_path):
+    cfg = config_from_obj(minimal_obj())
+    snap = json.loads(serialize_snapshot(cfg, engine_run(cfg).final_state()))
+    snap["config"]["seed"] = "x"
+    snap_path = write_config(tmp_path, snap, name="snap.json")
+    with pytest.raises(ConfigError) as bad_type:
+        parse_config(snap_path)
+    assert str(bad_type.value) == f"{snap_path}.config.seed: expected an integer"
+    snap["config"]["seed"] = 1
+    snap["config"]["epochs"] = 0
+    write_config(tmp_path, snap, name="snap.json")
+    with pytest.raises(ConfigError) as out_of_range:
+        parse_config(snap_path)
+    assert str(out_of_range.value) == f"{snap_path}.config: epochs must be >= 1"
+
+
 def test_failures_parse_and_echo():
     obj = minimal_obj()
     obj["epochs"] = 5
@@ -356,6 +372,9 @@ def _malformed_snapshot_run(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert status == cli.EXIT_VALIDATION
     assert len(err.strip().splitlines()) == 1
+    # validate reads the state as run resumes from it: same line, same status
+    assert cli.main(["validate", "--config", snap_path]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == err
     return err
 
 

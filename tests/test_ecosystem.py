@@ -12,7 +12,6 @@ from dbesim.ecosystem import (
     ActiveEvolution,
     EcosystemError,
     EcosystemParams,
-    Deployment,
     Ecosystem,
     Habitat,
     RequestTemplate,
@@ -218,23 +217,16 @@ def _migration_eco():
 
 def test_migrate_zero_probability_no_events():
     eco, center = _migration_eco()
-    center.last_deployment = Deployment(("payload",), True)
-    assert migrate(center, eco, 0.0, derive_substream(1, "mig")) == []
-
-
-def test_migrate_without_deployment_no_events():
-    eco, center = _migration_eco()
-    assert migrate(center, eco, 1.0, derive_substream(1, "mig")) == []
+    assert migrate(center, ("payload",), eco, 0.0, derive_substream(1, "mig")) == []
 
 
 def test_migrate_copies_manifest_with_counters_and_provenance():
     eco, center = _migration_eco()
-    center.last_deployment = Deployment(("payload",), True)
-    events = migrate(center, eco, 1.0, derive_substream(2, "mig"))
+    events = migrate(center, ("payload",), eco, 1.0, derive_substream(2, "mig"))
     assert len(events) == 1
-    ev = events[0]
-    assert ev.service_id == "payload" and ev.source == "mid"
-    dest = eco.habitats[ev.destination]
+    service_id, destination = events[0]
+    assert service_id == "payload"
+    dest = eco.habitats[destination]
     copied = dest.pool.get("payload")
     original = center.pool.get("payload")
     assert copied is not original
@@ -245,19 +237,17 @@ def test_migrate_copies_manifest_with_counters_and_provenance():
 
 def test_migrate_skips_existing_id_but_consumes_draws():
     eco, center = _migration_eco()
-    center.last_deployment = Deployment(("payload",), True)
     for target in ("aleft", "zright"):
         eco.habitats[target].pool.add(svc("payload", {"a"}))
-    assert migrate(center, eco, 1.0, derive_substream(3, "mig")) == []
+    assert migrate(center, ("payload",), eco, 1.0, derive_substream(3, "mig")) == []
 
 
 def test_migrate_single_neighbor_always_chosen():
     a = make_habitat("a", services=[svc("x", {"a"})])
     b = make_habitat("b")
     eco = build_ecosystem([a, b], ("ring",), derive_substream(0, "b"))
-    a.last_deployment = Deployment(("x",), True)
-    events = migrate(a, eco, 1.0, derive_substream(4, "mig"))
-    assert [e.destination for e in events] == ["b"]
+    events = migrate(a, ("x",), eco, 1.0, derive_substream(4, "mig"))
+    assert [destination for _, destination in events] == ["b"]
 
 
 def test_migrate_destination_frequency_tracks_weights():
@@ -273,9 +263,8 @@ def test_migrate_destination_frequency_tracks_weights():
     rng = derive_substream(5, "mig-freq")
     counts = {"n1": 0, "n2": 0}
     for i in range(10000):
-        hub.last_deployment = Deployment((f"m{i:05d}",), True)
-        for ev in migrate(hub, eco, 1.0, rng):
-            counts[ev.destination] += 1
+        for _, destination in migrate(hub, (f"m{i:05d}",), eco, 1.0, rng):
+            counts[destination] += 1
     total = counts["n1"] + counts["n2"]
     assert total == 10000
     p = 0.75
@@ -400,9 +389,10 @@ def _always_succeed(chain, rng):
 def test_run_epoch_increments_and_decays_once():
     eco, streams = _epoch_fixture()
     events = []
-    report = run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
-                       5, streams, _always_succeed, lambda k, p: events.append((k, p)))
-    assert eco.epoch == 1 and report.epoch == 1
+    deployments, _ = run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
+                               5, streams, _always_succeed, lambda k, p: events.append((k, p)))
+    assert eco.epoch == 1
+    assert [d.habitat.id for d in deployments] == ["h0", "h1"]
     assert all(w == pytest.approx(0.99) for w in eco.connections.values())
     kinds = [k for k, _ in events]
     assert kinds.count("request_sampled") == 2
@@ -413,12 +403,12 @@ def test_run_epoch_empty_pool_warns_and_skips():
     eco, streams = _epoch_fixture()
     eco.habitats["h0"].pool = Catalog()
     events = []
-    report = run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
-                       5, streams, _always_succeed, lambda k, p: events.append((k, p)))
+    deployments, _ = run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
+                               5, streams, _always_succeed, lambda k, p: events.append((k, p)))
     kinds = [k for k, _ in events]
     assert kinds.count("warning") == 1
-    assert report.deployments == 1
-    assert "h0" not in report.best_fitness
+    assert [d.habitat.id for d in deployments] == ["h1"]
+    assert not any(k == "migration" and p["source"] == "h0" for k, p in events)
 
 
 def test_run_epoch_feedback_reaches_counters():

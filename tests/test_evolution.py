@@ -16,6 +16,7 @@ from dbesim.evolution import (
     draw_service,
     evaluate_genome,
     evolve,
+    gene_table,
     init_population,
     mutate,
     record_deployment,
@@ -49,8 +50,9 @@ def test_feedback_ratio_over_weighted_draws():
     ])
     rng = derive_substream(21, "feedback")
     counts = {"good": 0, "bad": 0}
+    table = gene_table(catalog, 2.0)
     for _ in range(10000):
-        counts[draw_service(catalog, 2.0, rng).id] += 1
+        counts[draw_service(table, rng).id] += 1
     ratio = counts["good"] / counts["bad"]
     assert 2.5 <= ratio <= 3.5
 
@@ -98,8 +100,9 @@ def test_uniform_gene_frequencies_without_feedback():
     rng = derive_substream(25, "freq")
     draws = 10000
     counts = {f"s{i}": 0 for i in range(n)}
+    table = gene_table(catalog, 2.0)
     for _ in range(draws):
-        counts[draw_service(catalog, 2.0, rng).id] += 1
+        counts[draw_service(table, rng).id] += 1
     p = 1 / n
     sigma = math.sqrt(draws * p * (1 - p))
     for c in counts.values():
@@ -207,13 +210,13 @@ def _two_service_catalog():
 
 def test_mutate_delete_skipped_at_floor():
     g = ("s0",)
-    out = mutate(g, _two_service_catalog(), req(max_len=3), Scripted(belows=[1]), 2.0)
+    out = mutate(g, gene_table(_two_service_catalog(), 2.0), 3, Scripted(belows=[1]))
     assert out == g
 
 
 def test_mutate_insert_skipped_at_ceiling():
     g = ("s0", "s1", "s0")
-    out = mutate(g, _two_service_catalog(), req(max_len=3), Scripted(belows=[0]), 2.0)
+    out = mutate(g, gene_table(_two_service_catalog(), 2.0), 3, Scripted(belows=[0]))
     assert out == g
 
 
@@ -221,32 +224,32 @@ def test_mutate_replace_single_service_catalog_is_identity():
     catalog = Catalog([svc("only", {"a"})])
     g = ("only", "only")
     # op=2 replace, position 1, then one weighted draw
-    out = mutate(g, catalog, req(max_len=3),
-                 Scripted(belows=[2, 1], randoms=[0.5]), 2.0)
+    out = mutate(g, gene_table(catalog, 2.0), 3,
+                 Scripted(belows=[2, 1], randoms=[0.5]))
     assert out == g
 
 
 def test_mutate_insert_places_gene_at_position():
     g = ("s0", "s0")
-    out = mutate(g, _two_service_catalog(), req(max_len=3),
-                 Scripted(belows=[0, 1], randoms=[0.9]), 2.0)
+    out = mutate(g, gene_table(_two_service_catalog(), 2.0), 3,
+                 Scripted(belows=[0, 1], randoms=[0.9]))
     # weighted draw 0.9 over equal weights [1, 1] lands on s1
     assert out == ("s0", "s1", "s0")
 
 
 def test_mutate_delete_removes_position():
     g = ("s0", "s1", "s0")
-    out = mutate(g, _two_service_catalog(), req(max_len=3), Scripted(belows=[1, 1]), 2.0)
+    out = mutate(g, gene_table(_two_service_catalog(), 2.0), 3, Scripted(belows=[1, 1]))
     assert out == ("s0", "s0")
 
 
 def test_mutate_always_valid():
     catalog = _two_service_catalog()
-    r = req(max_len=3)
+    table = gene_table(catalog, 2.0)
     rng = derive_substream(32, "mutprop")
     g = ("s0",)
     for _ in range(2000):
-        g = mutate(g, catalog, r, rng, 2.0)
+        g = mutate(g, table, 3, rng)
         assert 1 <= len(g) <= 3
         assert all(sid in catalog for sid in g)
 
@@ -269,7 +272,7 @@ def test_step_generation_preserves_size_and_elite():
     pop = init_population(catalog, r, params, rng)
     best = max(pop, key=lambda i: i.fitness)
     for _ in range(100):
-        pop = step_generation(pop, catalog, r, params, rng)
+        pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma))
         assert len(pop) == 30
         assert any(ind.fitness >= best.fitness for ind in pop)
         for ind in pop:
@@ -284,7 +287,7 @@ def test_step_generation_identity_when_all_elite():
                              mutation_rate=0.0, elitism=10)
     rng = derive_substream(34, "ident")
     pop = init_population(catalog, r, _params(population_size=10), rng)
-    next_pop = step_generation(pop, catalog, r, params, rng)
+    next_pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma))
     assert sorted(ind.genome for ind in next_pop) == sorted(ind.genome for ind in pop)
 
 
@@ -294,7 +297,7 @@ def test_step_generation_without_operators_draws_from_parents():
     rng = derive_substream(35, "copy")
     pop = init_population(catalog, r, params, rng)
     genomes = {ind.genome for ind in pop}
-    next_pop = step_generation(pop, catalog, r, params, rng)
+    next_pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma))
     assert all(ind.genome in genomes for ind in next_pop)
 
 
@@ -385,7 +388,8 @@ def test_converged_population_skips_known_genomes(monkeypatch):
     params = _params(population_size=30)
     pop = [Individual(("good",), 1.0)] * 29 + [Individual(("meh",), 0.5)]
     calls = _counting_evaluate_genome(monkeypatch)
-    next_pop = step_generation(pop, catalog, r, params, derive_substream(42, "conv"))
+    next_pop = step_generation(pop, catalog, r, params, derive_substream(42, "conv"),
+                               gene_table(catalog, params.gamma))
     children = params.population_size - params.elitism
     assert 0 < len(calls) < children
     assert len(calls) == len(set(calls))

@@ -73,8 +73,8 @@ def boundary_output(cum, i, low_bits):
     return None
 
 
-def reference_draw(catalog, gamma, rng, table=None):
-    """Gene draw through weighted_index over fresh weights; ignores any table."""
+def reference_draw(catalog, gamma, rng):
+    """Gene draw through weighted_index over fresh weights."""
     services = list(catalog)
     return services[rng.weighted_index([replication_weight(s, gamma) for s in services])]
 
@@ -116,10 +116,9 @@ def test_draw_service_matches_weighted_index(data):
 
     ref = Stream(start)
     expected = reference_draw(catalog, gamma, ref)
-    for tab in (table, None):
-        rng = Stream(start)
-        assert draw_service(catalog, gamma, rng, tab) is expected
-        assert rng.state == ref.state
+    rng = Stream(start)
+    assert draw_service(table, rng) is expected
+    assert rng.state == ref.state
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,7 +127,7 @@ def test_draw_service_table_reused_over_many_draws(catalog, gamma, state, draws)
     table = gene_table(catalog, gamma)
     ref, rng = Stream(state), Stream(state)
     for _ in range(draws):
-        assert draw_service(catalog, gamma, rng, table) is reference_draw(catalog, gamma, ref)
+        assert draw_service(table, rng) is reference_draw(catalog, gamma, ref)
     assert rng.state == ref.state
 
 
@@ -140,7 +139,7 @@ def test_draw_service_on_exact_running_sums():
     assert table[1] == [1.0, 2.0, 3.0, 4.0]
     for k in range(4):
         rng = stream_yielding((k * 2**51) << 11)
-        assert draw_service(catalog, 2.0, rng, table).id == f"s{k}"
+        assert draw_service(table, rng).id == f"s{k}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,9 +156,13 @@ def test_ga_across_deployments_matches_fresh_weights(data):
     seed = data.draw(st.integers(0, 2**32), label="seed")
     deploy = data.draw(st.lists(st.booleans(), min_size=1, max_size=3), label="outcomes")
 
-    def trajectory(draw):
-        catalog = base.copy()
+    def trajectory(fresh_weights):
+        catalog = Catalog(s.copy() for s in base)
         rng = derive_substream(seed, "ga")
+        draw = draw_service
+        if fresh_weights:  # ignore the table: weigh the live catalog at each draw
+            def draw(table, stream):
+                return reference_draw(catalog, params.gamma, stream)
         with mock.patch.object(evolution, "draw_service", draw):
             pops = [init_population(catalog, request, params, rng)]
             for i, success in enumerate(deploy):
@@ -169,7 +172,7 @@ def test_ga_across_deployments_matches_fresh_weights(data):
                 pops.append(advance(pops[-1], catalog, request, params, rng, 2)[0])
         return pops, rng.state
 
-    assert trajectory(draw_service) == trajectory(reference_draw)
+    assert trajectory(False) == trajectory(True)
 
 
 # --- fitness kernel ---
