@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from conftest import asset_path
+from conftest import asset_path, load_asset_obj
 from dbesim import cli, engine
 from dbesim.config import parse_config, serialize_snapshot
 
@@ -33,6 +33,44 @@ GOLDEN = {
         "degrees.csv": "4d2c65b8f92932a7c3e4e4b442808ffc20b2b4f1c0249794ea5c26d55b666434",
         "trajectory.csv": "80f617319c263f0bdbda4e68ae2a7379648f2f2fe34c94ed99a3970573019273",
         "business.dot": "b7bd974a634e837d35b5bf130e7f1bd12d4b6ff6648356a42390fba1708e5baa",
+    },
+}
+
+# `dbesim evolve` on the first habitat's first request: (config, --seed) ->
+# digests of trace.csv and of stdout. "catalog8-capped" is catalog8.json with
+# a population of 6 and a cap of 4 generations, so most seeds stop at the cap.
+GOLDEN_EVOLVE = {
+    ("catalog8", None): {
+        "trace.csv": "782d05e6574c49dccf7fa6abd705efb65138589bbe35fdf0961a542206b3aa3a",
+        "stdout": "f5cc40e4cb2f267370a72b87954ce9f44d6a2791ac3136d2b521e6fb598cbfef",
+    },
+    ("catalog8", 0): {
+        "trace.csv": "97421388c5f0b5fe7d56c95b797088008e3e7eef7e5941878d5f9580b9247bef",
+        "stdout": "f5cc40e4cb2f267370a72b87954ce9f44d6a2791ac3136d2b521e6fb598cbfef",
+    },
+    ("catalog8", 1): {
+        "trace.csv": "38f3a80a1d64d049a3236e02bbab49ef436ad2452736bf8bef964f0218f00778",
+        "stdout": "a612d9af1b3fe2cbee8522f570ea7abb1702d2d8dcb6dd16f1708a01787fdc81",
+    },
+    ("catalog8", 106): {
+        "trace.csv": "77fded31d8e6159e50abba5f6d6d46d657de6382aafe078224a9c344d58c5231",
+        "stdout": "dd0b67a6d788c9148a0f7a302fb9ee9e772b133cf04204867ab747cd0d257491",
+    },
+    ("catalog8", 251): {
+        "trace.csv": "ff0c197fb174efe71f76934cb71acf8ccd3cc025ecb28fa1d5f4befc32807b4a",
+        "stdout": "6e7ea6eb241268146ceb2cddae1a042b9ca5a9dc5e0e09f0db57d082fe861c49",
+    },
+    ("two_communities", None): {
+        "trace.csv": "d76601231dee8fa2b85f7d192efb6c91c7063e3f22d2ebe47d4f4f9e22fd58af",
+        "stdout": "3b08a06a030c342bd5034cef72625d557e3aea95795927ee5334162e03642858",
+    },
+    ("catalog8-capped", 0): {
+        "trace.csv": "6e492d50473c578dcead0a472ca6427d3a4a643f29fc1b4c1c3973e2e5a079cb",
+        "stdout": "695ecb6b481f3d307a73792e1138ac710dd47cb29aaed0bdd4a1dc083cd714b6",
+    },
+    ("catalog8-capped", 2): {
+        "trace.csv": "390861c1417b4d5b25e3489331e523fd1069dcc75ccf37024ead32669b29f20c",
+        "stdout": "2cd2b019d4712f2ed5d6b11465977fa32781e4ea700dc8f0742321ac476ce13e",
     },
 }
 
@@ -125,3 +163,32 @@ def test_golden_topology_experiment(tmp_path):
     got = run_digests(asset_path("topology_experiment.json"), tmp_path / "out", "topology",
                       ("degrees.csv", "trajectory.csv", "business.dot"))
     assert got == GOLDEN["topology_experiment"]
+
+
+def capped_catalog8_obj():
+    obj = load_asset_obj("catalog8.json")
+    obj["evolution"] = {"population_size": 6, "max_generations": 4}
+    return obj
+
+
+def evolve_digests(tmp_path, capsys, config, seed):
+    if config == "catalog8-capped":
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(capped_catalog8_obj()), encoding="utf-8")
+    else:
+        path = asset_path(f"{config}.json")
+    out = tmp_path / "out"
+    argv = ["evolve", "--config", str(path), "--out", str(out)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    return {"trace.csv": hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest(),
+            "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
+
+
+@pytest.mark.parametrize("config, seed", sorted(GOLDEN_EVOLVE, key=str),
+                         ids=lambda v: str(v))
+def test_golden_evolve(tmp_path, capsys, config, seed):
+    assert evolve_digests(tmp_path, capsys, config, seed) == GOLDEN_EVOLVE[(config, seed)]
