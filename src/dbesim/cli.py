@@ -21,9 +21,9 @@ import sys
 
 from . import engine
 from .config import ConfigError, parse_config, serialize_config, serialize_snapshot
-from .ecosystem import EcosystemError
-from .evolution import EvolutionError, brute_force_best, evolve
-from .manifest import Catalog, ManifestError
+from .ecosystem import EcosystemError, evolve_request
+from .evolution import EvolutionError, brute_force_best
+from .manifest import ManifestError
 from .rng import derive_substream
 from .topology import (
     TopologyError,
@@ -79,18 +79,6 @@ class OutputDir:
         return target
 
 
-def _first_habitat_inputs(cfg):
-    """Catalog and request used by the evolve/oracle subcommands.
-
-    Both operate on the first scenario habitat's catalog and the first
-    request template of its profile.
-    """
-    spec = cfg.scenario.habitats[0]
-    catalog = Catalog(s.copy() for s in spec.services)
-    request = spec.profile[0].request
-    return catalog, request
-
-
 def cmd_run(cfg, state, out: OutputDir, quiet: bool) -> int:
     """Run the simulation and write its outputs, with the cyclic collector paused.
 
@@ -129,22 +117,26 @@ def _run_and_write(cfg, state, out: OutputDir) -> tuple:
 
 
 def cmd_evolve(cfg, out: OutputDir | None, quiet: bool) -> int:
-    catalog, request = _first_habitat_inputs(cfg)
+    h = cfg.scenario.habitats[0].build()
+    request = h.profile[0].request
     rng = derive_substream(cfg.master_seed, "evolve")
-    trace = evolve(catalog, request, cfg.evolution, rng)
+    best = evolve_request(h, request, cfg.evolution, rng, cfg.evolution.max_generations)
+    trace = h.active[request.id].trace
     if out is not None:
         out.write("resolved_config.json", serialize_config(cfg))
-        out.write("trace.csv", trace.to_csv())
-    print(f"best_chain={' '.join(trace.best.genome)}")
-    print(f"best_fitness={trace.best.fitness!r}")
+        lines = ["generation,best_fitness,mean_fitness"] + [
+            f"{g.generation},{g.best_fitness!r},{g.mean_fitness!r}" for g in trace]
+        out.write("trace.csv", "\n".join(lines) + "\n")
+    print(f"best_chain={' '.join(best.genome)}")
+    print(f"best_fitness={best.fitness!r}")
     if not quiet:
-        print(f"generations={trace.generations[-1].generation}")
+        print(f"generations={trace[-1].generation}")
     return EXIT_OK
 
 
 def cmd_oracle(cfg, out: OutputDir | None, quiet: bool) -> int:
-    catalog, request = _first_habitat_inputs(cfg)
-    genome, fit = brute_force_best(catalog, request, beta=cfg.evolution.beta)
+    h = cfg.scenario.habitats[0].build()
+    genome, fit = brute_force_best(h.pool, h.profile[0].request, beta=cfg.evolution.beta)
     if out is not None:
         out.write("resolved_config.json", serialize_config(cfg))
     print(f"best_chain={' '.join(genome) if genome else ''}")

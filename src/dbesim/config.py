@@ -76,13 +76,18 @@ class TopologyParams:
 class HabitatSpec:
     """Immutable scenario description of one habitat.
 
-    The services here are pristine templates; each run copies them so
-    counter feedback never leaks between runs.
+    The services here are pristine templates; `build` copies them for each
+    run, so counter feedback never leaks between runs.
     """
 
     id: str
     services: list  # of ServiceManifest
     profile: list  # of RequestTemplate
+
+    def build(self) -> Habitat:
+        """A fresh habitat whose pool holds copies of the services."""
+        return Habitat(id=self.id, pool=Catalog(s.copy() for s in self.services),
+                       profile=list(self.profile))
 
 
 @dataclass

@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .evolution import (
     EvolutionParams,
     GenerationStat,
+    Individual,
     advance,
-    best_individual,
     init_population,
     population_stats,
     record_deployment,
@@ -384,14 +384,68 @@ def failure_inject(eco: Ecosystem, victims) -> tuple:
 # --- The epoch loop body ---
 
 
+def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Stream,
+                   budget: int) -> Individual:
+    """Start or resume the habitat's evolution for a request; return its best.
+
+    A fresh evolution draws its initial population and records trace row 0.
+    A resumed one whose pool changed since it last ran re-opens its
+    generation budget. Then up to `budget` generations run, never more than
+    max_generations since the last pool change, each appending a trace row.
+    """
+    state = h.active.get(req.id)
+    if state is None:
+        pop = init_population(h.pool, req, params, rng)
+        best, mean = population_stats(pop)
+        state = h.active[req.id] = ActiveEvolution(
+            req.id, pop, pool_version=h.pool_version,
+            trace=[GenerationStat(0, best.fitness, mean)])
+    elif state.pool_version != h.pool_version:
+        state.gens_since_reset = 0
+        state.pool_version = h.pool_version
+
+    steps = min(budget, params.max_generations - state.gens_since_reset)
+    state.population, best, stats = advance(state.population, h.pool, req, params, rng, steps)
+    for b, m in stats:
+        state.total_generations += 1
+        state.gens_since_reset += 1
+        state.trace.append(GenerationStat(state.total_generations, b, m))
+    return best
+
+
+def habitat_epoch(h: Habitat, rng: Stream, params: EvolutionParams, budget: int,
+                  execute, emit) -> Deployment | None:
+    """One habitat's step of an epoch; all draws come from its stream `rng`.
+
+    In this order: sample a request from the profile, evolve it under the
+    generation budget, deploy the best chain through `execute`, and record
+    the feedback. Returns the deployment, or None when the pool is empty.
+    """
+    idx = rng.weighted_index([t.weight for t in h.profile])
+    req = h.profile[idx].request
+    emit("request_sampled", {"habitat": h.id, "request": req.id})
+    if len(h.pool) == 0:
+        emit("warning", {"habitat": h.id, "message": "empty pool, epoch skipped"})
+        return None
+    best = evolve_request(h, req, params, rng, budget)
+    chain = h.pool.resolve(best.genome)
+    success = execute(chain, rng)
+    record_deployment(chain, success)
+    emit("deployment", {
+        "habitat": h.id,
+        "request": req.id,
+        "chain": list(best.genome),
+        "fitness": best.fitness,
+        "success": success,
+    })
+    return Deployment(h, best.genome, best.fitness, success)
+
+
 def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: EcosystemParams,
               generation_budget: int, streams: dict, execute, emit) -> tuple:
     """Advance the ecosystem by one epoch.
 
-    Habitats are processed in id order. Per habitat (all draws from its own
-    stream, in this order): sample a request from the profile, continue
-    that template's evolution under the generation budget, deploy the best
-    chain through `execute`, and record the feedback. Then three
+    Each habitat takes its `habitat_epoch` step, in id order. Then three
     single-writer phases follow in id order: reinforcement of provenance
     edges used by successful deployments, migration of deployed chains,
     and one decay pass over all weights.
@@ -400,49 +454,10 @@ def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: Ecosystem
     payload)` receives the epoch's events. Returns (deployments in habitat
     id order, number of services migrated).
     """
-    deployments = []
-    for hid in eco.habitat_ids():
-        h = eco.habitats[hid]
-        rng = streams[hid]
-        idx = rng.weighted_index([t.weight for t in h.profile])
-        req = h.profile[idx].request
-        emit("request_sampled", {"habitat": hid, "request": req.id})
-        if len(h.pool) == 0:
-            emit("warning", {"habitat": hid, "message": "empty pool, epoch skipped"})
-            continue
-
-        state = h.active.get(req.id)
-        if state is None:
-            pop = init_population(h.pool, req, evo_params, rng)
-            best, mean = population_stats(pop)
-            state = ActiveEvolution(req.id, pop, pool_version=h.pool_version,
-                                    trace=[GenerationStat(0, best, mean)])
-            h.active[req.id] = state
-        elif state.pool_version != h.pool_version:
-            state.gens_since_reset = 0
-            state.pool_version = h.pool_version
-
-        best, _ = population_stats(state.population)
-        if best < evo_params.target_fitness and state.gens_since_reset < evo_params.max_generations:
-            steps = min(generation_budget, evo_params.max_generations - state.gens_since_reset)
-            state.population, stats = advance(state.population, h.pool, req, evo_params, rng, steps)
-            for b, m in stats:
-                state.total_generations += 1
-                state.gens_since_reset += 1
-                state.trace.append(GenerationStat(state.total_generations, b, m))
-
-        best_ind = best_individual(state.population)
-        chain = h.pool.resolve(best_ind.genome)
-        success = execute(chain, rng)
-        record_deployment(chain, success)
-        deployments.append(Deployment(h, best_ind.genome, best_ind.fitness, success))
-        emit("deployment", {
-            "habitat": hid,
-            "request": req.id,
-            "chain": list(best_ind.genome),
-            "fitness": best_ind.fitness,
-            "success": success,
-        })
+    outcomes = [habitat_epoch(eco.habitats[hid], streams[hid], evo_params, generation_budget,
+                              execute, emit)
+                for hid in eco.habitat_ids()]
+    deployments = [d for d in outcomes if d is not None]
 
     for h, genome, _, success in deployments:
         if not success:

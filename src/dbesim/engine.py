@@ -21,13 +21,12 @@ from .config import (  # noqa: F401  (SnapshotError and validate_config are re-e
 )
 from .ecosystem import (
     Ecosystem,
-    Habitat,
     build_ecosystem,
     clustering_statistic,
     failure_inject,
     run_epoch,
 )
-from .manifest import Catalog, chain_price
+from .manifest import chain_price
 from .rng import Stream, derive_substream
 from .topology import FlowLedger, record_transaction
 
@@ -116,13 +115,7 @@ class RunResult:
 
 def build_run_state(config: SimConfig) -> tuple:
     """Fresh (ecosystem, streams, ledger) for a run, derived from the config."""
-    habitats = []
-    for spec in config.scenario.habitats:
-        habitats.append(Habitat(
-            id=spec.id,
-            pool=Catalog(s.copy() for s in spec.services),
-            profile=list(spec.profile),
-        ))
+    habitats = [spec.build() for spec in config.scenario.habitats]
     build_rng = derive_substream(config.master_seed, "build")
     eco = build_ecosystem(habitats, config.scenario.initial_topology, build_rng,
                           w_min=config.ecosystem.w_min)

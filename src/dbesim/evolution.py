@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .manifest import (
@@ -64,20 +64,6 @@ class GenerationStat:
     generation: int
     best_fitness: float
     mean_fitness: float
-
-
-@dataclass
-class EvolutionTrace:
-    """Per-generation statistics plus the final best individual."""
-
-    generations: list = field(default_factory=list)
-    best: Individual | None = None
-
-    def to_csv(self) -> str:
-        lines = ["generation,best_fitness,mean_fitness"]
-        for g in self.generations:
-            lines.append(f"{g.generation},{g.best_fitness!r},{g.mean_fitness!r}")
-        return "\n".join(lines) + "\n"
 
 
 # --- Feedback-weighted gene sampling ---
@@ -133,24 +119,21 @@ def evaluate_genome(genome: ChainGenome, catalog: Catalog, req: Request, params:
     return chain_fitness(chain, req, params.beta)
 
 
-def population_stats(pop) -> tuple[float, float]:
-    """(best, mean) fitness, accumulated in population index order."""
-    best = 0.0
+def population_stats(pop) -> tuple:
+    """(best individual, mean fitness), accumulated in population index order.
+
+    The best is the first individual with the highest fitness.
+    """
+    best = pop[0]
+    best_f = best.fitness
     total = 0.0
     for ind in pop:
-        total += ind.fitness
-        if ind.fitness > best:
-            best = ind.fitness
+        f = ind.fitness
+        total += f
+        if f > best_f:
+            best = ind
+            best_f = f
     return best, total / len(pop)
-
-
-def best_individual(pop) -> Individual:
-    """Highest-fitness individual; ties broken by lower population index."""
-    best_i = 0
-    for i in range(1, len(pop)):
-        if pop[i].fitness > pop[best_i].fitness:
-            best_i = i
-    return pop[best_i]
 
 
 # --- Operators ---
@@ -273,36 +256,24 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
             max_steps: int) -> tuple:
     """Run up to max_steps generations, stopping once target fitness is hit.
 
-    Returns (population, per-step (best, mean) stats). The caller owns
-    generation numbering. One gene table serves every step: pool membership
-    and usage counters do not change inside this call.
+    Returns (population, its best individual, per-step (best, mean) fitness).
+    A population already at target, or max_steps <= 0, is returned at once,
+    with no draw. The caller owns generation numbering. One gene table
+    serves every step: pool membership and usage counters do not change
+    inside this call.
     """
-    stats = []
     best, _ = population_stats(pop)
+    stats = []
+    if best.fitness >= params.target_fitness or max_steps <= 0:
+        return pop, best, stats
     table = gene_table(catalog, params.gamma)
     for _ in range(max_steps):
-        if best >= params.target_fitness:
-            break
         pop = step_generation(pop, catalog, req, params, rng, table)
-        stats.append(population_stats(pop))
-        best = stats[-1][0]
-    return pop, stats
-
-
-def evolve(catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream) -> EvolutionTrace:
-    """Evolve until target fitness or the generation cap is reached.
-
-    `params` are a validated config's.
-    """
-    pop = init_population(catalog, req, params, rng)
-    best, mean = population_stats(pop)
-    trace = EvolutionTrace()
-    trace.generations.append(GenerationStat(0, best, mean))
-    pop, stats = advance(pop, catalog, req, params, rng, params.max_generations)
-    for i, (b, m) in enumerate(stats, start=1):
-        trace.generations.append(GenerationStat(i, b, m))
-    trace.best = best_individual(pop)
-    return trace
+        best, mean = population_stats(pop)
+        stats.append((best.fitness, mean))
+        if best.fitness >= params.target_fitness:
+            break
+    return pop, best, stats
 
 
 # --- Exhaustive oracle ---

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from dbesim.config import config_from_obj
+from dbesim.ecosystem import Habitat, RequestTemplate, evolve_request
 from dbesim.manifest import Catalog, Request, ServiceManifest
 from dbesim.rng import Stream
 
@@ -35,6 +36,17 @@ def svc(sid, attrs, in_port="src", out_port="dst", price=1.0, reliability=1.0,
 def req(rid="r", attrs=("a",), source="src", sink="dst", max_len=3, budget=None):
     return Request(id=rid, req_attrs=frozenset(attrs), source_port=source,
                    sink_port=sink, max_len=max_len, budget=budget)
+
+
+def evolve(catalog, request, params, rng):
+    """One whole evolution of `request` on `catalog`, as `dbesim evolve` runs it.
+
+    A fresh habitat evolves until target fitness or max_generations.
+    Returns (best individual, trace rows).
+    """
+    h = Habitat("h", catalog, [RequestTemplate(request)])
+    best = evolve_request(h, request, params, rng, params.max_generations)
+    return best, h.active[request.id].trace
 
 
 class Scripted:

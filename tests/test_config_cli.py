@@ -164,8 +164,8 @@ def test_echo_round_trip_identity():
 
 
 # The config boundary is the only place these values are rejected: the run
-# core (build_ecosystem, reinforce, decay_all, replication_weight, evolve)
-# relies on them unchecked.
+# core (build_ecosystem, reinforce, decay_all, replication_weight,
+# evolve_request) relies on them unchecked.
 RANGE_VIOLATIONS = [
     (_set_config(["ecosystem"], {"decay_lambda": 0.0}), "decay out of range"),
     (_set_config(["ecosystem"], {"reinforce_delta": 0.0}), "reinforce_delta must be > 0"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import req, svc
+from conftest import random_catalog, random_request, req, svc
 from dbesim.ecosystem import (
     ActiveEvolution,
     EcosystemError,
@@ -18,6 +18,7 @@ from dbesim.ecosystem import (
     build_ecosystem,
     clustering_statistic,
     decay_all,
+    evolve_request,
     failure_inject,
     migrate,
     profile_similarity,
@@ -428,3 +429,46 @@ def test_run_epoch_reinforces_provenance_on_success():
     run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
               5, streams, _always_succeed, lambda k, p: None)
     assert eco.connections[("h0", "h1")] == pytest.approx((1.0 + 0.1) * 0.99)
+
+
+# --- evolve_request ---
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), budgets=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       max_generations=st.integers(1, 12), target=st.sampled_from([0.5, 0.9, 1.0]))
+def test_sliced_budgets_leave_the_state_of_one_call(seed, budgets, max_generations, target):
+    # With no pool change between calls, budgets b1..bk add up to one call
+    # with their sum: the generation cap and the target stop both alike.
+    catalog = random_catalog(derive_substream(seed, "cat"))
+    request = random_request(derive_substream(seed, "req"))
+    params = EvolutionParams(population_size=8, max_generations=max_generations,
+                             target_fitness=target)
+
+    def evolved(slices):
+        h = Habitat("h", catalog, [RequestTemplate(request)])  # evolving leaves the pool as is
+        rng = derive_substream(seed, "ga")
+        for budget in slices:
+            best = evolve_request(h, request, params, rng, budget)
+        return best, h.active, rng.state
+
+    assert evolved(budgets) == evolved([sum(budgets)])
+
+
+def test_a_pool_change_reopens_the_generation_budget():
+    h = make_habitat("h", [svc("s", {"b"})], attrs=("a",))  # the target is out of reach
+    request = h.profile[0].request
+    params = EvolutionParams(population_size=4, max_generations=3)
+    rng = derive_substream(0, "reopen")
+    evolve_request(h, request, params, rng, 5)
+    state = h.active[request.id]
+    assert (state.gens_since_reset, state.total_generations) == (3, 3)
+    before = rng.state
+    evolve_request(h, request, params, rng, 5)  # spent: no generation, no draw
+    assert (state.total_generations, rng.state) == (3, before)
+    h.pool.add(svc("t", {"c"}))
+    h.pool_version += 1
+    evolve_request(h, request, params, rng, 2)
+    assert (state.gens_since_reset, state.total_generations, state.pool_version) == (2, 5, 1)
+    assert [g.generation for g in state.trace] == [0, 1, 2, 3, 4, 5]
+

@@ -394,6 +394,8 @@ def _flow(row):
     return damage
 
 
+# A row's id is taken from its message unless given; the explicit ids keep
+# every test's name distinct when names are cut to 100 characters.
 @pytest.mark.parametrize("damage, message", [
     (lambda st: st.clear(), "state.habitats: missing"),
     (_set(["habitats", 1, "pool_version"], 1.5),
@@ -410,10 +412,12 @@ def _flow(row):
     (_set(["habitats", 0, "pool", 0, "success_count"], 99),
      "state.habitats[0].pool[0]: success exceeds usage"),
     (_set(["connections", 0, 2], math.inf), "state.connections[0][2]: expected a finite number"),
-    (_set(["habitats", 0, "active", 0, "population"], []),
-     "state.habitats[0].active[0].population: expected a non-empty array"),
-    (_set(["habitats", 0, "active", 0, "population", 0], [["h0_svc"] * 3, 0.5]),
-     "state.habitats[0].active[0].population[0][0]: genome length 3 outside [1, max_len 2]"),
+    pytest.param(_set(["habitats", 0, "active", 0, "population"], []),
+                 "state.habitats[0].active[0].population: expected a non-empty array",
+                 id="population-empty"),
+    pytest.param(_set(["habitats", 0, "active", 0, "population", 0], [["h0_svc"] * 3, 0.5]),
+                 "state.habitats[0].active[0].population[0][0]: genome length 3 outside "
+                 "[1, max_len 2]", id="genome-too-long"),
     (_set(["colour"], "blue"), "state: unknown key 'colour'"),
     (_set(["habitats", 1, "colour"], "blue"), "state.habitats[1]: unknown key 'colour'"),
     (_set(["epoch"], -2), "state.epoch: must be >= 0"),
@@ -423,8 +427,9 @@ def _flow(row):
     (_set(["habitats"], []), "state.habitats: expected a non-empty array"),
     (_set(["habitats", 0, "provenance"], {"h0_svc": "nowhere"}),
      "state.habitats[0].provenance.h0_svc: unknown source habitat 'nowhere'"),
-    (_set(["habitats", 0, "provenance"], {"h0_svc": "h0"}),
-     "state.habitats[0].provenance.h0_svc: source is the habitat itself"),
+    pytest.param(_set(["habitats", 0, "provenance"], {"h0_svc": "h0"}),
+                 "state.habitats[0].provenance.h0_svc: source is the habitat itself",
+                 id="provenance-self"),
     (_set(["habitats", 0, "provenance"], {"ghost": "h1"}),
      "state.habitats[0].provenance.ghost: service 'ghost' not in the habitat's pool"),
     (lambda st: st["business"]["vertices"].pop(),
@@ -447,7 +452,8 @@ def _flow(row):
      "state.business.flow_edges[0][3]: negative flow value"),
     (_set(["streams", "ghost"], 1), "state.streams.ghost: stream for unknown habitat 'ghost'"),
     (_set(["streams", "h0"], -1), "state.streams.h0: stream state outside [0, 2**64)"),
-    (_set(["streams", "h0"], 2**64), "state.streams.h0: stream state outside [0, 2**64)"),
+    pytest.param(_set(["streams", "h0"], 2**64), "state.streams.h0: stream state outside [0, 2**64)",
+                 id="stream-state-2**64"),
     (_set(["habitats", 0, "active", 0, "gens_since_reset"], -1),
      "state.habitats[0].active[0].gens_since_reset: must be >= 0"),
     (_set(["habitats", 0, "active", 0, "total_generations"], -1),

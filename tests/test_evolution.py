@@ -1,10 +1,12 @@
 """GA operators, the exhaustive oracle, and feedback-weighted sampling."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import Scripted, random_catalog, random_request, req, svc
+from conftest import Scripted, evolve, random_catalog, random_request, req, svc
 from dbesim import evolution
 from dbesim.evolution import (
     EvolutionError,
@@ -15,10 +17,10 @@ from dbesim.evolution import (
     crossover,
     draw_service,
     evaluate_genome,
-    evolve,
     gene_table,
     init_population,
     mutate,
+    population_stats,
     record_deployment,
     replication_weight,
     step_generation,
@@ -313,10 +315,10 @@ def test_budget_gates_fitness_to_zero():
 
 def test_evolve_perfect_single_service_terminates_immediately():
     catalog = Catalog([svc("hit", {"a"}, in_port="src", out_port="dst")])
-    trace = evolve(catalog, req(attrs={"a"}, max_len=1), _params(population_size=10),
-                   derive_substream(36, "fast"))
-    assert trace.best.fitness == 1.0
-    assert trace.generations[-1].generation <= 1
+    best, trace = evolve(catalog, req(attrs={"a"}, max_len=1), _params(population_size=10),
+                         derive_substream(36, "fast"))
+    assert best.fitness == 1.0
+    assert trace[-1].generation <= 1
 
 
 def test_evolve_best_trace_nondecreasing():
@@ -324,28 +326,52 @@ def test_evolve_best_trace_nondecreasing():
     for trial in range(10):
         catalog = random_catalog(rng)
         r = random_request(rng)
-        trace = evolve(catalog, r, _params(population_size=20, max_generations=40),
-                       derive_substream(trial, "mono-run"))
-        bests = [g.best_fitness for g in trace.generations]
+        _, trace = evolve(catalog, r, _params(population_size=20, max_generations=40),
+                          derive_substream(trial, "mono-run"))
+        bests = [g.best_fitness for g in trace]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
 
 def test_evolve_deterministic_for_seed():
     catalog = random_catalog(derive_substream(38, "cat"))
     r = random_request(derive_substream(38, "req"))
-    t1 = evolve(catalog, r, _params(), derive_substream(99, "det"))
-    t2 = evolve(catalog, r, _params(), derive_substream(99, "det"))
-    assert t1.best == t2.best
-    assert t1.generations == t2.generations
+    assert (evolve(catalog, r, _params(), derive_substream(99, "det"))
+            == evolve(catalog, r, _params(), derive_substream(99, "det")))
 
 
 def test_cached_fitness_matches_recomputation():
     catalog = random_catalog(derive_substream(40, "cat"))
     r = random_request(derive_substream(40, "req"))
-    trace = evolve(catalog, r, _params(population_size=20, max_generations=20),
-                   derive_substream(40, "cache"))
-    assert trace.best.fitness == evaluate_genome(trace.best.genome, catalog, r,
-                                                 _params())
+    best, _ = evolve(catalog, r, _params(population_size=20, max_generations=20),
+                     derive_substream(40, "cache"))
+    assert best.fitness == evaluate_genome(best.genome, catalog, r, _params())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), max_steps=st.integers(-2, 4), at_target=st.booleans())
+def test_advance_returns_at_once_without_steps_or_at_target(seed, max_steps, at_target):
+    catalog = random_catalog(derive_substream(seed, "cat"))
+    r = random_request(derive_substream(seed, "req"))
+    params = _params(population_size=8)
+    rng = derive_substream(seed, "ga")
+    pop = init_population(catalog, r, params, rng)
+    if at_target:
+        pop[0] = Individual(pop[0].genome, 1.0)
+    else:
+        max_steps = min(max_steps, 0)
+    state = rng.state
+    with mock.patch.object(evolution, "gene_table", side_effect=AssertionError("table built")):
+        got = advance(pop, catalog, r, params, rng, max_steps)
+    assert got == (pop, population_stats(pop)[0], [])
+    assert got[0] is pop
+    assert rng.state == state
+
+
+def test_population_stats_best_is_the_first_of_the_highest():
+    pop = [Individual(("a",), 0.5), Individual(("b",), 0.9), Individual(("c",), 0.9)]
+    best, mean = population_stats(pop)
+    assert best is pop[1]
+    assert mean == (0.5 + 0.9 + 0.9) / 3
 
 
 def _counting_evaluate_genome(monkeypatch):
@@ -372,10 +398,11 @@ def test_reused_fitness_survives_pool_growth(monkeypatch):
     params = _params(population_size=20)
     rng = derive_substream(41, "grow")
     calls = _counting_evaluate_genome(monkeypatch)
-    pop, first = advance(init_population(catalog, r, params, rng), catalog, r, params, rng, 15)
+    pop, _, first = advance(init_population(catalog, r, params, rng), catalog, r, params, rng,
+                            15)
     assert len(first) == 15
     catalog.add(svc("rc", {"c"}, in_port="mid", out_port="dst", usage=4, success=3))
-    pop, second = advance(pop, catalog, r, params, rng, 40)
+    pop, _, second = advance(pop, catalog, r, params, rng, 40)
     assert any("rc" in ind.genome for ind in pop)
     for ind in pop:
         assert ind.fitness == evaluate_genome(ind.genome, catalog, r, params)
@@ -460,9 +487,9 @@ def test_oracle_dominates_evolution():
         catalog = random_catalog(rng, n_services=4 + rng.below(4))
         r = random_request(rng)
         _, oracle_fit = brute_force_best(catalog, r)
-        trace = evolve(catalog, r, _params(population_size=30, max_generations=30),
-                       derive_substream(trial, "dom-run"))
-        assert oracle_fit >= trace.best.fitness
+        best, _ = evolve(catalog, r, _params(population_size=30, max_generations=30),
+                         derive_substream(trial, "dom-run"))
+        assert oracle_fit >= best.fitness
 
 
 # --- feedback ---
