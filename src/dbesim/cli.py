@@ -38,6 +38,11 @@ EXIT_RUNTIME = 2
 
 LOCK_NAME = ".dbesim.lock"
 
+# `run` uses a process for each this many habitats, at most one per CPU. On
+# a 2-CPU host, 256 habitats ran slower on two processes than on one, and
+# 512 ran about 1.2x faster.
+HABITATS_PER_WORKER = 256
+
 
 class OutputDir:
     """Output directory with a lock file: one invocation at a time."""
@@ -103,9 +108,15 @@ def cmd_run(cfg, state, out: OutputDir, quiet: bool) -> int:
     return EXIT_OK
 
 
+def worker_count(n_habitats: int, cpus: int) -> int:
+    """Processes for the habitat steps of a run of `n_habitats` habitats."""
+    return max(1, min(cpus, n_habitats // HABITATS_PER_WORKER))
+
+
 def _run_and_write(cfg, state, out: OutputDir) -> tuple:
     """Run and write every output; returns (event count, last metrics row or None)."""
-    result = engine.run(cfg, state=state)
+    workers = worker_count(len(cfg.scenario.habitats), len(os.sched_getaffinity(0)))
+    result = engine.run(cfg, state=state, workers=workers)
     out.write("resolved_config.json", serialize_config(cfg))
     out.write("events.jsonl", engine.serialize_events(result.events))
     out.write("metrics.csv", engine.serialize_metrics(result.metrics))

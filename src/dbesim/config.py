@@ -39,7 +39,7 @@ from .ecosystem import (
     RequestTemplate,
     edge_key,
 )
-from .evolution import EvolutionParams, GenerationStat, Individual
+from .evolution import EvolutionParams, GenerationStat, Individual, evaluate_genome
 from .manifest import Catalog, ManifestError, Request, ServiceManifest, parse_token
 from .rng import Stream
 from .topology import CAPITAL_FLOW, SERVICE_FLOW, EtaDist, FlowEdge, FlowLedger
@@ -647,10 +647,20 @@ def _genome(v, pool: Catalog, max_len: int) -> tuple:
     return tuple(v)
 
 
-def _population(rows, pool: Catalog, max_len: int) -> list:
-    """Individuals from [genome, fitness] rows."""
-    reads = (partial(_genome, pool=pool, max_len=max_len), NUMBER.read)
-    pop = [Individual(*row) for row in _each(rows, _row, reads)]
+def _population(rows, pool: Catalog, req: Request, params: EvolutionParams) -> list:
+    """Individuals from [genome, fitness] rows. The run trusts a cached
+    fitness, so each must be its genome's score; equal genomes share one
+    individual, as they do in a run."""
+    reads = (partial(_genome, pool=pool, max_len=req.max_len), NUMBER.read)
+    known = {}
+    pop = []
+    for i, (genome, fitness) in enumerate(_each(rows, _row, reads)):
+        ind = known.get(genome)
+        if ind is None:
+            ind = known[genome] = Individual(genome, evaluate_genome(genome, pool, req, params))
+        if fitness != ind.fitness:
+            raise _Bad(f"fitness {fitness!r} is not the genome's fitness {ind.fitness!r}", i, 1)
+        pop.append(ind)
     if not pop:
         raise _Bad("expected a non-empty array")
     return pop
@@ -659,7 +669,7 @@ def _population(rows, pool: Catalog, max_len: int) -> list:
 _TRACE_ROW = (INT.read, NUMBER.read, NUMBER.read)
 
 
-def _evolution(v, pool: Catalog, templates: dict) -> ActiveEvolution:
+def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams) -> ActiveEvolution:
     obj = _object(v, {"request", "population", "gens_since_reset", "total_generations",
                       "pool_version", "trace"})
     rid = _get(obj, "request", STRING.read)
@@ -667,7 +677,7 @@ def _evolution(v, pool: Catalog, templates: dict) -> ActiveEvolution:
         raise _Bad(f"evolution state for unknown request {rid!r}", "request")
     return ActiveEvolution(
         request_id=rid,
-        population=_get(obj, "population", _population, pool, templates[rid].request.max_len),
+        population=_get(obj, "population", _population, pool, templates[rid].request, params),
         gens_since_reset=_get(obj, "gens_since_reset", COUNT.read),
         total_generations=_get(obj, "total_generations", COUNT.read),
         pool_version=_get(obj, "pool_version", COUNT.read),
@@ -697,7 +707,7 @@ def _provenance(v, pool: Catalog, hid: str, specs: dict) -> dict:
     return dict(obj)
 
 
-def _habitat(v, specs: dict) -> Habitat:
+def _habitat(v, specs: dict, params: EvolutionParams) -> Habitat:
     obj = _object(v, {"id", "pool", "provenance", "pool_version", "active"})
     hid = _get(obj, "id", STRING.read)
     if hid not in specs:
@@ -707,13 +717,13 @@ def _habitat(v, specs: dict) -> Habitat:
                 provenance=_get(obj, "provenance", _provenance, pool, hid, specs),
                 pool_version=_get(obj, "pool_version", COUNT.read))
     templates = {t.request.id: t for t in h.profile}
-    for evo in _get(obj, "active", _each, _evolution, pool, templates):
+    for evo in _get(obj, "active", _each, _evolution, pool, templates, params):
         h.active[evo.request_id] = evo
     return h
 
 
-def _ecosystem(v, specs: dict, w_min: float) -> Ecosystem:
-    habitats = _each(v, _habitat, specs)
+def _ecosystem(v, specs: dict, params: EvolutionParams, w_min: float) -> Ecosystem:
+    habitats = _each(v, _habitat, specs, params)
     if not habitats:  # no run removes its last habitat
         raise _Bad("expected a non-empty array")
     try:
@@ -789,7 +799,7 @@ def _ledger(v, habitat_ids) -> FlowLedger:
 def _state(v, config: SimConfig) -> tuple:
     obj = _object(v, {"epoch", "streams", "habitats", "connections", "business"})
     specs = {spec.id: spec for spec in config.scenario.habitats}
-    eco = _get(obj, "habitats", _ecosystem, specs, config.ecosystem.w_min)
+    eco = _get(obj, "habitats", _ecosystem, specs, config.evolution, config.ecosystem.w_min)
     eco.epoch = _get(obj, "epoch", COUNT.read)
     _get(obj, "connections", _connect, eco)
     streams = _get(obj, "streams", _streams, specs)
@@ -807,8 +817,9 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     state must hold what the run core relies on unchecked: one habitat or
     more, each provenance entry maps a pool service to another scenario
     habitat, streams belong to scenario habitats and are 64-bit, counters
-    are >= 0, the business fields other than flows are the ones a run
-    writes, and flows join two habitats with a known kind and a value >= 0.
+    are >= 0, each cached fitness is its genome's score, the business
+    fields other than flows are the ones a run writes, and flows join two
+    habitats with a known kind and a value >= 0.
     """
     return read_json(state, "state", SnapshotError, _state, config)
 

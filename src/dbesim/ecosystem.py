@@ -413,51 +413,66 @@ def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Strea
     return best
 
 
-def habitat_epoch(h: Habitat, rng: Stream, params: EvolutionParams, budget: int,
-                  execute, emit) -> Deployment | None:
+def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, budget: int,
+                 execute) -> tuple:
     """One habitat's step of an epoch; all draws come from its stream `rng`.
 
     In this order: sample a request from the profile, evolve it under the
     generation budget, deploy the best chain through `execute`, and record
-    the feedback. Returns the deployment, or None when the pool is empty.
+    the feedback. Returns (profile index of the request, deployment), with
+    no deployment when the pool is empty.
     """
     idx = rng.weighted_index([t.weight for t in h.profile])
-    req = h.profile[idx].request
-    emit("request_sampled", {"habitat": h.id, "request": req.id})
     if len(h.pool) == 0:
-        emit("warning", {"habitat": h.id, "message": "empty pool, epoch skipped"})
-        return None
-    best = evolve_request(h, req, params, rng, budget)
+        return idx, None
+    best = evolve_request(h, h.profile[idx].request, params, rng, budget)
     chain = h.pool.resolve(best.genome)
     success = execute(chain, rng)
     record_deployment(chain, success)
+    return idx, Deployment(h, best.genome, best.fitness, success)
+
+
+def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> None:
+    """The events of one habitat's step: the sampled request, then its
+    deployment, or a warning when the pool was empty."""
+    emit("request_sampled", {"habitat": h.id, "request": req.id})
+    if deployment is None:
+        emit("warning", {"habitat": h.id, "message": "empty pool, epoch skipped"})
+        return
     emit("deployment", {
         "habitat": h.id,
         "request": req.id,
-        "chain": list(best.genome),
-        "fitness": best.fitness,
-        "success": success,
+        "chain": list(deployment.genome),
+        "fitness": deployment.fitness,
+        "success": deployment.success,
     })
-    return Deployment(h, best.genome, best.fitness, success)
 
 
 def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: EcosystemParams,
-              generation_budget: int, streams: dict, execute, emit) -> tuple:
+              generation_budget: int, streams: dict, execute, emit, shards=None) -> tuple:
     """Advance the ecosystem by one epoch.
 
-    Each habitat takes its `habitat_epoch` step, in id order. Then three
-    single-writer phases follow in id order: reinforcement of provenance
-    edges used by successful deployments, migration of deployed chains,
-    and one decay pass over all weights.
+    Each habitat takes its `habitat_step`, in id order, and `emit_step`
+    reports it; or `shards` (a `shards.Shards`, which holds the same
+    parameters) runs the steps across processes with the same outcome and
+    events. Then three single-writer phases follow in id order:
+    reinforcement of provenance edges used by successful deployments,
+    migration of deployed chains, and one decay pass over all weights.
 
     `execute(chain, stream) -> bool` simulates chain execution; `emit(kind,
     payload)` receives the epoch's events. Returns (deployments in habitat
     id order, number of services migrated).
     """
-    outcomes = [habitat_epoch(eco.habitats[hid], streams[hid], evo_params, generation_budget,
-                              execute, emit)
-                for hid in eco.habitat_ids()]
-    deployments = [d for d in outcomes if d is not None]
+    if shards is None:
+        deployments = []
+        for hid in eco.habitat_ids():
+            h = eco.habitats[hid]
+            idx, d = habitat_step(h, streams[hid], evo_params, generation_budget, execute)
+            emit_step(h, h.profile[idx].request, d, emit)
+            if d is not None:
+                deployments.append(d)
+    else:
+        deployments = shards.habitat_epochs(eco, streams, emit)
 
     for h, genome, _, success in deployments:
         if not success:

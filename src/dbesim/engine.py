@@ -124,13 +124,18 @@ def build_run_state(config: SimConfig) -> tuple:
     return eco, streams, FlowLedger(eco.habitat_ids())
 
 
-def run(config: SimConfig, state: dict | None = None) -> RunResult:
+def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunResult:
     """Execute the epoch loop from a fresh build or a restored snapshot state.
 
     Per epoch: apply scheduled failures, run the ecosystem epoch, record a
     transaction pair for each successful deployment whose provider habitat
     differs from the requesting one, and append one metrics row. Means are
     accumulated in habitat-id order.
+
+    With `workers` > 1, the habitats' steps of each epoch run on that many
+    processes (`shards.Shards`, forked here); the outputs are the same. The
+    default stays in one process, so that every draw is made where the
+    caller's `Stream` objects live.
 
     Precondition: a config that `parse_config` returned, or one that
     `validate_config` returned `[]` for. The run core does not check it
@@ -140,7 +145,21 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
         eco, streams, ledger = build_run_state(config)
     else:
         eco, streams, ledger = state_from_obj(config, state)
+    if workers == 1:
+        events, metrics = _epochs(config, eco, streams, ledger, None)
+    else:
+        from .shards import Shards  # pickle and fork only for a sharded run
 
+        with Shards(eco, streams, config.evolution, config.generation_budget_per_epoch,
+                    simulate_execution, workers) as shards:
+            events, metrics = _epochs(config, eco, streams, ledger, shards)
+            shards.collect(eco)
+    return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams)
+
+
+def _epochs(config: SimConfig, eco: Ecosystem, streams: dict, ledger: FlowLedger,
+            shards) -> tuple:
+    """The epoch loop of `run`; returns (events, metrics rows)."""
     events: list[EventRecord] = []
     metrics: list[MetricsRow] = []
     failures_by_epoch: dict[int, list] = {}
@@ -164,7 +183,7 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
 
         deployments, migrations = run_epoch(eco, config.evolution, config.ecosystem,
                                             config.generation_budget_per_epoch, streams,
-                                            simulate_execution, emit)
+                                            simulate_execution, emit, shards)
 
         total = 0.0
         successes = 0
@@ -193,4 +212,4 @@ def run(config: SimConfig, state: dict | None = None) -> RunResult:
             connection_count=len(eco.connections),
         ))
 
-    return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams)
+    return events, metrics

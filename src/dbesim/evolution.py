@@ -38,7 +38,7 @@ class EvolutionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Individual:
     """A chain genome with its cached fitness."""
 
@@ -59,7 +59,7 @@ class EvolutionParams:
     target_fitness: float = 0.999
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationStat:
     generation: int
     best_fitness: float

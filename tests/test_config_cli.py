@@ -409,6 +409,20 @@ def test_cli_snapshot_genome_over_max_len(tmp_path, capsys):
             "genome length 2 outside [1, max_len 1]") in err
 
 
+def test_cli_snapshot_fitness_not_the_genomes(tmp_path, capsys):
+    """The run trusts a population's cached fitness: a stored value that is
+    not the genome's score is rejected, not resumed into a mean above 1."""
+    def damage(st):
+        for h in st["habitats"]:
+            for evo in h["active"]:
+                for row in evo["population"]:
+                    row[1] = 7.5
+
+    err = _malformed_snapshot_run(tmp_path, capsys, damage)
+    assert err == ("invalid snapshot: state.habitats[0].active[0].population[0][1]: "
+                   "fitness 7.5 is not the genome's fitness 1.0\n")
+
+
 def test_cli_snapshot_bad_provenance(tmp_path, capsys):
     """A provenance the run core would trip over deep inside (exit 2) is
     rejected as the snapshot is read."""
@@ -509,7 +523,7 @@ def test_cli_unreadable_json_is_malformed(tmp_path, capsys, content):
 
 
 def test_cli_unexpected_exception_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
-    def broken_run(cfg, state=None):
+    def broken_run(cfg, state=None, workers=1):
         raise KeyError("h9")
 
     monkeypatch.setattr(cli.engine, "run", broken_run)
@@ -530,7 +544,7 @@ def test_cli_run_restores_the_collector_state(tmp_path, monkeypatch, enabled):
     seen = []
 
     def broken_run(error):
-        def run(cfg, state=None):
+        def run(cfg, state=None, workers=1):
             seen.append(gc.isenabled())
             raise error
         return run
