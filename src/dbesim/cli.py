@@ -25,12 +25,7 @@ from .ecosystem import EcosystemError, evolve_request
 from .evolution import EvolutionError, brute_force_best
 from .manifest import ManifestError
 from .rng import derive_substream
-from .topology import (
-    TopologyError,
-    grow,
-    inject_and_track,
-    seed_business_graph,
-)
+from .topology import grow, inject_and_track, seed_business_graph
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -236,8 +231,7 @@ def _dispatch(args) -> int:
     except engine.SnapshotError as e:
         print(f"invalid snapshot: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (EcosystemError, EvolutionError, ManifestError, TopologyError,
-            RuntimeError, OSError) as e:
+    except (EcosystemError, EvolutionError, ManifestError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -32,7 +32,6 @@ from typing import Callable
 
 from .ecosystem import (
     ActiveEvolution,
-    EcosystemError,
     EcosystemParams,
     Ecosystem,
     Habitat,
@@ -726,10 +725,11 @@ def _ecosystem(v, specs: dict, params: EvolutionParams, w_min: float) -> Ecosyst
     habitats = _each(v, _habitat, specs, params)
     if not habitats:  # no run removes its last habitat
         raise _Bad("expected a non-empty array")
-    try:
-        return Ecosystem(habitats, w_min=w_min)
-    except EcosystemError as e:
-        raise _Bad(str(e)) from None
+    eco = Ecosystem(habitats, w_min=w_min)
+    if len(eco.habitats) < len(habitats):
+        ids = [h.id for h in habitats]
+        raise _Bad(f"duplicate habitat id: {min(i for i in ids if ids.count(i) > 1)!r}")
+    return eco
 
 
 _CONNECTION_ROW = (STRING.read, STRING.read, NUMBER.read)
@@ -737,12 +737,16 @@ _CONNECTION_ROW = (STRING.read, STRING.read, NUMBER.read)
 
 def _connect(rows, eco: Ecosystem) -> None:
     for i, (a, b, w) in enumerate(_each(rows, _row, _CONNECTION_ROW)):
-        try:
-            if edge_key(a, b) in eco.connections:
-                raise _Bad(f"duplicate connection {a}-{b}", i)
-            eco.add_connection(a, b, w)
-        except EcosystemError as e:
-            raise _Bad(str(e), i) from None
+        if a == b:
+            raise _Bad(f"self-loop connection at {a!r}", i)
+        key = edge_key(a, b)
+        if key in eco.connections:
+            raise _Bad(f"duplicate connection {a}-{b}", i)
+        if a not in eco.habitats or b not in eco.habitats:
+            raise _Bad(f"connection references unknown habitat: {key}", i)
+        if w < eco.w_min:
+            raise _Bad(f"weight below floor on {key}", i)
+        eco.add_connection(a, b, w)
 
 
 def _streams(v, specs: dict) -> dict:
@@ -801,6 +805,10 @@ def _state(v, config: SimConfig) -> tuple:
     specs = {spec.id: spec for spec in config.scenario.habitats}
     eco = _get(obj, "habitats", _ecosystem, specs, config.evolution, config.ecosystem.w_min)
     eco.epoch = _get(obj, "epoch", COUNT.read)
+    spared = set(eco.habitats).difference(
+        *(f.victims for f in config.failures if f.epoch > eco.epoch))
+    if not spared:
+        raise _Bad(f"the failures after epoch {eco.epoch} remove every habitat", "habitats")
     _get(obj, "connections", _connect, eco)
     streams = _get(obj, "streams", _streams, specs)
     for hid in eco.habitat_ids():
@@ -815,11 +823,14 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     Malformed input raises SnapshotError naming the JSON path at fault,
     such as `state.habitats[0].pool[1].usage_count`. Besides its types, the
     state must hold what the run core relies on unchecked: one habitat or
-    more, each provenance entry maps a pool service to another scenario
-    habitat, streams belong to scenario habitats and are 64-bit, counters
-    are >= 0, each cached fitness is its genome's score, the business
-    fields other than flows are the ones a run writes, and flows join two
-    habitats with a known kind and a value >= 0.
+    more, with distinct ids, and one the config's failures after the state's
+    epoch spare; each provenance entry maps a pool service to another
+    scenario habitat; each connection joins two distinct habitats of the
+    state, once, at a weight >= the floor; streams belong to scenario
+    habitats and are 64-bit; counters are >= 0; each cached fitness is its
+    genome's score; the business fields other than flows are the ones a
+    run writes; and flows join two habitats with a known kind and a value
+    >= 0.
     """
     return read_json(state, "state", SnapshotError, _state, config)
 
@@ -852,9 +863,11 @@ def _snapshot_parts(v) -> tuple:
 def parse_config(path, seed_override: int | None = None) -> tuple:
     """Parse a config or snapshot file; returns (SimConfig, state or None).
 
-    A seed override replaces the file's seed and thus appears in the echoed
-    config. Range and structural violations are raised as a ConfigError
-    listing every violation.
+    A seed override replaces a config file's seed and thus appears in the
+    echoed config. A snapshot refuses one: its run resumes every stream
+    from the state, so the override would change only the recorded seed.
+    Range and structural violations are raised as a ConfigError listing
+    every violation.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -869,6 +882,9 @@ def parse_config(path, seed_override: int | None = None) -> tuple:
         if data["format"] != SNAPSHOT_FORMAT:
             raise ConfigError(f"{path}: unknown snapshot format {data['format']!r}")
         state, data = read_json(data, where, ConfigError, _snapshot_parts)
+        if seed_override is not None:
+            raise ConfigError(f"{path}: a snapshot takes no seed override: "
+                              f"its run resumes every stream from the state")
         where += ".config"
     cfg = config_from_obj(data, path=where)
     if seed_override is not None:

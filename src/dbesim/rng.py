@@ -53,25 +53,22 @@ class Stream:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) via multiply-shift (one output).
 
-        The multiply-shift map has bias below n / 2**64, negligible for the
-        range sizes used here, and is exactly reproducible cross-platform.
+        n >= 1 is not checked. The multiply-shift map has bias below
+        n / 2**64, negligible for the range sizes used here, and is exactly
+        reproducible cross-platform.
         """
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
         return (self.next_u64() * n) >> 64
 
     def weighted_index(self, weights) -> int:
         """Index drawn with probability proportional to weights (one output).
 
-        Weights must be non-negative with a positive sum. The cumulative
-        walk accumulates left to right, which pins the float summation
-        order.
+        Weights must be non-negative with a positive sum, which is not
+        checked. The cumulative walk accumulates left to right, which pins
+        the float summation order.
         """
         total = 0.0
         for w in weights:
             total += w
-        if total <= 0.0:
-            raise ValueError("weighted_index() needs a positive total weight")
         r = self.random() * total
         acc = 0.0
         last = 0

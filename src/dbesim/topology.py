@@ -7,6 +7,7 @@ well-connected and attractive businesses become hubs, and a late vertex
 with higher eta can displace them. A run's ledger records typed directed
 flow edges instead: a service flow from provider to client paired with a
 capital flow back.
+The growth functions trust their arguments, which `config.TOPOLOGY` checks.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from .rng import Stream
 
 SERVICE_FLOW = "service_flow"
 CAPITAL_FLOW = "capital_flow"
-
-
-class TopologyError(ValueError):
-    pass
 
 
 @dataclass
@@ -149,9 +146,7 @@ class FlowLedger:
 
 
 def seed_business_graph(count: int, eta_dist: EtaDist, rng: Stream) -> BusinessGraph:
-    """Fully connected seed graph; etas drawn in id order."""
-    if count < 1:
-        raise TopologyError("need at least one seed vertex")
+    """Fully connected seed graph of count >= 1 vertices; etas drawn in id order."""
     g = BusinessGraph()
     ids = [g.fresh_id() for _ in range(count)]
     for vid in ids:
@@ -177,8 +172,6 @@ def _draw_target(g: BusinessGraph, rng: Stream, exclude: set) -> str:
 
 
 def _add_grown_vertex(g: BusinessGraph, eta: float, step: int, m: int, rng: Stream) -> str:
-    if m > len(g.vertices):
-        raise TopologyError("m exceeds current vertex count")
     targets: list[str] = []
     excluded: set[str] = set()
     for _ in range(m):
@@ -196,10 +189,9 @@ def grow(g: BusinessGraph, steps: int, m: int, eta_dist: EtaDist, rng: Stream) -
     """Add `steps` vertices with m preferential edges each.
 
     Per step: one eta draw (uniform only), then per target a proposal /
-    acceptance draw sequence.
+    acceptance draw sequence. 1 <= m <= the vertex count of `g`, or the
+    target draw of a step never ends.
     """
-    if m < 1:
-        raise TopologyError("m must be >= 1")
     base = max((v.birth_step for v in g.vertices.values()), default=0)
     for step in range(base + 1, base + steps + 1):
         _add_grown_vertex(g, eta_dist.draw(rng), step, m, rng)
@@ -213,11 +205,8 @@ def inject_and_track(g: BusinessGraph, eta_star: float, at_step: int, total_step
     step and consumes no eta draw. Returns the injected vertex's
     (step, degree rank) at every checkpoint (every total_steps // 20
     steps) from the injection onward, always including the final step.
+    1 <= at_step < total_steps, and m is as for `grow`.
     """
-    if not (1 <= at_step < total_steps):
-        raise TopologyError("at_step must satisfy 1 <= at_step < total_steps")
-    if m < 1:
-        raise TopologyError("m must be >= 1")
     every = max(1, total_steps // 20)
     injected_id = None
     trajectory = []

@@ -14,11 +14,13 @@ from conftest import asset_path, load_asset_obj
 from dbesim import cli, engine
 from dbesim.config import (
     ConfigError,
+    TopologyParams,
     config_from_obj,
     config_to_obj,
     parse_config,
     serialize_config,
     serialize_snapshot,
+    validate_config,
 )
 from dbesim.engine import run as engine_run
 from test_golden import bridged24_obj
@@ -181,6 +183,15 @@ RANGE_VIOLATIONS = [
      "scenario random_m parameter out of range"),
     (_set_config(["scenario", "initial_topology"], {"kind": "star"}),
      ".scenario.initial_topology.kind: unknown kind 'star'"),
+    # the growth experiment relies on these unchecked
+    (_set_config(["topology"], {"steps": 0}), "topology steps must be >= 1"),
+    (_set_config(["topology"], {"m": 0}), "topology m must be >= 1"),
+    (_set_config(["topology"], {"m": 4, "seed_vertices": 3}),
+     "topology seed_vertices must be >= m"),
+    (_set_config(["topology"], {"inject": {"eta": 0.0, "at_step": 5}}),
+     "topology inject eta out of (0, 1]"),
+    (_set_config(["topology"], {"steps": 10, "inject": {"eta": 1.0, "at_step": 10}}),
+     "topology inject at_step must be in [1, steps)"),
 ]
 
 
@@ -192,6 +203,12 @@ def test_parse_config_range_violations_reported(tmp_path):
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert message in str(info.value), (message, str(info.value))
+
+
+def test_code_built_inject_needs_both_fields():
+    cfg = config_from_obj(minimal_obj())
+    cfg.topology = TopologyParams(inject_eta=0.5)
+    assert validate_config(cfg) == ["topology inject needs both eta and at_step"]
 
 
 def test_parse_config_malformed_json(tmp_path):
@@ -355,6 +372,48 @@ def test_cli_seed_override_recorded(tmp_path):
     with open(os.path.join(out, "resolved_config.json"), "r", encoding="utf-8") as f:
         echoed = json.load(f)
     assert echoed["seed"] == 99
+
+
+def test_cli_seed_override_refused_for_a_snapshot(tmp_path, capsys):
+    """A resumed run takes every stream from the state, so a seed override
+    would change only the seed the outputs record."""
+    path = write_config(tmp_path, minimal_obj())
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "first"), "--quiet"]) == 0
+    snap_path = str(tmp_path / "first" / "snapshot.json")
+    for sub in ("validate", "run"):
+        out = tmp_path / f"out-{sub}"
+        capsys.readouterr()
+        status = cli.main([sub, "--config", snap_path, "--out", str(out), "--seed", "99"])
+        assert status == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"invalid config: {snap_path}: a snapshot takes no seed override: "
+            f"its run resumes every stream from the state\n")
+        assert not out.exists()
+
+
+def test_cli_snapshot_whose_failures_remove_every_habitat(tmp_path, capsys):
+    """A snapshot trimmed to one habitat, which a later failure removes, is
+    refused when it is read, not in the middle of the resumed run."""
+    obj = load_asset_obj("two_communities.json")
+    obj["epochs"] = 3
+    path = write_config(tmp_path, obj)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "first"), "--quiet"]) == 0
+    with open(tmp_path / "first" / "snapshot.json", "r", encoding="utf-8") as f:
+        snap = json.load(f)
+    snap["config"]["epochs"] = 6
+    snap["config"]["failures"] = [{"epoch": 5, "victims": ["a0"]}]
+    state = snap["state"]
+    state["habitats"] = [h for h in state["habitats"] if h["id"] == "a0"]
+    state["streams"] = {"a0": state["streams"]["a0"]}
+    state["connections"] = []
+    snap_path = write_config(tmp_path, snap, name="snap.json")
+    for sub in ("validate", "run"):
+        out = tmp_path / f"out-{sub}"
+        capsys.readouterr()
+        assert cli.main([sub, "--config", snap_path, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "invalid snapshot: state.habitats: the failures after epoch 3 remove every habitat\n")
+        assert not (out / "events.jsonl").exists()
 
 
 def _malformed_snapshot_run(tmp_path, capsys, damage):

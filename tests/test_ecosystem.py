@@ -10,7 +10,6 @@ from scipy import stats
 from conftest import random_catalog, random_request, req, svc
 from dbesim.ecosystem import (
     ActiveEvolution,
-    EcosystemError,
     EcosystemParams,
     Ecosystem,
     Habitat,
@@ -94,12 +93,6 @@ def test_reinforce_creates_missing_edge_at_floor():
     assert ("h00", "h02") not in eco.connections
     w = reinforce(eco, "h00", "h02", 0.1)
     assert w == pytest.approx(eco.w_min + 0.1)
-
-
-def test_reinforce_rejects_self_loop():
-    eco = make_eco(3)
-    with pytest.raises(EcosystemError):
-        reinforce(eco, "h00", "h00", 0.1)
 
 
 def test_decay_multiplies():
@@ -302,12 +295,6 @@ def test_failure_existing_edge_not_overwritten():
     removed, created = failure_inject(eco, ["h01"])
     assert created == []
     assert eco.connections[("h00", "h02")] == 2.5
-
-
-def test_failure_rejects_all_victims():
-    eco = make_eco(3)
-    with pytest.raises(EcosystemError, match="total failure"):
-        failure_inject(eco, ["h00", "h01", "h02"])
 
 
 @settings(max_examples=150, deadline=None)

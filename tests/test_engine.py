@@ -423,6 +423,16 @@ def _flow(row):
     (_set(["epoch"], -2), "state.epoch: must be >= 0"),
     (lambda st: st["connections"].append(list(st["connections"][0])),
      "state.connections[1]: duplicate connection h0-h1"),
+    pytest.param(_set(["connections", 0, 1], "h0"),
+                 "state.connections[0]: self-loop connection at 'h0'", id="connection-self-loop"),
+    pytest.param(_set(["connections", 0, 1], "ghost"),
+                 "state.connections[0]: connection references unknown habitat: ('ghost', 'h0')",
+                 id="connection-unknown-habitat"),
+    pytest.param(lambda st: st["habitats"].append(st["habitats"][0]),
+                 "state.habitats: duplicate habitat id: 'h0'", id="habitat-duplicate-id"),
+    pytest.param(lambda st: st["habitats"].pop(),
+                 "state.habitats: the failures after epoch 3 remove every habitat",
+                 id="failures-remove-every-habitat"),
     # what the run core relies on unchecked
     (_set(["habitats"], []), "state.habitats: expected a non-empty array"),
     (_set(["habitats", 0, "provenance"], {"h0_svc": "nowhere"}),
@@ -463,11 +473,14 @@ def _flow(row):
     (_set(["habitats", 1, "pool_version"], -1), "state.habitats[1].pool_version: must be >= 0"),
 ])
 def test_snapshot_errors_name_the_json_path(damage, message):
-    cfg = config_from_obj(scenario_obj())
-    state = engine.run(cfg).final_state()
+    """The state of a 3-epoch run, damaged, is read to resume to epoch 4,
+    whose failure removes h0 and spares h1."""
+    state = engine.run(config_from_obj(scenario_obj())).final_state()
     damage(state)
+    resume = config_from_obj(scenario_obj(extra={
+        "epochs": 4, "failures": [{"epoch": 4, "victims": ["h0"]}]}))
     with pytest.raises(engine.SnapshotError) as info:
-        engine.state_from_obj(cfg, state)
+        engine.state_from_obj(resume, state)
     assert message in str(info.value)
 
 

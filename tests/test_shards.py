@@ -8,12 +8,14 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_asset_obj
+from conftest import asset_path, load_asset_obj
 from dbesim import cli, engine
 from dbesim.config import config_from_obj, serialize_snapshot
 from test_engine import _evolving_scenario_obj
@@ -134,6 +136,29 @@ def test_library_and_small_cli_runs_never_fork(tmp_path, monkeypatch):
     path.write_text(json.dumps(load_asset_obj("two_communities.json")), encoding="utf-8")
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
     assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_one_process_commands_never_import_the_shard_machinery(tmp_path):
+    """`dbesim run` on a small ecosystem and `dbesim topology` load neither
+    `shards.py` nor `pickle`: `engine.run` imports them only for a sharded
+    run, so a one-process run does not pay for them."""
+    topology = load_asset_obj("topology_experiment.json")
+    topology["topology"].update(steps=200, inject={"eta": 1.0, "at_step": 100})
+    topology_path = tmp_path / "topology.json"
+    topology_path.write_text(json.dumps(topology), encoding="utf-8")
+    code = ("import sys\n"
+            "from dbesim import cli\n"
+            "for sub, path in (('run', sys.argv[1]), ('topology', sys.argv[2])):\n"
+            "    out = sys.argv[3] + sub\n"
+            "    assert cli.main([sub, '--config', path, '--out', out, '--quiet']) == 0\n"
+            "print(sorted(m for m in ('dbesim.shards', 'pickle') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [asset_path("two_communities.json"), str(topology_path), str(tmp_path / "out-")]
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("fault", ["raises", "dies"])
