@@ -214,6 +214,12 @@ def _dispatch(args) -> int:
     except OSError as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    if state is not None and args.seed is not None and args.subcommand in ("run", "validate"):
+        # a resumed run takes every stream from the state: the override
+        # would change only the seed its outputs record
+        print(f"invalid config: {args.config}: a snapshot takes no seed override: "
+              f"its run resumes every stream from the state", file=sys.stderr)
+        return EXIT_VALIDATION
 
     # run and topology always write (to ./out by default); evolve and oracle
     # write only when given --out

@@ -384,7 +384,9 @@ ECOSYSTEM = Record(
     opt("reinforce_delta", NUMBER,
         lambda r: r.reinforce_delta > 0.0, "reinforce_delta must be > 0"),
     opt("decay_lambda", NUMBER, lambda r: 0.0 < r.decay_lambda <= 1.0, "decay out of range"),
-    opt("w_min", NUMBER, lambda r: r.w_min > 0.0, "w_min must be > 0"),
+    opt("w_min", NUMBER, lambda r: r.w_min > 0.0, "w_min must be > 0",
+        # build_ecosystem starts every connection at weight 1.0
+        lambda r: r.w_min <= 1.0, "w_min must be <= 1, the initial connection weight"),
 )
 
 INJECT = Record(req("eta", NUMBER), req("at_step", INT))
@@ -863,11 +865,9 @@ def _snapshot_parts(v) -> tuple:
 def parse_config(path, seed_override: int | None = None) -> tuple:
     """Parse a config or snapshot file; returns (SimConfig, state or None).
 
-    A seed override replaces a config file's seed and thus appears in the
-    echoed config. A snapshot refuses one: its run resumes every stream
-    from the state, so the override would change only the recorded seed.
-    Range and structural violations are raised as a ConfigError listing
-    every violation.
+    A seed override replaces the file's seed and thus appears in the echoed
+    config. Range and structural violations are raised as a ConfigError
+    listing every violation.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -882,9 +882,6 @@ def parse_config(path, seed_override: int | None = None) -> tuple:
         if data["format"] != SNAPSHOT_FORMAT:
             raise ConfigError(f"{path}: unknown snapshot format {data['format']!r}")
         state, data = read_json(data, where, ConfigError, _snapshot_parts)
-        if seed_override is not None:
-            raise ConfigError(f"{path}: a snapshot takes no seed override: "
-                              f"its run resumes every stream from the state")
         where += ".config"
     cfg = config_from_obj(data, path=where)
     if seed_override is not None:

@@ -200,8 +200,9 @@ def build_ecosystem(habitats, topology, rng: Stream, w_min: float = W_MIN_DEFAUL
     """Assemble habitats into a connected ecosystem at epoch 0.
 
     topology is ("ring",) or ("random_m", m). All connections start at
-    weight 1.0. A disconnected random_m sample is redrawn BUILD_RETRIES
-    times at most. The habitats and the topology are a validated scenario's.
+    weight 1.0, at or above the floor: configs keep w_min <= 1. A
+    disconnected random_m sample is redrawn BUILD_RETRIES times at most.
+    The habitats and the topology are a validated scenario's.
     """
     eco = Ecosystem(habitats, w_min=w_min)
     ids = eco.habitat_ids()

@@ -171,6 +171,8 @@ def test_echo_round_trip_identity():
 RANGE_VIOLATIONS = [
     (_set_config(["ecosystem"], {"decay_lambda": 0.0}), "decay out of range"),
     (_set_config(["ecosystem"], {"reinforce_delta": 0.0}), "reinforce_delta must be > 0"),
+    (_set_config(["ecosystem"], {"w_min": 2.0}),
+     "w_min must be <= 1, the initial connection weight"),
     (_set_config(["evolution"], {"gamma": -1.0}), "gamma must be >= 0"),
     (_set_config(["evolution"], {"beta": 1.0}), "beta out of range"),
     (_set_config(["scenario", "habitats", 0, "profile", 0, "weight"], 0.0),
@@ -376,7 +378,8 @@ def test_cli_seed_override_recorded(tmp_path):
 
 def test_cli_seed_override_refused_for_a_snapshot(tmp_path, capsys):
     """A resumed run takes every stream from the state, so a seed override
-    would change only the seed the outputs record."""
+    would change only the seed the outputs record. `evolve` starts from the
+    snapshot's config alone and still takes one."""
     path = write_config(tmp_path, minimal_obj())
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "first"), "--quiet"]) == 0
     snap_path = str(tmp_path / "first" / "snapshot.json")
@@ -389,6 +392,11 @@ def test_cli_seed_override_refused_for_a_snapshot(tmp_path, capsys):
             f"invalid config: {snap_path}: a snapshot takes no seed override: "
             f"its run resumes every stream from the state\n")
         assert not out.exists()
+    out = tmp_path / "out-evolve"
+    assert cli.main(["evolve", "--config", snap_path, "--out", str(out), "--seed", "99",
+                     "--quiet"]) == 0
+    with open(out / "resolved_config.json", "r", encoding="utf-8") as f:
+        assert json.load(f)["seed"] == 99
 
 
 def test_cli_snapshot_whose_failures_remove_every_habitat(tmp_path, capsys):

@@ -430,9 +430,6 @@ def _flow(row):
                  id="connection-unknown-habitat"),
     pytest.param(lambda st: st["habitats"].append(st["habitats"][0]),
                  "state.habitats: duplicate habitat id: 'h0'", id="habitat-duplicate-id"),
-    pytest.param(lambda st: st["habitats"].pop(),
-                 "state.habitats: the failures after epoch 3 remove every habitat",
-                 id="failures-remove-every-habitat"),
     # what the run core relies on unchecked
     (_set(["habitats"], []), "state.habitats: expected a non-empty array"),
     (_set(["habitats", 0, "provenance"], {"h0_svc": "nowhere"}),
@@ -473,14 +470,11 @@ def _flow(row):
     (_set(["habitats", 1, "pool_version"], -1), "state.habitats[1].pool_version: must be >= 0"),
 ])
 def test_snapshot_errors_name_the_json_path(damage, message):
-    """The state of a 3-epoch run, damaged, is read to resume to epoch 4,
-    whose failure removes h0 and spares h1."""
-    state = engine.run(config_from_obj(scenario_obj())).final_state()
+    cfg = config_from_obj(scenario_obj())
+    state = engine.run(cfg).final_state()
     damage(state)
-    resume = config_from_obj(scenario_obj(extra={
-        "epochs": 4, "failures": [{"epoch": 4, "victims": ["h0"]}]}))
     with pytest.raises(engine.SnapshotError) as info:
-        engine.state_from_obj(resume, state)
+        engine.state_from_obj(cfg, state)
     assert message in str(info.value)
 
 
