@@ -23,7 +23,6 @@ from . import engine
 from .config import ConfigError, parse_config, serialize_config, serialize_snapshot
 from .ecosystem import EcosystemError, evolve_request
 from .evolution import EvolutionError, brute_force_best
-from .manifest import ManifestError
 from .rng import derive_substream
 from .topology import grow, inject_and_track, seed_business_graph
 
@@ -237,7 +236,7 @@ def _dispatch(args) -> int:
     except engine.SnapshotError as e:
         print(f"invalid snapshot: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (EcosystemError, EvolutionError, ManifestError, RuntimeError, OSError) as e:
+    except (EcosystemError, EvolutionError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -22,7 +22,7 @@ accepted wherever a config is, resuming the run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from math import isfinite
 from operator import attrgetter
@@ -105,7 +105,6 @@ class FailureEvent:
 class SimConfig:
     master_seed: int
     epochs: int
-    generation_budget_per_epoch: int = 20
     evolution: EvolutionParams = field(default_factory=EvolutionParams)
     ecosystem: EcosystemParams = field(default_factory=EcosystemParams)
     topology: TopologyParams = field(default_factory=TopologyParams)
@@ -375,8 +374,6 @@ EVOLUTION = Record(
         lambda r: 0.0 < r.target_fitness <= 1.0, "target_fitness out of range"),
     opt("generation_budget_per_epoch", INT,
         lambda r: r.generation_budget_per_epoch >= 1, "generation_budget_per_epoch must be >= 1"),
-    view=lambda cfg: SimpleNamespace(**asdict(cfg.evolution),
-                                     generation_budget_per_epoch=cfg.generation_budget_per_epoch),
 )
 
 ECOSYSTEM = Record(
@@ -496,10 +493,7 @@ def _config(v) -> SimConfig:
                       "failures"})
     cfg = SimConfig(master_seed=_get(obj, "seed", INT.read), epochs=_get(obj, "epochs", INT.read))
     if "evolution" in obj:
-        evo = _get(obj, "evolution", EVOLUTION.read)
-        cfg.generation_budget_per_epoch = evo.pop("generation_budget_per_epoch",
-                                                  cfg.generation_budget_per_epoch)
-        cfg.evolution = EvolutionParams(**evo)
+        cfg.evolution = EvolutionParams(**_get(obj, "evolution", EVOLUTION.read))
     if "ecosystem" in obj:
         cfg.ecosystem = EcosystemParams(**_get(obj, "ecosystem", ECOSYSTEM.read))
     if "topology" in obj:
@@ -521,7 +515,7 @@ def config_to_obj(cfg: SimConfig) -> dict:
     obj = {
         "seed": cfg.master_seed,
         "epochs": cfg.epochs,
-        "evolution": EVOLUTION.echo(cfg),
+        "evolution": EVOLUTION.echo(cfg.evolution),
         "ecosystem": ECOSYSTEM.echo(cfg.ecosystem),
         "topology": TOPOLOGY.echo(cfg.topology),
         "scenario": {
@@ -542,7 +536,7 @@ def validate_config(config: SimConfig) -> list[str]:
         bad.append("seed must be an unsigned 64-bit integer")
     if config.epochs < 1:
         bad.append("epochs must be >= 1")
-    bad.extend(EVOLUTION.violations(config))
+    bad.extend(EVOLUTION.violations(config.evolution))
     bad.extend(ECOSYSTEM.violations(config.ecosystem))
     bad.extend(TOPOLOGY.violations(config.topology))
 

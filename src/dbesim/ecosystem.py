@@ -408,19 +408,19 @@ def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Strea
     return best
 
 
-def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, budget: int,
-                 execute) -> tuple:
+def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute) -> tuple:
     """One habitat's step of an epoch; all draws come from its stream `rng`.
 
-    In this order: sample a request from the profile, evolve it under the
-    generation budget, deploy the best chain through `execute`, and record
-    the feedback. Returns (profile index of the request, deployment), with
-    no deployment when the pool is empty.
+    In this order: sample a request from the profile, evolve it under
+    `params.generation_budget_per_epoch`, deploy the best chain through
+    `execute`, and record the feedback. Returns (profile index of the
+    request, deployment), with no deployment when the pool is empty.
     """
     idx = rng.weighted_index([t.weight for t in h.profile])
     if len(h.pool) == 0:
         return idx, None
-    best = evolve_request(h, h.profile[idx].request, params, rng, budget)
+    best = evolve_request(h, h.profile[idx].request, params, rng,
+                          params.generation_budget_per_epoch)
     chain = h.pool.resolve(best.genome)
     success = execute(chain, rng)
     record_deployment(chain, success)
@@ -443,31 +443,21 @@ def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> 
     })
 
 
-def run_epoch(eco: Ecosystem, evo_params: EvolutionParams, eco_params: EcosystemParams,
-              generation_budget: int, streams: dict, execute, emit, shards=None) -> tuple:
+def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, streams: dict, emit,
+              shards) -> tuple:
     """Advance the ecosystem by one epoch.
 
-    Each habitat takes its `habitat_step`, in id order, and `emit_step`
-    reports it; or `shards` (a `shards.Shards`, which holds the same
-    parameters) runs the steps across processes with the same outcome and
-    events. Then three single-writer phases follow in id order:
-    reinforcement of provenance edges used by successful deployments,
-    migration of deployed chains, and one decay pass over all weights.
+    `shards` (a `shards.Shards`, which holds the evolution parameters and
+    the execution model) takes every habitat's `habitat_step` and reports
+    each step through `emit_step`, in habitat id order. Then three
+    single-writer phases follow in id order: reinforcement of provenance
+    edges used by successful deployments, migration of deployed chains, and
+    one decay pass over all weights.
 
-    `execute(chain, stream) -> bool` simulates chain execution; `emit(kind,
-    payload)` receives the epoch's events. Returns (deployments in habitat
-    id order, number of services migrated).
+    `emit(kind, payload)` receives the epoch's events. Returns (deployments
+    in habitat id order, number of services migrated).
     """
-    if shards is None:
-        deployments = []
-        for hid in eco.habitat_ids():
-            h = eco.habitats[hid]
-            idx, d = habitat_step(h, streams[hid], evo_params, generation_budget, execute)
-            emit_step(h, h.profile[idx].request, d, emit)
-            if d is not None:
-                deployments.append(d)
-    else:
-        deployments = shards.habitat_epochs(eco, streams, emit)
+    deployments = shards.habitat_epochs(eco, streams, emit)
 
     for h, genome, _, success in deployments:
         if not success:

@@ -132,28 +132,24 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
     differs from the requesting one, and append one metrics row. Means are
     accumulated in habitat-id order.
 
-    With `workers` > 1, the habitats' steps of each epoch run on that many
-    processes (`shards.Shards`, forked here); the outputs are the same. The
-    default stays in one process, so that every draw is made where the
-    caller's `Stream` objects live.
+    The habitats' steps of each epoch run through `shards.Shards` on
+    `workers` processes, the main one included; the outputs are the same for
+    every count. The default, one, forks nothing, so every draw is made
+    where the caller's `Stream` objects live.
 
     Precondition: a config that `parse_config` returned, or one that
     `validate_config` returned `[]` for. The run core does not check it
     again. A snapshot state is checked as it is read (`SnapshotError`).
     """
+    from .shards import Shards  # pickle only for `run`, not for the other commands
+
     if state is None:
         eco, streams, ledger = build_run_state(config)
     else:
         eco, streams, ledger = state_from_obj(config, state)
-    if workers == 1:
-        events, metrics = _epochs(config, eco, streams, ledger, None)
-    else:
-        from .shards import Shards  # pickle and fork only for a sharded run
-
-        with Shards(eco, streams, config.evolution, config.generation_budget_per_epoch,
-                    simulate_execution, workers) as shards:
-            events, metrics = _epochs(config, eco, streams, ledger, shards)
-            shards.collect(eco)
+    with Shards(eco, streams, config.evolution, simulate_execution, workers) as shards:
+        events, metrics = _epochs(config, eco, streams, ledger, shards)
+        shards.collect(eco)
     return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams)
 
 
@@ -181,9 +177,7 @@ def _epochs(config: SimConfig, eco: Ecosystem, streams: dict, ledger: FlowLedger
             if created:
                 emit("heal", {"created": [[a, b, w] for a, b, w in created]})
 
-        deployments, migrations = run_epoch(eco, config.evolution, config.ecosystem,
-                                            config.generation_budget_per_epoch, streams,
-                                            simulate_execution, emit, shards)
+        deployments, migrations = run_epoch(eco, config.ecosystem, streams, emit, shards)
 
         total = 0.0
         successes = 0

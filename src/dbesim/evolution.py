@@ -57,6 +57,7 @@ class EvolutionParams:
     beta: float = DEFAULT_BETA
     gamma: float = 2.0
     target_fitness: float = 0.999
+    generation_budget_per_epoch: int = 20
 
 
 @dataclass(frozen=True, slots=True)

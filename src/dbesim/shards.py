@@ -1,12 +1,15 @@
-"""Phase 1 of every epoch across forked processes, with unchanged outputs.
+"""Phase 1 of every epoch, on one process or across forked ones, with the
+same outputs.
 
 A habitat's step (`ecosystem.habitat_step`) reads and writes only the
 habitat's own stream, pool counters and evolution state, so the steps of
-one epoch may run in any process. `Shards` forks its workers once, after the
-run state is built: process k of n owns the habitat ids `ids[k::n]` for the
-whole run, and the main process runs shard 0 itself. Failures, the phases
-after the steps, metrics and output stay in the main process, which keeps
-the whole run state and stays its one writer:
+one epoch may run in any process. Every run steps its habitats through
+`Shards`. It forks its workers once, after the run state is built: process
+k of n owns the habitat ids `ids[k::n]` for the whole run, and the main
+process runs shard 0 itself. With one process, shard 0 is every habitat and
+nothing is forked, sent or collected. Failures, the phases after the steps,
+metrics and output stay in the main process, which keeps the whole run
+state and stays its one writer:
 
 - Per epoch, the main process sends each worker the ids of its habitats
   still present, their stream states (migration draws from them in the main
@@ -57,13 +60,12 @@ class _Worker:
 class Shards:
     """Workers for phase 1; use as a context manager, which reaps them.
 
-    `params`, `budget` and `execute` are those of `ecosystem.habitat_step`,
-    fixed for the run.
+    `params` and `execute` are those of `ecosystem.habitat_step`, fixed for
+    the run; `n` counts the processes, the main one included.
     """
 
-    def __init__(self, eco, streams: dict, params, budget: int, execute, n: int):
+    def __init__(self, eco, streams: dict, params, execute, n: int):
         self.params = params
-        self.budget = budget
         self.execute = execute
         ids = eco.habitat_ids()
         self.local = ids[0::n]
@@ -136,8 +138,7 @@ class Shards:
             for hid, state in zip(ids, states):
                 rng = streams[hid]
                 rng.state = state
-                idx, d = habitat_step(habitats[hid], rng, self.params, self.budget,
-                                      self.execute)
+                idx, d = habitat_step(habitats[hid], rng, self.params, self.execute)
                 records.append((rng.state, idx) if d is None else
                                (rng.state, idx, d.genome, d.fitness, d.success))
             pickle.dump(records, send, pickle.HIGHEST_PROTOCOL)
@@ -174,15 +175,15 @@ class Shards:
         return added
 
     def habitat_epochs(self, eco, streams: dict, emit) -> list:
-        """Every present habitat's step of this epoch; returns the deployments
-        in habitat id order, as `run_epoch`'s own loop does."""
+        """Every present habitat's step of this epoch, each reported by
+        `emit_step` in habitat id order; returns the deployments in that
+        order."""
         habitats = eco.habitats
         for w in self.workers:
             w.live = [hid for hid in w.ids if hid in habitats]
             self._send(w, ("epoch", w.live, [streams[hid].state for hid in w.live],
                            self._added(habitats, w.live)))
-        outcomes = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.budget,
-                                      self.execute)
+        outcomes = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute)
                     for hid in self.local if hid in habitats}
         for w in self.workers:
             for hid, record in zip(w.live, self._recv(w)):

@@ -70,7 +70,7 @@ def test_minimal_config_gets_defaults():
     cfg = config_from_obj(minimal_obj())
     assert cfg.evolution.population_size == 100
     assert cfg.evolution.tournament_size == 3
-    assert cfg.generation_budget_per_epoch == 20
+    assert cfg.evolution.generation_budget_per_epoch == 20
     assert cfg.ecosystem.p_mig == 0.2
     assert cfg.ecosystem.w_min == 0.01
     assert cfg.topology.m == 2

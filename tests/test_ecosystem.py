@@ -28,6 +28,7 @@ from dbesim.ecosystem import (
 from dbesim.evolution import EvolutionParams
 from dbesim.manifest import Catalog
 from dbesim.rng import derive_substream
+from dbesim.shards import Shards
 
 
 def make_habitat(hid, services=(), attrs=("a",)):
@@ -374,11 +375,17 @@ def _always_succeed(chain, rng):
     return True
 
 
+def _run_epoch(eco, streams, emit):
+    """One epoch with every habitat step in this process."""
+    params = EvolutionParams(population_size=8, generation_budget_per_epoch=5)
+    with Shards(eco, streams, params, _always_succeed, 1) as shards:
+        return run_epoch(eco, EcosystemParams(), streams, emit, shards)
+
+
 def test_run_epoch_increments_and_decays_once():
     eco, streams = _epoch_fixture()
     events = []
-    deployments, _ = run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
-                               5, streams, _always_succeed, lambda k, p: events.append((k, p)))
+    deployments, _ = _run_epoch(eco, streams, lambda k, p: events.append((k, p)))
     assert eco.epoch == 1
     assert [d.habitat.id for d in deployments] == ["h0", "h1"]
     assert all(w == pytest.approx(0.99) for w in eco.connections.values())
@@ -391,8 +398,7 @@ def test_run_epoch_empty_pool_warns_and_skips():
     eco, streams = _epoch_fixture()
     eco.habitats["h0"].pool = Catalog()
     events = []
-    deployments, _ = run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
-                               5, streams, _always_succeed, lambda k, p: events.append((k, p)))
+    deployments, _ = _run_epoch(eco, streams, lambda k, p: events.append((k, p)))
     kinds = [k for k, _ in events]
     assert kinds.count("warning") == 1
     assert [d.habitat.id for d in deployments] == ["h1"]
@@ -401,8 +407,7 @@ def test_run_epoch_empty_pool_warns_and_skips():
 
 def test_run_epoch_feedback_reaches_counters():
     eco, streams = _epoch_fixture()
-    run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
-              5, streams, _always_succeed, lambda k, p: None)
+    _run_epoch(eco, streams, lambda k, p: None)
     s = eco.habitats["h0"].pool.get("h0_svc")
     assert s.usage_count == 1 and s.success_count == 1
 
@@ -413,8 +418,7 @@ def test_run_epoch_reinforces_provenance_on_success():
     migrant = svc("imported", {"t0"}, in_port="src", out_port="dst")
     eco.habitats["h0"].pool = Catalog([migrant])
     eco.habitats["h0"].provenance["imported"] = "h1"
-    run_epoch(eco, EvolutionParams(population_size=8), EcosystemParams(),
-              5, streams, _always_succeed, lambda k, p: None)
+    _run_epoch(eco, streams, lambda k, p: None)
     assert eco.connections[("h0", "h1")] == pytest.approx((1.0 + 0.1) * 0.99)
 
 

@@ -138,27 +138,27 @@ def test_library_and_small_cli_runs_never_fork(tmp_path, monkeypatch):
     assert cli.main(argv) == cli.EXIT_OK
 
 
-def test_one_process_commands_never_import_the_shard_machinery(tmp_path):
-    """`dbesim run` on a small ecosystem and `dbesim topology` load neither
-    `shards.py` nor `pickle`: `engine.run` imports them only for a sharded
-    run, so a one-process run does not pay for them."""
+def test_commands_other_than_run_never_import_the_shard_machinery(tmp_path):
+    """`dbesim topology` and `dbesim validate` load neither `shards.py` nor
+    `pickle`: only `engine.run` imports them, so the commands that do not
+    run an ecosystem do not pay for them."""
     topology = load_asset_obj("topology_experiment.json")
     topology["topology"].update(steps=200, inject={"eta": 1.0, "at_step": 100})
     topology_path = tmp_path / "topology.json"
     topology_path.write_text(json.dumps(topology), encoding="utf-8")
     code = ("import sys\n"
             "from dbesim import cli\n"
-            "for sub, path in (('run', sys.argv[1]), ('topology', sys.argv[2])):\n"
-            "    out = sys.argv[3] + sub\n"
-            "    assert cli.main([sub, '--config', path, '--out', out, '--quiet']) == 0\n"
+            "out = ['--out', sys.argv[3], '--quiet']\n"
+            "assert cli.main(['topology', '--config', sys.argv[2], *out]) == 0\n"
+            "assert cli.main(['validate', '--config', sys.argv[1]]) == 0\n"
             "print(sorted(m for m in ('dbesim.shards', 'pickle') if m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(engine.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [asset_path("two_communities.json"), str(topology_path), str(tmp_path / "out-")]
+    argv = [asset_path("two_communities.json"), str(topology_path), str(tmp_path / "out")]
     done = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "ok\n[]\n"
 
 
 @pytest.mark.parametrize("fault", ["raises", "dies"])
