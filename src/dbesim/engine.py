@@ -141,7 +141,7 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
     `validate_config` returned `[]` for. The run core does not check it
     again. A snapshot state is checked as it is read (`SnapshotError`).
     """
-    from .shards import Shards  # pickle only for `run`, not for the other commands
+    from .shards import Shards  # only `run` loads it, not the other commands
 
     if state is None:
         eco, streams, ledger = build_run_state(config)

@@ -29,15 +29,14 @@ instead of receiving it pickled, and the program starts no threads that a
 fork could leave holding a lock. Messages are pickles over pipes. A worker
 that raises sends the error as a string and exits; one that dies leaves EOF
 on its pipe. Either surfaces in the main process as a `ShardError`, and
-every worker is reaped.
+every worker is reaped. `pickle` and `signal` are imported only where a
+worker is forked or reaped, so a one-process run never loads them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import pickle
-import signal
 from itertools import islice
 
 from .ecosystem import Deployment, emit_step, habitat_step
@@ -86,6 +85,8 @@ class Shards:
         return False
 
     def _fork(self, eco, streams: dict, ids: list) -> _Worker:
+        import pickle
+
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
         try:
@@ -116,6 +117,8 @@ class Shards:
 
     def _serve(self, eco, streams: dict, recv, send) -> None:
         """The worker's loop: answer messages until EOF."""
+        import pickle
+
         habitats = eco.habitats
         while True:
             try:
@@ -145,6 +148,8 @@ class Shards:
             send.flush()
 
     def _send(self, w: _Worker, msg) -> None:
+        import pickle
+
         try:
             pickle.dump(msg, w.send, pickle.HIGHEST_PROTOCOL)
             w.send.flush()
@@ -152,6 +157,8 @@ class Shards:
             raise ShardError(f"worker process {w.pid} exited unexpectedly") from None
 
     def _recv(self, w: _Worker):
+        import pickle
+
         try:
             msg = pickle.load(w.recv)
         except (EOFError, pickle.UnpicklingError):
@@ -225,6 +232,8 @@ class Shards:
                     f.close()
         for w in self.workers:
             if kill:
+                import signal
+
                 os.kill(w.pid, signal.SIGKILL)
             os.waitpid(w.pid, 0)
         self.workers = []

@@ -204,7 +204,7 @@ def test_criterion_6_hub_displacement():
         f"injected vertex reached top-5 in {top5}/10 seeds; final ranks "
         f"{sorted(final_ranks)}. Under attachment probability proportional to "
         f"eta*degree, a vertex injected with degree m=2 at half-time grows its "
-        f"degree by about (2)^(m*eta/C) < 4x, so it cannot overtake incumbent "
+        f"degree by about (2)^(eta/C) ≈ 3x, so it cannot overtake incumbent "
         f"hubs with degrees in the hundreds within the remaining 10000 steps.")
 
 

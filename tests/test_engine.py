@@ -394,13 +394,15 @@ def _flow(row):
     return damage
 
 
-# A row's id is taken from its message unless given; the explicit ids keep
-# every test's name distinct when names are cut to 100 characters.
+# A row's id is taken from its message unless given. An explicit id keeps a
+# test's name when its message changes, and distinct when names are cut to
+# 100 characters.
 @pytest.mark.parametrize("damage, message", [
-    (lambda st: st.clear(), "state.habitats: missing"),
-    (_set(["habitats", 1, "pool_version"], 1.5),
-     "state.habitats[1].pool_version: expected an integer"),
-    (_set(["habitats", 0, "pool", 0, "price"], "free"), "state.habitats[0].pool[0]"),
+    pytest.param(lambda st: st.clear(), "state.habitats: missing", id="habitats-missing"),
+    pytest.param(_set(["habitats", 1, "pool_version"], 1.5),
+                 "state.habitats[1].pool_version: expected an integer", id="pool-version-float"),
+    pytest.param(_set(["habitats", 0, "pool", 0, "price"], "free"), "state.habitats[0].pool[0]",
+                 id="service-price-string"),
     (_set(["habitats", 0, "active", 0, "population", 0], [["nope"], 0.5]),
      "state.habitats[0].active[0].population[0][0]: service 'nope' not in"),
     (_set(["habitats", 0, "active", 0, "trace", 0], [0, 0.5]),

@@ -2,9 +2,15 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
+
+from dbesim import engine
 from dbesim.rng import FNV_OFFSET_BASIS, Stream, derive_substream, fnv1a64
 
+from conftest import load_asset_config
+
 MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
 def reference_fnv1a64(s):
@@ -114,3 +120,133 @@ def test_state_roundtrip():
     tail = [s.next_u64() for _ in range(50)]
     resumed = Stream(snapshot)
     assert [resumed.next_u64() for _ in range(50)] == tail
+
+
+# Streams compute their outputs ahead in blocks of 4, 8, 16, 32 and then 64
+# outputs; 4 + 8 + 16 + 32 + 64 + 64 = 188 draws reach into the second
+# 64-block, so the checks below run past 188 to cover every block size and
+# every position in each.
+PAST_EVERY_BLOCK_SIZE = 260
+
+
+def test_state_is_the_logical_position_at_every_draw():
+    start = 0x0123456789ABCDEF
+    outputs = reference_splitmix64(start, PAST_EVERY_BLOCK_SIZE)
+    s = Stream(start)
+    for k, out in enumerate(outputs):
+        assert s.state == (start + k * GAMMA) & MASK, k
+        assert s.next_u64() == out, k
+
+
+def test_setting_the_state_mid_block_restarts_from_it():
+    start = MASK - 5 * GAMMA  # the state wraps around 2**64 within the first block
+    outputs = reference_splitmix64(start & MASK, PAST_EVERY_BLOCK_SIZE + 70)
+    for k in range(PAST_EVERY_BLOCK_SIZE):
+        s = Stream(start)
+        for _ in range(k):
+            s.next_u64()
+        s.state = s.state
+        assert [s.next_u64() for _ in range(70)] == outputs[k:k + 70], k
+
+
+def reference_weighted_index(weights, u):
+    total = 0.0
+    for w in weights:
+        total += w
+    r, acc = u * total, 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    return len(weights) - 1
+
+
+def _expected(op, arg, out):
+    """What `op` returns when its one draw yields `out`."""
+    if op == "below":
+        return (out * arg) >> 64
+    u = (out >> 11) * 2.0**-53
+    return u if op == "random" else reference_weighted_index(arg, u)
+
+
+_weights = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5).filter(lambda w: sum(w) > 0)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("next_u64"), st.integers(1, 70)),  # a burst of that many draws
+    st.tuples(st.just("below"), st.integers(1, 2**64)),
+    st.tuples(st.just("random"), st.none()),
+    st.tuples(st.just("weighted_index"), _weights),
+    st.tuples(st.just("read"), st.none()),
+    st.tuples(st.just("write"), st.integers(0, MASK)),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, MASK), _ops)
+def test_any_interleaving_matches_the_scalar_recurrence(start, ops):
+    """Draws, state reads and state writes in any order give the outputs
+    and the state of the scalar splitmix64, whatever block each lands in."""
+    s, state = Stream(start), start
+    for op, arg in ops:
+        if op == "write":
+            s.state = state = arg
+        elif op == "next_u64":
+            outs = reference_splitmix64(state, arg)
+            assert [s.next_u64() for _ in range(arg)] == outs
+            state = (state + arg * GAMMA) & MASK
+        elif op != "read":
+            out = reference_splitmix64(state, 1)[0]
+            draw = getattr(s, op)
+            assert (draw() if arg is None else draw(arg)) == _expected(op, arg, out)
+            state = (state + GAMMA) & MASK
+        assert s.state == state, (op, arg)
+
+
+class CountingStream(Stream):
+    """Counts its draws by overriding `next_u64`, as a profiler would."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return Stream.next_u64(self)
+
+
+def draws_from_state(start, end):
+    return ((end - start) * pow(GAMMA, -1, 1 << 64)) & MASK
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, MASK), _ops.map(lambda ops: [o for o in ops if o[0] != "write"]))
+def test_a_counting_subclass_sees_every_draw(start, ops):
+    s = CountingStream(start)
+    for op, arg in ops:
+        if op == "next_u64":
+            for _ in range(arg):
+                s.next_u64()
+        elif op != "read":
+            draw = getattr(s, op)
+            draw() if arg is None else draw(arg)
+    assert s.draws == draws_from_state(start, s.state)
+
+
+def test_every_draw_of_a_run_goes_through_next_u64(monkeypatch):
+    """Each helper the simulator uses draws through `next_u64`, so counting
+    calls there agrees with the state delta over a whole run."""
+    created = []
+
+    def counting_substream(master_seed, label):
+        s = CountingStream(derive_substream(master_seed, label).state)
+        created.append((s, s.state))
+        return s
+
+    cfg = load_asset_config("two_communities.json")
+    cfg.epochs = 5
+    monkeypatch.setattr(engine, "derive_substream", counting_substream)
+    engine.run(cfg)
+    counted = sum(s.draws for s, _ in created)
+    assert counted > 1000
+    assert counted == sum(draws_from_state(start, s.state) for s, start in created)

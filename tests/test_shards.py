@@ -161,6 +161,23 @@ def test_commands_other_than_run_never_import_the_shard_machinery(tmp_path):
     assert done.stdout == "ok\n[]\n"
 
 
+def test_one_process_run_never_imports_pickle(tmp_path):
+    """A `dbesim run` that forks no worker loads neither `pickle` nor
+    `signal`: `Shards` imports them only where it forks or reaps a worker."""
+    code = ("import sys\n"
+            "from dbesim import cli\n"
+            "argv = ['run', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']\n"
+            "assert cli.main(argv) == 0\n"
+            "print(sorted(m for m in ('dbesim.shards', 'pickle', 'signal') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [asset_path("two_communities.json"), str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['dbesim.shards']\n"
+
+
 @pytest.mark.parametrize("fault", ["raises", "dies"])
 def test_worker_failure_is_one_line_exit_2(tmp_path, monkeypatch, capsys, fault):
     """A worker whose habitat step raises, or that dies (EOF on its pipe),
