@@ -130,12 +130,12 @@ def cmd_evolve(cfg, out: OutputDir | None, quiet: bool) -> int:
     if out is not None:
         out.write("resolved_config.json", serialize_config(cfg))
         lines = ["generation,best_fitness,mean_fitness"] + [
-            f"{g.generation},{g.best_fitness!r},{g.mean_fitness!r}" for g in trace]
+            f"{k},{b!r},{m!r}" for k, (b, m) in enumerate(trace)]
         out.write("trace.csv", "\n".join(lines) + "\n")
     print(f"best_chain={' '.join(best.genome)}")
     print(f"best_fitness={best.fitness!r}")
     if not quiet:
-        print(f"generations={trace[-1].generation}")
+        print(f"generations={len(trace) - 1}")
     return EXIT_OK
 
 
@@ -184,9 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="config or snapshot JSON path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    verbosity = parser.add_mutually_exclusive_group()
-    verbosity.add_argument("--quiet", action="store_true")
-    verbosity.add_argument("--verbose", action="store_true")
+    parser.add_argument("--quiet", action="store_true")
     return parser
 
 

@@ -38,7 +38,7 @@ from .ecosystem import (
     RequestTemplate,
     edge_key,
 )
-from .evolution import EvolutionParams, GenerationStat, Individual, evaluate_genome
+from .evolution import EvolutionParams, Individual, evaluate_genome
 from .manifest import Catalog, ManifestError, Request, ServiceManifest, parse_token
 from .rng import Stream
 from .topology import CAPITAL_FLOW, SERVICE_FLOW, EtaDist, FlowEdge, FlowLedger
@@ -611,13 +611,13 @@ def state_to_obj(eco: Ecosystem, streams: dict, ledger: FlowLedger) -> dict:
                 "gens_since_reset": st.gens_since_reset,
                 "total_generations": st.total_generations,
                 "pool_version": st.pool_version,
-                "trace": [[g.generation, g.best_fitness, g.mean_fitness] for g in st.trace],
+                "trace": [[k, best, mean] for k, (best, mean) in enumerate(st.trace)],
             })
         habitats.append({
             "id": hid,
             "pool": [POOL_SERVICE.echo(s) for s in h.pool],
             "provenance": {k: h.provenance[k] for k in sorted(h.provenance)},
-            "pool_version": h.pool_version,
+            "pool_version": len(h.provenance),
             "active": active,
         })
     return {
@@ -664,20 +664,30 @@ def _population(rows, pool: Catalog, req: Request, params: EvolutionParams) -> l
 _TRACE_ROW = (INT.read, NUMBER.read, NUMBER.read)
 
 
-def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams) -> ActiveEvolution:
+def _trace(rows, total: int) -> list:
+    """(best, mean) pairs from total + 1 [generation, best, mean] rows, row k of generation k."""
+    rows = _each(rows, _row, _TRACE_ROW)
+    if len(rows) != total + 1:
+        raise _Bad(f"{len(rows)} rows for total_generations {total}: expected {total + 1}")
+    for k, (generation, _, _) in enumerate(rows):
+        if generation != k:
+            raise _Bad(f"expected generation {k}, got {generation}", k, 0)
+    return [(best, mean) for _, best, mean in rows]
+
+
+def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams) -> tuple:
+    """(request id, its ActiveEvolution)."""
     obj = _object(v, {"request", "population", "gens_since_reset", "total_generations",
                       "pool_version", "trace"})
     rid = _get(obj, "request", STRING.read)
     if rid not in templates:
         raise _Bad(f"evolution state for unknown request {rid!r}", "request")
-    return ActiveEvolution(
-        request_id=rid,
-        population=_get(obj, "population", _population, pool, templates[rid].request, params),
-        gens_since_reset=_get(obj, "gens_since_reset", COUNT.read),
-        total_generations=_get(obj, "total_generations", COUNT.read),
-        pool_version=_get(obj, "pool_version", COUNT.read),
-        trace=[GenerationStat(*t) for t in _get(obj, "trace", _each, _row, _TRACE_ROW)],
-    )
+    population = _get(obj, "population", _population, pool, templates[rid].request, params)
+    gens_since_reset = _get(obj, "gens_since_reset", COUNT.read)
+    total = _get(obj, "total_generations", COUNT.read)
+    return rid, ActiveEvolution(population, gens_since_reset, total,
+                                _get(obj, "pool_version", COUNT.read),
+                                _get(obj, "trace", _trace, total))
 
 
 def _pool(v) -> Catalog:
@@ -709,11 +719,12 @@ def _habitat(v, specs: dict, params: EvolutionParams) -> Habitat:
         raise _Bad(f"snapshot habitat {hid!r} not in scenario", "id")
     pool = _get(obj, "pool", _pool)
     h = Habitat(id=hid, pool=pool, profile=list(specs[hid].profile),
-                provenance=_get(obj, "provenance", _provenance, pool, hid, specs),
-                pool_version=_get(obj, "pool_version", COUNT.read))
+                provenance=_get(obj, "provenance", _provenance, pool, hid, specs))
+    if _get(obj, "pool_version", COUNT.read) != len(h.provenance):
+        raise _Bad(f"expected {len(h.provenance)}, the number of provenance entries",
+                   "pool_version")
     templates = {t.request.id: t for t in h.profile}
-    for evo in _get(obj, "active", _each, _evolution, pool, templates, params):
-        h.active[evo.request_id] = evo
+    h.active = dict(_get(obj, "active", _each, _evolution, pool, templates, params))
     return h
 
 
@@ -821,12 +832,13 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     state must hold what the run core relies on unchecked: one habitat or
     more, with distinct ids, and one the config's failures after the state's
     epoch spare; each provenance entry maps a pool service to another
-    scenario habitat; each connection joins two distinct habitats of the
-    state, once, at a weight >= the floor; streams belong to scenario
-    habitats and are 64-bit; counters are >= 0; each cached fitness is its
-    genome's score; the business fields other than flows are the ones a
-    run writes; and flows join two habitats with a known kind and a value
-    >= 0.
+    scenario habitat, and the pool version counts them; each trace holds
+    total_generations + 1 rows, numbered from 0; each connection joins two
+    distinct habitats of the state, once, at a weight >= the floor; streams
+    belong to scenario habitats and are 64-bit; counters are >= 0; each
+    cached fitness is its genome's score; the business fields other than
+    flows are the ones a run writes; and flows join two habitats with a
+    known kind and a value >= 0.
     """
     return read_json(state, "state", SnapshotError, _state, config)
 

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .evolution import (
     EvolutionParams,
-    GenerationStat,
     Individual,
     advance,
     init_population,
@@ -57,10 +56,11 @@ class ActiveEvolution:
     The generation budget is counted since the last pool change: fresh
     genetic material (a migrated service) re-opens the search, otherwise a
     template that cannot reach the target stops consuming generations once
-    max_generations have been spent on the current pool.
+    max_generations have been spent on the current pool. `pool_version` is
+    the habitat's pool version at the last reset. Trace row k is the
+    (best, mean) fitness of generation k, row 0 the initial population's.
     """
 
-    request_id: str
     population: list
     gens_since_reset: int = 0
     total_generations: int = 0
@@ -77,7 +77,12 @@ class Habitat:
     profile: list  # of RequestTemplate
     provenance: dict = field(default_factory=dict)  # service id -> source habitat id
     active: dict = field(default_factory=dict)  # request id -> ActiveEvolution
-    pool_version: int = 0
+
+    def receive(self, service, source: str) -> None:
+        """Add a service migrated from habitat `source` to the pool. Pools grow
+        only this way, so `len(provenance)` is the pool version."""
+        self.pool.add(service)
+        self.provenance[service.id] = source
 
 
 class Deployment(NamedTuple):
@@ -311,9 +316,7 @@ def migrate(h: Habitat, genome: tuple, eco: Ecosystem, p_mig: float, rng: Stream
             dest_id = neighbors[rng.weighted_index(weights)][0]
             dest = eco.habitats[dest_id]
             if sid not in dest.pool:
-                dest.pool.add(h.pool.get(sid).copy())
-                dest.provenance[sid] = h.id
-                dest.pool_version += 1
+                dest.receive(h.pool.get(sid).copy(), h.id)
                 copied.append((sid, dest_id))
     return copied
 
@@ -389,22 +392,21 @@ def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Strea
     max_generations since the last pool change, each appending a trace row.
     """
     state = h.active.get(req.id)
+    version = len(h.provenance)  # the pool version
     if state is None:
         pop = init_population(h.pool, req, params, rng)
         best, mean = population_stats(pop)
         state = h.active[req.id] = ActiveEvolution(
-            req.id, pop, pool_version=h.pool_version,
-            trace=[GenerationStat(0, best.fitness, mean)])
-    elif state.pool_version != h.pool_version:
+            pop, pool_version=version, trace=[(best.fitness, mean)])
+    elif state.pool_version != version:
         state.gens_since_reset = 0
-        state.pool_version = h.pool_version
+        state.pool_version = version
 
     steps = min(budget, params.max_generations - state.gens_since_reset)
     state.population, best, stats = advance(state.population, h.pool, req, params, rng, steps)
-    for b, m in stats:
-        state.total_generations += 1
-        state.gens_since_reset += 1
-        state.trace.append(GenerationStat(state.total_generations, b, m))
+    state.trace += stats
+    state.total_generations += len(stats)
+    state.gens_since_reset += len(stats)
     return best
 
 

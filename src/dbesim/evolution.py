@@ -60,13 +60,6 @@ class EvolutionParams:
     generation_budget_per_epoch: int = 20
 
 
-@dataclass(frozen=True, slots=True)
-class GenerationStat:
-    generation: int
-    best_fitness: float
-    mean_fitness: float
-
-
 # --- Feedback-weighted gene sampling ---
 
 
@@ -259,9 +252,8 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
 
     Returns (population, its best individual, per-step (best, mean) fitness).
     A population already at target, or max_steps <= 0, is returned at once,
-    with no draw. The caller owns generation numbering. One gene table
-    serves every step: pool membership and usage counters do not change
-    inside this call.
+    with no draw. One gene table serves every step: pool membership and
+    usage counters do not change inside this call.
     """
     best, _ = population_stats(pop)
     stats = []

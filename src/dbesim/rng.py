@@ -19,6 +19,8 @@ draws taken so far, as if each had advanced it once.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
+from itertools import accumulate
 from operator import length_hint
 
 _MASK64 = (1 << 64) - 1
@@ -124,21 +126,13 @@ class Stream:
         """Index drawn with probability proportional to weights (one output).
 
         Weights must be non-negative with a positive sum, which is not
-        checked. The cumulative walk accumulates left to right, which pins
-        the float summation order.
+        checked. The running sums accumulate left to right, which pins the
+        float summation order; the index is the first whose running sum
+        exceeds the draw scaled by the total.
         """
-        total = 0.0
-        for w in weights:
-            total += w
-        r = self.random() * total
-        acc = 0.0
-        last = 0
-        for i, w in enumerate(weights):
-            acc += w
-            last = i
-            if r < acc:
-                return i
-        return last  # guard against float round-up at the top end
+        cum = list(accumulate(weights))
+        i = bisect_right(cum, self.random() * cum[-1])
+        return i if i < len(cum) else len(cum) - 1  # guard against float round-up at the top end
 
 
 def derive_substream(master_seed: int, stream_label: str) -> Stream:

@@ -14,7 +14,8 @@ state and stays its one writer:
 - Per epoch, the main process sends each worker the ids of its habitats
   still present, their stream states (migration draws from them in the main
   process), and the pool members added since the last message, in pool
-  order, with their provenance and the new pool version.
+  order, with their provenance. The worker adds them through
+  `Habitat.receive`, so its pool version follows.
 - A worker answers with one record per habitat: its new stream state, the
   profile index of the sampled request and the deployed (genome, fitness,
   success), or no genome when the pool was empty. The main process sets
@@ -131,12 +132,9 @@ class Shards:
                 send.flush()
                 continue
             _, ids, states, added = msg
-            for hid, services, version in added:
-                h = habitats[hid]
+            for hid, services in added:
                 for s, src in services:
-                    h.pool.add(s)
-                    h.provenance[s.id] = src
-                h.pool_version = version
+                    habitats[hid].receive(s, src)
             records = []
             for hid, state in zip(ids, states):
                 rng = streams[hid]
@@ -168,8 +166,8 @@ class Shards:
         return msg
 
     def _added(self, habitats: dict, ids: list) -> list:
-        """(id, [(service, provenance)], pool version) of each habitat whose
-        pool grew since the last message, new members in pool order."""
+        """(id, [(service, provenance)]) of each habitat whose pool grew
+        since the last message, new members in pool order."""
         added = []
         sizes = self.pool_sizes
         for hid in ids:
@@ -177,7 +175,7 @@ class Shards:
             n = len(h.pool)
             if n != sizes[hid]:
                 new = [(s, h.provenance[s.id]) for s in islice(h.pool, sizes[hid], None)]
-                added.append((hid, new, h.pool_version))
+                added.append((hid, new))
                 sizes[hid] = n
         return added
 

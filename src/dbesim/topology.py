@@ -54,42 +54,40 @@ class EtaDist:
 class BusinessGraph:
     """Undirected attachment graph of the growth experiment.
 
-    The sampling pool holds one entry per unit of degree, with a single
-    floor entry for degree-0 vertices, so a uniform proposal over the pool
-    is proportional to max(degree, 1); an eta-acceptance step then yields
-    target probability proportional to eta * max(degree, 1).
+    The sampling pool holds one entry per unit of degree, and one floor
+    entry for a vertex of degree 0, which its first edge takes over, so a
+    uniform proposal over the pool is proportional to max(degree, 1); an
+    eta-acceptance step then yields target probability proportional to
+    eta * max(degree, 1).
 
-    Only `seed_business_graph` and `_add_grown_vertex` add to it, with fresh
-    ids, checked etas and distinct targets, so no method checks them again.
+    Only `seed_business_graph` and `_add_grown_vertex` add to it, each
+    vertex under a fresh id as soon as the id is made, with checked etas
+    and distinct targets, so no method checks them again.
     """
 
     def __init__(self):
         self.vertices: dict[str, BusinessVertex] = {}
         self.attachment_edges: list[tuple] = []
-        self.next_index = 0
         self._pool: list[str] = []
-        self._floor_active: dict[str, bool] = {}
 
     def add_vertex(self, vertex_id: str, eta: float, birth_step: int) -> BusinessVertex:
         v = BusinessVertex(vertex_id, eta, 0, birth_step)
         self.vertices[vertex_id] = v
         self._pool.append(vertex_id)
-        self._floor_active[vertex_id] = True
         return v
 
     def add_attachment_edge(self, a: str, b: str) -> None:
         self.attachment_edges.append((a, b) if a < b else (b, a))
         for vid in (a, b):
-            self.vertices[vid].degree += 1
-            if self._floor_active[vid]:
-                self._floor_active[vid] = False  # floor entry becomes the first degree unit
-            else:
+            v = self.vertices[vid]
+            if v.degree:  # at degree 0, the floor entry is the first degree unit
                 self._pool.append(vid)
+            v.degree += 1
 
     def fresh_id(self) -> str:
-        vid = f"v{self.next_index}"
-        self.next_index += 1
-        return vid
+        """The id of the next vertex: vertices are never removed, so the
+        ids run v0, v1, ... in the order of addition."""
+        return f"v{len(self.vertices)}"
 
     def degree_rank(self, vertex_id: str) -> int:
         """Competition rank by degree: 1 + number of strictly larger degrees."""
@@ -148,9 +146,9 @@ class FlowLedger:
 def seed_business_graph(count: int, eta_dist: EtaDist, rng: Stream) -> BusinessGraph:
     """Fully connected seed graph of count >= 1 vertices; etas drawn in id order."""
     g = BusinessGraph()
-    ids = [g.fresh_id() for _ in range(count)]
-    for vid in ids:
-        g.add_vertex(vid, eta_dist.draw(rng), 0)
+    for _ in range(count):
+        g.add_vertex(g.fresh_id(), eta_dist.draw(rng), 0)
+    ids = list(g.vertices)
     for i in range(count):
         for j in range(i + 1, count):
             g.add_attachment_edge(ids[i], ids[j])

@@ -42,7 +42,8 @@ def evolve(catalog, request, params, rng):
     """One whole evolution of `request` on `catalog`, as `dbesim evolve` runs it.
 
     A fresh habitat evolves until target fitness or max_generations.
-    Returns (best individual, trace rows).
+    Returns (best individual, trace rows: (best, mean) fitness of generation
+    0, 1, ...).
     """
     h = Habitat("h", catalog, [RequestTemplate(request)])
     best = evolve_request(h, request, params, rng, params.max_generations)

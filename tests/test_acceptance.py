@@ -77,7 +77,7 @@ def test_criterion_2_elitism_monotonicity():
         request = random_request(gen_rng)
         _, trace = evolve(catalog, request, params,
                           derive_substream(trial, "acceptance:monotone"))
-        bests = [g.best_fitness for g in trace]
+        bests = [best for best, _ in trace]
         violations += sum(1 for a, b in zip(bests, bests[1:]) if b < a)
     ok = violations == 0
     verdict(2, "elitism-monotonicity", ok, f"{violations} violations in 50 triples")

@@ -501,6 +501,32 @@ def test_cli_snapshot_bad_provenance(tmp_path, capsys):
                    "unknown source habitat 'nowhere'\n")
 
 
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(_set_config(["habitats", 0, "pool_version"], 0),  # h0 received s1
+                 "state.habitats[0].pool_version: expected 1, the number of provenance entries",
+                 id="pool-version"),
+    pytest.param(_set_config(["habitats", 0, "active", 0, "trace", 0, 0], 1),
+                 "state.habitats[0].active[0].trace[0][0]: expected generation 0, got 1",
+                 id="trace-generation"),
+    pytest.param(_set_config(["habitats", 0, "active", 0, "total_generations"], 1),
+                 "state.habitats[0].active[0].trace: 1 rows for total_generations 1: expected 2",
+                 id="trace-length"),
+])
+def test_cli_snapshot_derived_facts_must_match(tmp_path, capsys, damage, message):
+    """The pool version and the trace's generation numbers are derived by
+    the run; a snapshot that states them otherwise is refused, not resumed
+    into a run that no fresh run produces."""
+    err = _malformed_snapshot_run(tmp_path, capsys, damage)
+    assert err == f"invalid snapshot: {message}\n"
+
+
+def test_cli_rejects_verbose(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(["run", "--config", "c.json", "--verbose"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
 def test_cli_lock_file_blocks_concurrent_use(tmp_path, capsys):
     path = write_config(tmp_path, minimal_obj())
     out = str(tmp_path / "out")

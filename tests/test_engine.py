@@ -405,8 +405,9 @@ def _flow(row):
                  id="service-price-string"),
     (_set(["habitats", 0, "active", 0, "population", 0], [["nope"], 0.5]),
      "state.habitats[0].active[0].population[0][0]: service 'nope' not in"),
-    (_set(["habitats", 0, "active", 0, "trace", 0], [0, 0.5]),
-     "state.habitats[0].active[0].trace[0]: expected 3 elements"),
+    pytest.param(_set(["habitats", 0, "active", 0, "trace", 0], [0, 0.5]),
+                 "state.habitats[0].active[0].trace[0]: expected 3 elements",
+                 id="trace-row-short"),
     (_set(["connections", 0, 2], 0.0), "state.connections[0]: weight below floor"),
     (lambda st: st["streams"].pop("h1"), "state.streams: missing stream for habitat 'h1'"),
     (_set(["business", "floor_active", "h0"], 1), "state.business.floor_active.h0: expected true"),
@@ -465,11 +466,24 @@ def _flow(row):
                  id="stream-state-2**64"),
     (_set(["habitats", 0, "active", 0, "gens_since_reset"], -1),
      "state.habitats[0].active[0].gens_since_reset: must be >= 0"),
-    (_set(["habitats", 0, "active", 0, "total_generations"], -1),
-     "state.habitats[0].active[0].total_generations: must be >= 0"),
-    (_set(["habitats", 0, "active", 0, "pool_version"], -1),
-     "state.habitats[0].active[0].pool_version: must be >= 0"),
-    (_set(["habitats", 1, "pool_version"], -1), "state.habitats[1].pool_version: must be >= 0"),
+    pytest.param(_set(["habitats", 0, "active", 0, "total_generations"], -1),
+                 "state.habitats[0].active[0].total_generations: must be >= 0",
+                 id="total-generations-negative"),
+    pytest.param(_set(["habitats", 0, "active", 0, "pool_version"], -1),
+                 "state.habitats[0].active[0].pool_version: must be >= 0",
+                 id="evolution-pool-version-negative"),
+    pytest.param(_set(["habitats", 1, "pool_version"], -1),
+                 "state.habitats[1].pool_version: must be >= 0", id="pool-version-negative"),
+    # facts a run derives, which a snapshot must state as the run would
+    pytest.param(_set(["habitats", 1, "pool_version"], 1),
+                 "state.habitats[1].pool_version: expected 0, the number of provenance entries",
+                 id="pool-version-not-provenance-count"),
+    pytest.param(_set(["habitats", 0, "active", 0, "trace", 0, 0], 1),
+                 "state.habitats[0].active[0].trace[0][0]: expected generation 0, got 1",
+                 id="trace-generation-not-row"),
+    pytest.param(lambda st: st["habitats"][0]["active"][0]["trace"].append([1, 0.5, 0.5]),
+                 "state.habitats[0].active[0].trace: 2 rows for total_generations 0: expected 1",
+                 id="trace-rows-not-generations"),
 ])
 def test_snapshot_errors_name_the_json_path(damage, message):
     cfg = config_from_obj(scenario_obj())

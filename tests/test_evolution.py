@@ -318,7 +318,7 @@ def test_evolve_perfect_single_service_terminates_immediately():
     best, trace = evolve(catalog, req(attrs={"a"}, max_len=1), _params(population_size=10),
                          derive_substream(36, "fast"))
     assert best.fitness == 1.0
-    assert trace[-1].generation <= 1
+    assert len(trace) <= 2  # row 0 and at most generation 1
 
 
 def test_evolve_best_trace_nondecreasing():
@@ -328,7 +328,7 @@ def test_evolve_best_trace_nondecreasing():
         r = random_request(rng)
         _, trace = evolve(catalog, r, _params(population_size=20, max_generations=40),
                           derive_substream(trial, "mono-run"))
-        bests = [g.best_fitness for g in trace]
+        bests = [best for best, _ in trace]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
 

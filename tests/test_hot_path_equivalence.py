@@ -1,11 +1,13 @@
-"""The GA gene table, the unchecked fitness kernel, the per-edge similarity
-memo and the event-log writer against the plain computations they replace.
+"""The GA gene table, `Stream.weighted_index`, the unchecked fitness kernel,
+the per-edge similarity memo and the event-log writer against the plain
+computations they replace.
 
 Each reference below is the plain computation: gene draws through
-`Stream.weighted_index` over freshly computed replication weights, the
-checked `fitness`, the clustering statistic with every profile similarity
-recomputed, and one `json.dumps` of the sorted record per event. Equality
-is exact: the fast paths keep the draw order and the float arithmetic.
+`Stream.weighted_index` over freshly computed replication weights, a
+two-pass loop for `weighted_index` itself, the checked `fitness`, the
+clustering statistic with every profile similarity recomputed, and one
+`json.dumps` of the sorted record per event. Equality is exact: the fast
+paths keep the draw order and the float arithmetic.
 """
 
 import json
@@ -173,6 +175,50 @@ def test_ga_across_deployments_matches_fresh_weights(data):
         return pops, rng.state
 
     assert trajectory(False) == trajectory(True)
+
+
+# --- weighted index ---
+
+
+def reference_weighted_index(weights, rng):
+    """`Stream.weighted_index` as a two-pass loop: the total, then a walk
+    to the first running sum above the scaled draw."""
+    total = 0.0
+    for w in weights:
+        total += w
+    r = rng.random() * total
+    acc = 0.0
+    last = 0
+    for i, w in enumerate(weights):
+        acc += w
+        last = i
+        if r < acc:
+            return i
+    return last
+
+
+weights_lists = st.lists(
+    st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.0**-1022]),
+    min_size=1, max_size=12).filter(lambda ws: sum(ws) > 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights_lists, st.sampled_from([0, 1, MASK, MASK - 2**11]) | st.integers(0, MASK))
+def test_weighted_index_matches_the_two_pass_loop(weights, output):
+    """Same index and the same one draw, at the top output 2**64-1 too, where
+    a subnormal total rounds the scaled draw up onto the last running sum."""
+    start = stream_yielding(output).state
+    ref, rng = Stream(start), Stream(start)
+    assert rng.weighted_index(weights) == reference_weighted_index(weights, ref)
+    assert rng.state == ref.state
+
+
+def test_weighted_index_top_output_takes_the_last_index():
+    # with a subnormal total, random() * total rounds up to the total: no
+    # running sum exceeds it, and the guard returns the last index
+    for weights, expected in (([5e-324], 0), ([5e-324, 0.0], 1), ([1.0, 3.0], 1)):
+        assert stream_yielding(MASK).weighted_index(weights) == expected
+        assert reference_weighted_index(weights, stream_yielding(MASK)) == expected
 
 
 # --- fitness kernel ---
