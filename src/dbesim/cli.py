@@ -18,6 +18,8 @@ import contextlib
 import gc
 import os
 import sys
+from collections.abc import Iterable
+from itertools import islice
 
 from . import engine
 from .config import ConfigError, parse_config, serialize_config, serialize_snapshot
@@ -36,6 +38,10 @@ LOCK_NAME = ".dbesim.lock"
 # a 2-CPU host, 256 habitats ran slower on two processes than on one, and
 # 512 ran about 1.2x faster.
 HABITATS_PER_WORKER = 256
+
+# Events or lines per chunk of a file written in chunks, so that no large
+# output is built as one string beside the data it is made from.
+CHUNK = 1024
 
 
 class OutputDir:
@@ -62,14 +68,20 @@ class OutputDir:
             os.remove(self.lock_path)
         return False
 
-    def write(self, name: str, text: str) -> str:
+    def write(self, name: str, content: str | Iterable[str]) -> str:
         """Write a file atomically: an interrupted write leaves any earlier
-        version in place. The lock makes the fixed temp name safe."""
+        version in place. The lock makes the fixed temp name safe.
+
+        `content` is the file's text, or an iterable of string chunks that
+        are written in order as they are made, so the whole text need never
+        be in memory. An exception raised while a chunk is made interrupts
+        the write like any other.
+        """
         target = os.path.join(self.path, name)
         tmp = os.path.join(self.path, f".{name}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
+                f.writelines((content,) if isinstance(content, str) else content)
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -107,18 +119,33 @@ def worker_count(n_habitats: int, cpus: int) -> int:
     return max(1, min(cpus, n_habitats // HABITATS_PER_WORKER))
 
 
+def _batches(items):
+    """Successive lists of `CHUNK` items of an iterable, the last one shorter."""
+    it = iter(items)
+    while batch := list(islice(it, CHUNK)):
+        yield batch
+
+
 def _run_and_write(cfg, state, out: OutputDir) -> tuple:
-    """Run and write every output; returns (event count, last metrics row or None)."""
+    """Run and write every output; returns (event count, last metrics row or None).
+
+    The event log, the largest part of the result, is written first, in
+    chunks, and then emptied, so the snapshot is built in the memory the
+    log held rather than beside it.
+    """
     workers = worker_count(len(cfg.scenario.habitats), len(os.sched_getaffinity(0)))
     result = engine.run(cfg, state=state, workers=workers)
-    out.write("resolved_config.json", serialize_config(cfg))
-    out.write("events.jsonl", engine.serialize_events(result.events))
+    events = result.events
+    out.write("events.jsonl", map(engine.serialize_events, _batches(events)))
+    n_events = len(events)
+    events.clear()
     out.write("metrics.csv", engine.serialize_metrics(result.metrics))
+    out.write("resolved_config.json", serialize_config(cfg))
     out.write("snapshot.json", serialize_snapshot(cfg, result.final_state()))
     out.write("ecosystem.dot", result.eco.to_dot())
     out.write("business.dot", result.ledger.to_dot())
     out.write("flows.csv", result.ledger.flows_csv())
-    return len(result.events), (result.metrics[-1] if result.metrics else None)
+    return n_events, (result.metrics[-1] if result.metrics else None)
 
 
 def cmd_evolve(cfg, out: OutputDir | None, quiet: bool) -> int:
@@ -163,8 +190,8 @@ def cmd_topology(cfg, out: OutputDir, quiet: bool) -> int:
             print(f"injected vertex final rank: {trajectory[-1][1]}")
     else:
         grow(graph, topo.steps, topo.m, topo.eta, rng)
-    out.write("degrees.csv", graph.degree_csv())
-    out.write("business.dot", graph.to_dot())
+    out.write("degrees.csv", map("".join, _batches(graph.degree_lines())))
+    out.write("business.dot", map("".join, _batches(graph.dot_lines())))
     degrees = sorted(v.degree for v in graph.vertices.values())
     if not quiet:
         print(f"vertices={len(graph.vertices)} edges={len(graph.attachment_edges)} "

@@ -675,8 +675,10 @@ def _trace(rows, total: int) -> list:
     return [(best, mean) for _, best, mean in rows]
 
 
-def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams) -> tuple:
-    """(request id, its ActiveEvolution)."""
+def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams,
+               habitat_version: int) -> tuple:
+    """(request id, its ActiveEvolution); `habitat_version` is the pool version
+    of its habitat, which no evolution's can exceed."""
     obj = _object(v, {"request", "population", "gens_since_reset", "total_generations",
                       "pool_version", "trace"})
     rid = _get(obj, "request", STRING.read)
@@ -685,8 +687,13 @@ def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams) -> tu
     population = _get(obj, "population", _population, pool, templates[rid].request, params)
     gens_since_reset = _get(obj, "gens_since_reset", COUNT.read)
     total = _get(obj, "total_generations", COUNT.read)
-    return rid, ActiveEvolution(population, gens_since_reset, total,
-                                _get(obj, "pool_version", COUNT.read),
+    if gens_since_reset > total:
+        raise _Bad(f"{gens_since_reset} exceeds total_generations {total}", "gens_since_reset")
+    version = _get(obj, "pool_version", COUNT.read)
+    if version > habitat_version:
+        raise _Bad(f"{version} exceeds the habitat's pool version {habitat_version}",
+                   "pool_version")
+    return rid, ActiveEvolution(population, gens_since_reset, total, version,
                                 _get(obj, "trace", _trace, total))
 
 
@@ -724,7 +731,11 @@ def _habitat(v, specs: dict, params: EvolutionParams) -> Habitat:
         raise _Bad(f"expected {len(h.provenance)}, the number of provenance entries",
                    "pool_version")
     templates = {t.request.id: t for t in h.profile}
-    h.active = dict(_get(obj, "active", _each, _evolution, pool, templates, params))
+    active = _get(obj, "active", _each, _evolution, pool, templates, params, len(h.provenance))
+    for j, (rid, evolution) in enumerate(active):
+        if rid in h.active:
+            raise _Bad(f"a second evolution state for request {rid!r}", "active", j, "request")
+        h.active[rid] = evolution
     return h
 
 
@@ -832,13 +843,15 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     state must hold what the run core relies on unchecked: one habitat or
     more, with distinct ids, and one the config's failures after the state's
     epoch spare; each provenance entry maps a pool service to another
-    scenario habitat, and the pool version counts them; each trace holds
-    total_generations + 1 rows, numbered from 0; each connection joins two
-    distinct habitats of the state, once, at a weight >= the floor; streams
-    belong to scenario habitats and are 64-bit; counters are >= 0; each
-    cached fitness is its genome's score; the business fields other than
-    flows are the ones a run writes; and flows join two habitats with a
-    known kind and a value >= 0.
+    scenario habitat, and the pool version counts them; a habitat holds at
+    most one evolution state per request, whose gens_since_reset is at most
+    its total_generations and whose pool version is at most the habitat's;
+    each trace holds total_generations + 1 rows, numbered from 0; each
+    connection joins two distinct habitats of the state, once, at a weight
+    >= the floor; streams belong to scenario habitats and are 64-bit;
+    counters are >= 0; each cached fitness is its genome's score; the
+    business fields other than flows are the ones a run writes; and flows
+    join two habitats with a known kind and a value >= 0.
     """
     return read_json(state, "state", SnapshotError, _state, config)
 

@@ -94,22 +94,28 @@ class BusinessGraph:
         d = self.vertices[vertex_id].degree
         return 1 + sum(1 for v in self.vertices.values() if v.degree > d)
 
-    def to_dot(self) -> str:
-        lines = ["graph business {"]
+    def dot_lines(self):
+        """The lines of `to_dot`, each ending in a newline, made one at a time."""
+        yield "graph business {\n"
         for vid in sorted(self.vertices):
             v = self.vertices[vid]
-            lines.append(f'  "{vid}" [label="{vid} eta={v.eta:.4f} k={v.degree}"];')
+            yield f'  "{vid}" [label="{vid} eta={v.eta:.4f} k={v.degree}"];\n'
         for a, b in sorted(self.attachment_edges):
-            lines.append(f'  "{a}" -- "{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f'  "{a}" -- "{b}";\n'
+        yield "}\n"
+
+    def to_dot(self) -> str:
+        return "".join(self.dot_lines())
+
+    def degree_lines(self):
+        """The lines of `degree_csv`, each ending in a newline, made one at a time."""
+        yield "vertex,eta,degree,birth_step\n"
+        for vid in sorted(self.vertices):
+            v = self.vertices[vid]
+            yield f"{vid},{v.eta!r},{v.degree},{v.birth_step}\n"
 
     def degree_csv(self) -> str:
-        lines = ["vertex,eta,degree,birth_step"]
-        for vid in sorted(self.vertices):
-            v = self.vertices[vid]
-            lines.append(f"{vid},{v.eta!r},{v.degree},{v.birth_step}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.degree_lines())
 
 
 class FlowLedger:

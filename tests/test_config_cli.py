@@ -1,6 +1,7 @@
 """Config schema strictness, echo round-trips, and CLI behavior."""
 
 import gc
+import hashlib
 import importlib.util
 import json
 import math
@@ -23,7 +24,7 @@ from dbesim.config import (
     validate_config,
 )
 from dbesim.engine import run as engine_run
-from test_golden import bridged24_obj
+from test_golden import GOLDEN, bridged24_obj
 
 
 def minimal_obj():
@@ -511,11 +512,15 @@ def test_cli_snapshot_bad_provenance(tmp_path, capsys):
     pytest.param(_set_config(["habitats", 0, "active", 0, "total_generations"], 1),
                  "state.habitats[0].active[0].trace: 1 rows for total_generations 1: expected 2",
                  id="trace-length"),
+    pytest.param(lambda st: st["habitats"][0]["active"].append(st["habitats"][0]["active"][0]),
+                 "state.habitats[0].active[1].request: a second evolution state for request 'r0'",
+                 id="duplicate-evolution"),
 ])
 def test_cli_snapshot_derived_facts_must_match(tmp_path, capsys, damage, message):
     """The pool version and the trace's generation numbers are derived by
-    the run; a snapshot that states them otherwise is refused, not resumed
-    into a run that no fresh run produces."""
+    the run, and a run keeps one evolution state per request; a snapshot
+    that states them otherwise is refused, not resumed into a run that no
+    fresh run produces."""
     err = _malformed_snapshot_run(tmp_path, capsys, damage)
     assert err == f"invalid snapshot: {message}\n"
 
@@ -692,11 +697,58 @@ def test_cmd_run_makes_no_cyclic_garbage(tmp_path, scenario):
 
 
 def test_output_write_is_atomic(tmp_path):
+    """A write that fails partway, on text it cannot encode or on a chunk
+    iterator that raises, leaves the earlier file and no temp file."""
+    def chunks_then_fail():
+        yield "x" * 100_000  # more than a buffer: the temp file has content
+        raise ValueError("no next chunk")
+
     out_path = str(tmp_path / "out")
     with cli.OutputDir(out_path) as out:
         target = out.write("snapshot.json", "first\n")
         with pytest.raises(UnicodeEncodeError):
             out.write("snapshot.json", "x" * 100_000 + "\ud800")  # not encodable
+        with pytest.raises(ValueError, match="no next chunk"):
+            out.write("snapshot.json", chunks_then_fail())
     with open(target, "r", encoding="utf-8") as f:
         assert f.read() == "first\n"
     assert os.listdir(out_path) == ["snapshot.json"]
+
+
+def test_run_empties_the_event_log_before_the_snapshot(tmp_path, monkeypatch):
+    """`run` writes events.jsonl first and frees the log before it builds
+    the snapshot, so the two are never in memory side by side."""
+    results, logs_at_snapshot = [], []
+
+    def keep_result(*args, **kwargs):
+        results.append(engine_run(*args, **kwargs))
+        return results[-1]
+
+    def serialize(cfg, state):
+        logs_at_snapshot.append(list(results[0].events))
+        return serialize_snapshot(cfg, state)
+
+    monkeypatch.setattr(engine, "run", keep_result)
+    monkeypatch.setattr(cli, "serialize_snapshot", serialize)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, minimal_obj()),
+                     "--out", str(out), "--quiet"]) == 0
+    assert logs_at_snapshot == [[]]
+    assert (out / "events.jsonl").read_text(encoding="utf-8").count("\n") > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunked_outputs_equal_the_single_string_forms(tmp_path, monkeypatch, chunk):
+    """However the files are cut into chunks, their bytes are the pinned
+    single-string forms."""
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    got, pinned = {}, {}
+    for sub, asset, names in (("run", "two_communities", ["events.jsonl"]),
+                              ("topology", "topology_experiment", ["degrees.csv", "business.dot"])):
+        out = tmp_path / sub
+        assert cli.main([sub, "--config", asset_path(f"{asset}.json"), "--out", str(out),
+                         "--quiet"]) == 0
+        for name in names:
+            got[asset, name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            pinned[asset, name] = GOLDEN[asset][name]
+    assert got == pinned

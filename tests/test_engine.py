@@ -403,14 +403,18 @@ def _flow(row):
                  "state.habitats[1].pool_version: expected an integer", id="pool-version-float"),
     pytest.param(_set(["habitats", 0, "pool", 0, "price"], "free"), "state.habitats[0].pool[0]",
                  id="service-price-string"),
-    (_set(["habitats", 0, "active", 0, "population", 0], [["nope"], 0.5]),
-     "state.habitats[0].active[0].population[0][0]: service 'nope' not in"),
+    pytest.param(_set(["habitats", 0, "active", 0, "population", 0], [["nope"], 0.5]),
+                 "state.habitats[0].active[0].population[0][0]: service 'nope' not in",
+                 id="genome-unknown-service"),
     pytest.param(_set(["habitats", 0, "active", 0, "trace", 0], [0, 0.5]),
                  "state.habitats[0].active[0].trace[0]: expected 3 elements",
                  id="trace-row-short"),
-    (_set(["connections", 0, 2], 0.0), "state.connections[0]: weight below floor"),
-    (lambda st: st["streams"].pop("h1"), "state.streams: missing stream for habitat 'h1'"),
-    (_set(["business", "floor_active", "h0"], 1), "state.business.floor_active.h0: expected true"),
+    pytest.param(_set(["connections", 0, 2], 0.0), "state.connections[0]: weight below floor",
+                 id="connection-below-floor"),
+    pytest.param(lambda st: st["streams"].pop("h1"),
+                 "state.streams: missing stream for habitat 'h1'", id="stream-missing"),
+    pytest.param(_set(["business", "floor_active", "h0"], 1),
+                 "state.business.floor_active.h0: expected true", id="floor-active-int"),
     (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0].eta: expected 1.0"),
     (_set(["habitats", 0, "pool", 0, "success_count"], 99),
      "state.habitats[0].pool[0]: success exceeds usage"),
@@ -484,6 +488,16 @@ def _flow(row):
     pytest.param(lambda st: st["habitats"][0]["active"][0]["trace"].append([1, 0.5, 0.5]),
                  "state.habitats[0].active[0].trace: 2 rows for total_generations 0: expected 1",
                  id="trace-rows-not-generations"),
+    # states no run reaches
+    pytest.param(lambda st: st["habitats"][0]["active"].append(st["habitats"][0]["active"][0]),
+                 "state.habitats[0].active[1].request: a second evolution state for request "
+                 "'h0_req'", id="evolution-duplicate-request"),
+    pytest.param(_set(["habitats", 0, "active", 0, "gens_since_reset"], 1),
+                 "state.habitats[0].active[0].gens_since_reset: 1 exceeds total_generations 0",
+                 id="gens-since-reset-above-total"),
+    pytest.param(_set(["habitats", 1, "active", 0, "pool_version"], 1),
+                 "state.habitats[1].active[0].pool_version: 1 exceeds the habitat's pool "
+                 "version 0", id="evolution-pool-version-above-habitat"),
 ])
 def test_snapshot_errors_name_the_json_path(damage, message):
     cfg = config_from_obj(scenario_obj())
