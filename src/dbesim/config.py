@@ -609,7 +609,7 @@ def state_to_obj(eco: Ecosystem, streams: dict, ledger: FlowLedger) -> dict:
                 "request": rid,
                 "population": [[list(ind.genome), ind.fitness] for ind in st.population],
                 "gens_since_reset": st.gens_since_reset,
-                "total_generations": st.total_generations,
+                "total_generations": len(st.trace) - 1,
                 "pool_version": st.pool_version,
                 "trace": [[k, best, mean] for k, (best, mean) in enumerate(st.trace)],
             })
@@ -693,7 +693,7 @@ def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams,
     if version > habitat_version:
         raise _Bad(f"{version} exceeds the habitat's pool version {habitat_version}",
                    "pool_version")
-    return rid, ActiveEvolution(population, gens_since_reset, total, version,
+    return rid, ActiveEvolution(population, gens_since_reset, version,
                                 _get(obj, "trace", _trace, total))
 
 

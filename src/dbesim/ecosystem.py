@@ -58,12 +58,12 @@ class ActiveEvolution:
     template that cannot reach the target stops consuming generations once
     max_generations have been spent on the current pool. `pool_version` is
     the habitat's pool version at the last reset. Trace row k is the
-    (best, mean) fitness of generation k, row 0 the initial population's.
+    (best, mean) fitness of generation k, row 0 the initial population's:
+    `len(trace) - 1` generations have run in all.
     """
 
     population: list
     gens_since_reset: int = 0
-    total_generations: int = 0
     pool_version: int = 0
     trace: list = field(default_factory=list)
 
@@ -405,7 +405,6 @@ def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Strea
     steps = min(budget, params.max_generations - state.gens_since_reset)
     state.population, best, stats = advance(state.population, h.pool, req, params, rng, steps)
     state.trace += stats
-    state.total_generations += len(stats)
     state.gens_since_reset += len(stats)
     return best
 
@@ -415,18 +414,19 @@ def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute) -> t
 
     In this order: sample a request from the profile, evolve it under
     `params.generation_budget_per_epoch`, deploy the best chain through
-    `execute`, and record the feedback. Returns (profile index of the
-    request, deployment), with no deployment when the pool is empty.
+    `execute`, and record the feedback. Returns the step's record, which a
+    shard worker sends as it is: (profile index of the request, genome,
+    fitness, success) of the deployment, or (profile index,) for an empty pool.
     """
     idx = rng.weighted_index([t.weight for t in h.profile])
     if len(h.pool) == 0:
-        return idx, None
+        return (idx,)
     best = evolve_request(h, h.profile[idx].request, params, rng,
                           params.generation_budget_per_epoch)
     chain = h.pool.resolve(best.genome)
     success = execute(chain, rng)
     record_deployment(chain, success)
-    return idx, Deployment(h, best.genome, best.fitness, success)
+    return idx, best.genome, best.fitness, success
 
 
 def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> None:
@@ -449,17 +449,17 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, streams: dict, emit,
               shards) -> tuple:
     """Advance the ecosystem by one epoch.
 
-    `shards` (a `shards.Shards`, which holds the evolution parameters and
-    the execution model) takes every habitat's `habitat_step` and reports
-    each step through `emit_step`, in habitat id order. Then three
-    single-writer phases follow in id order: reinforcement of provenance
-    edges used by successful deployments, migration of deployed chains, and
-    one decay pass over all weights.
+    `shards` (the `shards.Shards` of `eco` and `streams`) takes every
+    habitat's `habitat_step`, local or on a worker, turns each record into a
+    `Deployment` and reports the step through `emit_step`, in habitat id
+    order. Then three single-writer phases follow in id order: reinforcement
+    of provenance edges used by successful deployments, migration of
+    deployed chains, and one decay pass over all weights.
 
     `emit(kind, payload)` receives the epoch's events. Returns (deployments
     in habitat id order, number of services migrated).
     """
-    deployments = shards.habitat_epochs(eco, streams, emit)
+    deployments = shards.habitat_epochs(emit)
 
     for h, genome, _, success in deployments:
         if not success:

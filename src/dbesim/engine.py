@@ -149,7 +149,7 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
         eco, streams, ledger = state_from_obj(config, state)
     with Shards(eco, streams, config.evolution, simulate_execution, workers) as shards:
         events, metrics = _epochs(config, eco, streams, ledger, shards)
-        shards.collect(eco)
+        shards.collect()
     return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams)
 
 

@@ -11,7 +11,7 @@ ordered chain of services against a request.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 MAX_TOKEN_LEN = 64
 TOKEN_PATTERN = re.compile(rf"[a-z0-9_]{{1,{MAX_TOKEN_LEN}}}\Z")
@@ -56,16 +56,7 @@ class ServiceManifest:
     success_count: int = 0
 
     def copy(self) -> "ServiceManifest":
-        return ServiceManifest(
-            id=self.id,
-            attrs=self.attrs,
-            in_port=self.in_port,
-            out_port=self.out_port,
-            price=self.price,
-            reliability=self.reliability,
-            usage_count=self.usage_count,
-            success_count=self.success_count,
-        )
+        return replace(self)
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,18 @@ nothing is forked, sent or collected. Failures, the phases after the steps,
 metrics and output stay in the main process, which keeps the whole run
 state and stays its one writer:
 
-- Per epoch, the main process sends each worker the ids of its habitats
-  still present, their stream states (migration draws from them in the main
-  process), and the pool members added since the last message, in pool
-  order, with their provenance. The worker adds them through
-  `Habitat.receive`, so its pool version follows.
-- A worker answers with one record per habitat: its new stream state, the
-  profile index of the sampled request and the deployed (genome, fitness,
-  success), or no genome when the pool was empty. The main process sets
-  the stream state, bumps its own copies of the chain's usage counters as
-  the worker did (migration copies them), and emits every step's events
-  in habitat-id order.
-- At the end, each worker sends back each habitat's evolution state
-  (`Habitat.active`), one message per habitat.
+- Per epoch, the main process sends each worker one message: the ids of
+  its habitats still present, their stream states (migration draws from
+  them in the main process), and the pool members added since the last
+  message, in pool order, with their provenance. The worker adds them
+  through `Habitat.receive`, so its pool version follows.
+- A worker answers (new stream state, `habitat_step` record) per habitat.
+  The main process sets the stream state and replays the record's feedback
+  on its own copies of the chain's counters (migration copies them). One
+  loop then emits every step, local or not, in habitat-id order.
+- When its input ends, a worker sends back the evolution state
+  (`Habitat.active`) of each habitat its last message named (its shard
+  before any), one message per habitat; `collect` ends its input for this.
 
 Workers are forked, not spawned: a worker inherits the built run state
 instead of receiving it pickled, and the program starts no threads that a
@@ -52,19 +51,22 @@ class _Worker:
     def __init__(self, pid: int, ids: list, send, recv):
         self.pid = pid
         self.ids = ids  # the shard, in id order
-        self.live = ids  # the shard's habitats still present at the last message
+        self.live = ids  # the habitats the last message named, or the shard before one
         self.send = send
         self.recv = recv
 
 
 class Shards:
-    """Workers for phase 1; use as a context manager, which reaps them.
+    """Phase 1 for `eco` and `streams`; use as a context manager, which reaps
+    the workers.
 
     `params` and `execute` are those of `ecosystem.habitat_step`, fixed for
     the run; `n` counts the processes, the main one included.
     """
 
     def __init__(self, eco, streams: dict, params, execute, n: int):
+        self.eco = eco
+        self.streams = streams
         self.params = params
         self.execute = execute
         ids = eco.habitat_ids()
@@ -73,7 +75,7 @@ class Shards:
         self.workers: list = []
         try:
             for k in range(1, n):
-                self.workers.append(self._fork(eco, streams, ids[k::n]))
+                self.workers.append(self._fork(ids[k::n]))
         except BaseException:
             self.close(kill=True)
             raise
@@ -85,7 +87,7 @@ class Shards:
         self.close(kill=exc_type is not None)
         return False
 
-    def _fork(self, eco, streams: dict, ids: list) -> _Worker:
+    def _fork(self, ids: list) -> _Worker:
         import pickle
 
         down_r, down_w = os.pipe()
@@ -106,7 +108,7 @@ class Shards:
                     w.recv.close()
                 with open(down_r, "rb") as recv, open(up_w, "wb") as send:
                     try:
-                        self._serve(eco, streams, recv, send)
+                        self._serve(ids, recv, send)
                     except Exception as e:
                         pickle.dump(f"{type(e).__name__}: {e}", send)
                 status = 0
@@ -116,34 +118,30 @@ class Shards:
         os.close(up_w)
         return _Worker(pid, ids, open(down_w, "wb"), open(up_r, "rb"))
 
-    def _serve(self, eco, streams: dict, recv, send) -> None:
-        """The worker's loop: answer messages until EOF."""
+    def _serve(self, ids: list, recv, send) -> None:
+        """The worker's loop: step the habitats each message names; at EOF, send
+        the evolution states of the last message's `ids` (at first, the shard)."""
         import pickle
 
-        habitats = eco.habitats
+        habitats = self.eco.habitats
         while True:
             try:
-                msg = pickle.load(recv)
+                ids, states, added = pickle.load(recv)
             except EOFError:
-                return
-            if msg[0] == "active":
-                for hid in msg[1]:
-                    pickle.dump(habitats[hid].active, send, pickle.HIGHEST_PROTOCOL)
-                send.flush()
-                continue
-            _, ids, states, added = msg
+                break
             for hid, services in added:
                 for s, src in services:
                     habitats[hid].receive(s, src)
             records = []
             for hid, state in zip(ids, states):
-                rng = streams[hid]
+                rng = self.streams[hid]
                 rng.state = state
-                idx, d = habitat_step(habitats[hid], rng, self.params, self.execute)
-                records.append((rng.state, idx) if d is None else
-                               (rng.state, idx, d.genome, d.fitness, d.success))
+                record = habitat_step(habitats[hid], rng, self.params, self.execute)
+                records.append((rng.state, record))
             pickle.dump(records, send, pickle.HIGHEST_PROTOCOL)
             send.flush()
+        for hid in ids:
+            pickle.dump(habitats[hid].active, send, pickle.HIGHEST_PROTOCOL)
 
     def _send(self, w: _Worker, msg) -> None:
         import pickle
@@ -179,50 +177,51 @@ class Shards:
                 sizes[hid] = n
         return added
 
-    def habitat_epochs(self, eco, streams: dict, emit) -> list:
+    def habitat_epochs(self, emit) -> list:
         """Every present habitat's step of this epoch, each reported by
         `emit_step` in habitat id order; returns the deployments in that
         order."""
-        habitats = eco.habitats
+        habitats = self.eco.habitats
+        streams = self.streams
         for w in self.workers:
             w.live = [hid for hid in w.ids if hid in habitats]
-            self._send(w, ("epoch", w.live, [streams[hid].state for hid in w.live],
+            self._send(w, (w.live, [streams[hid].state for hid in w.live],
                            self._added(habitats, w.live)))
-        outcomes = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute)
-                    for hid in self.local if hid in habitats}
+        steps = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute)
+                 for hid in self.local if hid in habitats}
         for w in self.workers:
-            for hid, record in zip(w.live, self._recv(w)):
-                h = habitats[hid]
-                streams[hid].state = record[0]
-                d = None
-                if len(record) > 2:
-                    _, _, genome, fitness, success = record
-                    chain = h.pool.resolve(genome)
-                    record_deployment(chain, success)
-                    d = Deployment(h, tuple(s.id for s in chain), fitness, success)
-                outcomes[hid] = (record[1], d)
+            for hid, (state, record) in zip(w.live, self._recv(w)):
+                streams[hid].state = state
+                if len(record) > 1:
+                    # Replay the feedback on the main process's copies and take the ids
+                    # from them: the log keeps each chain, and unpickled ids are new strings.
+                    chain = habitats[hid].pool.resolve(record[1])
+                    record_deployment(chain, record[3])
+                    record = (record[0], tuple(s.id for s in chain), *record[2:])
+                steps[hid] = record
         deployments = []
-        for hid in eco.habitat_ids():
-            idx, d = outcomes[hid]
+        for hid in self.eco.habitat_ids():
             h = habitats[hid]
+            idx, *deployed = steps[hid]
+            d = Deployment(h, *deployed) if deployed else None
             emit_step(h, h.profile[idx].request, d, emit)
             if d is not None:
                 deployments.append(d)
         return deployments
 
-    def collect(self, eco) -> None:
-        """Take back each present habitat's evolution state from its worker."""
+    def collect(self) -> None:
+        """Take back each present habitat's evolution state: closing a
+        worker's input makes it send them."""
         for w in self.workers:
-            w.live = [hid for hid in w.ids if hid in eco.habitats]
-            self._send(w, ("active", w.live))
+            w.send.close()
         for w in self.workers:
             for hid in w.live:
-                eco.habitats[hid].active = self._recv(w)
+                self.eco.habitats[hid].active = self._recv(w)
 
     def close(self, kill: bool = False) -> None:
         """Close every pipe and reap every worker; `kill` stops busy ones first.
 
-        A worker whose input is closed exits when it next reads.
+        A worker whose input is closed sends its evolution states and exits.
         """
         for w in self.workers:
             for f in (w.send, w.recv):

@@ -453,12 +453,12 @@ def test_a_pool_change_reopens_the_generation_budget():
     rng = derive_substream(0, "reopen")
     evolve_request(h, request, params, rng, 5)
     state = h.active[request.id]
-    assert (state.gens_since_reset, state.total_generations) == (3, 3)
+    assert (state.gens_since_reset, len(state.trace) - 1) == (3, 3)
     before = rng.state
     evolve_request(h, request, params, rng, 5)  # spent: no generation, no draw
-    assert (state.total_generations, rng.state) == (3, before)
+    assert (len(state.trace) - 1, rng.state) == (3, before)
     h.receive(svc("t", {"c"}), "elsewhere")  # a migration: the pool version becomes 1
     evolve_request(h, request, params, rng, 2)
-    assert (state.gens_since_reset, state.total_generations, state.pool_version) == (2, 5, 1)
+    assert (state.gens_since_reset, len(state.trace) - 1, state.pool_version) == (2, 5, 1)
     assert len(state.trace) == 6  # rows 0..5: the initial population, then generations 1..5
 

@@ -456,16 +456,23 @@ def _flow(row):
     (_set(["business", "vertices", 1, "eta"], 1), "state.business.vertices[1].eta: expected 1.0"),
     (_set(["business", "floor_active", "h1"], False),
      "state.business.floor_active.h1: expected true"),
-    (_flow(["h0", "nowhere", "service_flow", 1.0, 3]),
-     "state.business.flow_edges[0][1]: unknown vertex 'nowhere'"),
-    (_flow(["h0", "h0", "service_flow", 1.0, 3]),
-     "state.business.flow_edges[0]: flow endpoints must differ"),
-    (_flow(["h0", "h1", "gift", 1.0, 3]),
-     "state.business.flow_edges[0][2]: unknown flow kind 'gift'"),
-    (_flow(["h0", "h1", "service_flow", -1.0, 3]),
-     "state.business.flow_edges[0][3]: negative flow value"),
-    (_set(["streams", "ghost"], 1), "state.streams.ghost: stream for unknown habitat 'ghost'"),
-    (_set(["streams", "h0"], -1), "state.streams.h0: stream state outside [0, 2**64)"),
+    pytest.param(_flow(["h0", "nowhere", "service_flow", 1.0, 3]),
+                 "state.business.flow_edges[0][1]: unknown vertex 'nowhere'",
+                 id="flow-unknown-vertex"),
+    pytest.param(_flow(["h0", "h0", "service_flow", 1.0, 3]),
+                 "state.business.flow_edges[0]: flow endpoints must differ",
+                 id="flow-endpoints-equal"),
+    pytest.param(_flow(["h0", "h1", "gift", 1.0, 3]),
+                 "state.business.flow_edges[0][2]: unknown flow kind 'gift'",
+                 id="flow-unknown-kind"),
+    pytest.param(_flow(["h0", "h1", "service_flow", -1.0, 3]),
+                 "state.business.flow_edges[0][3]: negative flow value",
+                 id="flow-value-negative"),
+    pytest.param(_set(["streams", "ghost"], 1),
+                 "state.streams.ghost: stream for unknown habitat 'ghost'",
+                 id="stream-unknown-habitat"),
+    pytest.param(_set(["streams", "h0"], -1), "state.streams.h0: stream state outside [0, 2**64)",
+                 id="stream-state-negative"),
     pytest.param(_set(["streams", "h0"], 2**64), "state.streams.h0: stream state outside [0, 2**64)",
                  id="stream-state-2**64"),
     (_set(["habitats", 0, "active", 0, "gens_since_reset"], -1),

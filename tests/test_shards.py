@@ -100,6 +100,32 @@ def test_sharded_resume_at_every_epoch(seed, failure_epoch):
         assert stream_states(resumed) == stream_states(full), k
 
 
+def test_resume_with_no_epoch_left_collects_at_end_of_input(monkeypatch):
+    """Resumed from its own final snapshot, a sharded run steps nothing: each
+    worker gets no message, sends its whole shard's evolution states when its
+    input ends, and is reaped; the snapshot and streams come back unchanged."""
+    cfg = config_from_obj(bridged24_obj())
+    single = engine.run(cfg)
+    final = serialize_snapshot(cfg, single.final_state())
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    resumed = engine.run(cfg, state=json.loads(final)["state"], workers=2)
+    assert (resumed.events, resumed.metrics, len(forked)) == ([], [], 1)
+    assert serialize_snapshot(cfg, resumed.final_state()) == final
+    assert stream_states(resumed) == stream_states(single)
+    for pid in forked:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_worker_count_rule():
     assert [cli.worker_count(n, 2) for n in (0, 2, 16, 256, 511)] == [1] * 5
     assert [cli.worker_count(n, 1) for n in (2, 512, 1024, 10**6)] == [1] * 4
