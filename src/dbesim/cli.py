@@ -43,6 +43,9 @@ HABITATS_PER_WORKER = 256
 # output is built as one string beside the data it is made from.
 CHUNK = 1024
 
+# The logs of a run, in the order `_write_logs` writes them.
+RUN_LOGS = ("events.jsonl", "metrics.csv", "resolved_config.json")
+
 
 class OutputDir:
     """Output directory with a lock file: one invocation at a time."""
@@ -68,6 +71,10 @@ class OutputDir:
             os.remove(self.lock_path)
         return False
 
+    def tmp_path(self, name: str) -> str:
+        """Where `write` builds the file `name` before renaming it into place."""
+        return os.path.join(self.path, f".{name}.tmp")
+
     def write(self, name: str, content: str | Iterable[str]) -> str:
         """Write a file atomically: an interrupted write leaves any earlier
         version in place. The lock makes the fixed temp name safe.
@@ -78,7 +85,7 @@ class OutputDir:
         the write like any other.
         """
         target = os.path.join(self.path, name)
-        tmp = os.path.join(self.path, f".{name}.tmp")
+        tmp = self.tmp_path(name)
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as f:
                 f.writelines((content,) if isinstance(content, str) else content)
@@ -126,25 +133,92 @@ def _batches(items):
         yield batch
 
 
+def _write_logs(cfg, result, out: OutputDir) -> None:
+    """Write a run's logs: the event log in chunks, the metrics and the
+    resolved config. A one-process run calls it inline and a sharded run in
+    its forked writer, so both write the same bytes."""
+    events, metrics, config = RUN_LOGS
+    out.write(events, map(engine.serialize_events, _batches(result.events)))
+    out.write(metrics, engine.serialize_metrics(result.metrics))
+    out.write(config, serialize_config(cfg))
+
+
+@contextlib.contextmanager
+def _logs_written(cfg, result, out: OutputDir, fork: bool):
+    """Write the run's logs before the block or, if `fork`, in a forked
+    writer process while the block runs.
+
+    The writer is reaped when the block ends, and its error (sent as text
+    over a pipe) or its death then raises a RuntimeError. If the block
+    raises, the writer is killed and reaped first.
+    """
+    if not fork:
+        _write_logs(cfg, result, out)
+        yield
+        return
+    report_r, report_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(report_r)
+        os.close(report_w)
+        raise
+    if pid == 0:  # the writer: it never returns from this branch
+        status = 1
+        try:
+            os.close(report_r)
+            with open(report_w, "w", encoding="utf-8") as report:
+                try:
+                    _write_logs(cfg, result, out)
+                    status = 0
+                except BaseException as e:
+                    report.write(f"{type(e).__name__}: {e}")
+        finally:
+            os._exit(status)
+    os.close(report_w)
+    with open(report_r, encoding="utf-8", errors="replace") as report:
+        try:
+            yield
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            _reap_writer(pid, out)
+            raise
+        error = report.read()
+    if _reap_writer(pid, out):
+        raise RuntimeError(f"writer process {pid}: {error or 'exited unexpectedly'}")
+
+
+def _reap_writer(pid: int, out: OutputDir) -> int:
+    """Reap the log writer and return its wait status; a writer that failed
+    or was killed may have left temp files, which are removed."""
+    status = os.waitpid(pid, 0)[1]
+    if status:
+        for name in RUN_LOGS:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(out.tmp_path(name))
+    return status
+
+
 def _run_and_write(cfg, state, out: OutputDir) -> tuple:
     """Run and write every output; returns (event count, last metrics row or None).
 
-    The event log, the largest part of the result, is written first, in
-    chunks, and then emptied, so the snapshot is built in the memory the
-    log held rather than beside it.
+    The logs are written first and the event log is then emptied, so the
+    snapshot is built in the memory the log held rather than beside it. A
+    run on more than one process forks a writer for the logs instead, empties
+    its own copy of the event log at once and writes the final state while
+    the writer writes the logs.
     """
     workers = worker_count(len(cfg.scenario.habitats), len(os.sched_getaffinity(0)))
     result = engine.run(cfg, state=state, workers=workers)
-    events = result.events
-    out.write("events.jsonl", map(engine.serialize_events, _batches(events)))
-    n_events = len(events)
-    events.clear()
-    out.write("metrics.csv", engine.serialize_metrics(result.metrics))
-    out.write("resolved_config.json", serialize_config(cfg))
-    out.write("snapshot.json", serialize_snapshot(cfg, result.final_state()))
-    out.write("ecosystem.dot", result.eco.to_dot())
-    out.write("business.dot", result.ledger.to_dot())
-    out.write("flows.csv", result.ledger.flows_csv())
+    n_events = len(result.events)
+    with _logs_written(cfg, result, out, fork=workers > 1):
+        result.events.clear()
+        out.write("snapshot.json", serialize_snapshot(cfg, result.final_state()))
+        out.write("ecosystem.dot", result.eco.to_dot())
+        out.write("business.dot", result.ledger.to_dot())
+        out.write("flows.csv", result.ledger.flows_csv())
     return n_events, (result.metrics[-1] if result.metrics else None)
 
 

@@ -306,13 +306,15 @@ def migrate(h: Habitat, genome: tuple, eco: Ecosystem, p_mig: float, rng: Stream
     already holds that id (the draw is still consumed). Returns the
     (service id, destination id) pairs copied.
     """
-    neighbors = eco.neighbors(h.id)
-    if not neighbors:
+    if h.id not in eco._adj:  # `_adj` holds only habitats with neighbors
         return []
-    weights = [w for _, w in neighbors]
+    neighbors = None
     copied = []
     for sid in genome:
         if rng.random() < p_mig:
+            if neighbors is None:  # built once a migration fires; no edge changes here
+                neighbors = eco.neighbors(h.id)
+                weights = [w for _, w in neighbors]
             dest_id = neighbors[rng.weighted_index(weights)][0]
             dest = eco.habitats[dest_id]
             if sid not in dest.pool:

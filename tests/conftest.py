@@ -112,3 +112,15 @@ def random_request(rng: Stream, attr_pool=("a", "b", "c", "d", "e", "f"),
 @pytest.fixture
 def tmp_out(tmp_path):
     return str(tmp_path / "out")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, running or exited:
+    every process `dbesim` forks must be reaped before it returns."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")

@@ -717,24 +717,28 @@ def test_output_write_is_atomic(tmp_path):
 
 def test_run_empties_the_event_log_before_the_snapshot(tmp_path, monkeypatch):
     """`run` writes events.jsonl first and frees the log before it builds
-    the snapshot, so the two are never in memory side by side."""
-    results, logs_at_snapshot = [], []
+    the snapshot, so the two are never in memory side by side. A run on two
+    processes hands the log to its forked writer and frees its own copy at
+    once, without writing it."""
+    for workers in (1, 2):
+        results, logs_at_snapshot = [], []
 
-    def keep_result(*args, **kwargs):
-        results.append(engine_run(*args, **kwargs))
-        return results[-1]
+        def keep_result(*args, **kwargs):
+            results.append(engine_run(*args, **kwargs))
+            return results[-1]
 
-    def serialize(cfg, state):
-        logs_at_snapshot.append(list(results[0].events))
-        return serialize_snapshot(cfg, state)
+        def serialize(cfg, state):
+            logs_at_snapshot.append(list(results[0].events))
+            return serialize_snapshot(cfg, state)
 
-    monkeypatch.setattr(engine, "run", keep_result)
-    monkeypatch.setattr(cli, "serialize_snapshot", serialize)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", write_config(tmp_path, minimal_obj()),
-                     "--out", str(out), "--quiet"]) == 0
-    assert logs_at_snapshot == [[]]
-    assert (out / "events.jsonl").read_text(encoding="utf-8").count("\n") > 0
+        monkeypatch.setattr(engine, "run", keep_result)
+        monkeypatch.setattr(cli, "serialize_snapshot", serialize)
+        monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: workers)
+        out = tmp_path / f"out{workers}"
+        assert cli.main(["run", "--config", write_config(tmp_path, minimal_obj()),
+                         "--out", str(out), "--quiet"]) == 0
+        assert logs_at_snapshot == [[]], workers
+        assert (out / "events.jsonl").read_text(encoding="utf-8").count("\n") > 0
 
 
 @pytest.mark.parametrize("chunk", [1, 7])

@@ -418,7 +418,8 @@ def _flow(row):
     (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0].eta: expected 1.0"),
     (_set(["habitats", 0, "pool", 0, "success_count"], 99),
      "state.habitats[0].pool[0]: success exceeds usage"),
-    (_set(["connections", 0, 2], math.inf), "state.connections[0][2]: expected a finite number"),
+    pytest.param(_set(["connections", 0, 2], math.inf),
+                 "state.connections[0][2]: expected a finite number", id="connection-weight-inf"),
     pytest.param(_set(["habitats", 0, "active", 0, "population"], []),
                  "state.habitats[0].active[0].population: expected a non-empty array",
                  id="population-empty"),
@@ -427,9 +428,9 @@ def _flow(row):
                  "[1, max_len 2]", id="genome-too-long"),
     (_set(["colour"], "blue"), "state: unknown key 'colour'"),
     (_set(["habitats", 1, "colour"], "blue"), "state.habitats[1]: unknown key 'colour'"),
-    (_set(["epoch"], -2), "state.epoch: must be >= 0"),
-    (lambda st: st["connections"].append(list(st["connections"][0])),
-     "state.connections[1]: duplicate connection h0-h1"),
+    pytest.param(_set(["epoch"], -2), "state.epoch: must be >= 0", id="epoch-negative"),
+    pytest.param(lambda st: st["connections"].append(list(st["connections"][0])),
+                 "state.connections[1]: duplicate connection h0-h1", id="connection-duplicate"),
     pytest.param(_set(["connections", 0, 1], "h0"),
                  "state.connections[0]: self-loop connection at 'h0'", id="connection-self-loop"),
     pytest.param(_set(["connections", 0, 1], "ghost"),
@@ -438,14 +439,17 @@ def _flow(row):
     pytest.param(lambda st: st["habitats"].append(st["habitats"][0]),
                  "state.habitats: duplicate habitat id: 'h0'", id="habitat-duplicate-id"),
     # what the run core relies on unchecked
-    (_set(["habitats"], []), "state.habitats: expected a non-empty array"),
-    (_set(["habitats", 0, "provenance"], {"h0_svc": "nowhere"}),
-     "state.habitats[0].provenance.h0_svc: unknown source habitat 'nowhere'"),
+    pytest.param(_set(["habitats"], []), "state.habitats: expected a non-empty array",
+                 id="habitats-empty"),
+    pytest.param(_set(["habitats", 0, "provenance"], {"h0_svc": "nowhere"}),
+                 "state.habitats[0].provenance.h0_svc: unknown source habitat 'nowhere'",
+                 id="provenance-unknown-source"),
     pytest.param(_set(["habitats", 0, "provenance"], {"h0_svc": "h0"}),
                  "state.habitats[0].provenance.h0_svc: source is the habitat itself",
                  id="provenance-self"),
-    (_set(["habitats", 0, "provenance"], {"ghost": "h1"}),
-     "state.habitats[0].provenance.ghost: service 'ghost' not in the habitat's pool"),
+    pytest.param(_set(["habitats", 0, "provenance"], {"ghost": "h1"}),
+                 "state.habitats[0].provenance.ghost: service 'ghost' not in the habitat's pool",
+                 id="provenance-not-in-pool"),
     (lambda st: st["business"]["vertices"].pop(),
      "state.business.vertices: expected 2 elements, got 1"),
     # the business fields other than flows are the ones a run writes, type for type

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,27 @@ def outputs(cfg, result):
     return {"events.jsonl": engine.serialize_events(result.events),
             "metrics.csv": engine.serialize_metrics(result.metrics),
             "snapshot.json": serialize_snapshot(cfg, result.final_state())}
+
+
+def record_forks(monkeypatch) -> list:
+    """Patch `os.fork` to record the pid of each child forked; returns the list."""
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
 
 
 def stream_states(result):
@@ -107,23 +129,12 @@ def test_resume_with_no_epoch_left_collects_at_end_of_input(monkeypatch):
     cfg = config_from_obj(bridged24_obj())
     single = engine.run(cfg)
     final = serialize_snapshot(cfg, single.final_state())
-    forked = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
+    forked = record_forks(monkeypatch)
     resumed = engine.run(cfg, state=json.loads(final)["state"], workers=2)
     assert (resumed.events, resumed.metrics, len(forked)) == ([], [], 1)
     assert serialize_snapshot(cfg, resumed.final_state()) == final
     assert stream_states(resumed) == stream_states(single)
-    for pid in forked:
-        with pytest.raises(ChildProcessError):  # already reaped
-            os.waitpid(pid, os.WNOHANG)
+    assert_reaped(forked)
 
 
 def test_worker_count_rule():
@@ -219,17 +230,8 @@ def test_worker_failure_is_one_line_exit_2(tmp_path, monkeypatch, capsys, fault)
             raise ValueError("broken service")
         return execute(chain, rng)
 
-    forked = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
     monkeypatch.setattr(engine, "simulate_execution", failing_execute)
-    monkeypatch.setattr(os, "fork", recording_fork)
+    forked = record_forks(monkeypatch)
     monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 3)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(load_asset_obj("two_communities.json")), encoding="utf-8")
@@ -247,7 +249,108 @@ def test_worker_failure_is_one_line_exit_2(tmp_path, monkeypatch, capsys, fault)
         assert "exited unexpectedly" in err
     assert not os.path.exists(out / cli.LOCK_NAME)
     assert len(forked) == 2
-    for pid in forked:
-        with pytest.raises(ChildProcessError):  # already reaped
-            os.waitpid(pid, os.WNOHANG)
+    assert_reaped(forked)
     assert gc.isenabled() is gc_was_enabled
+
+
+def run_cli(out) -> int:
+    """`dbesim run` of the shipped `two_communities.json` into `out`."""
+    return cli.main(["run", "--config", asset_path("two_communities.json"), "--out", str(out),
+                     "--quiet"])
+
+
+def test_sharded_cli_run_writes_the_pinned_bytes(tmp_path, monkeypatch):
+    """`dbesim run` on two processes forks a shard worker and then a log
+    writer, reaps both, and writes every file with the bytes of a one-process
+    run: those of the golden digests where they are pinned."""
+    assert run_cli(tmp_path / "one") == cli.EXIT_OK
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 2)
+    assert run_cli(tmp_path / "two") == cli.EXIT_OK
+    assert len(forked) == 2
+    assert_reaped(forked)
+    names = sorted(os.listdir(tmp_path / "one"))
+    assert len(names) == 7 and sorted(os.listdir(tmp_path / "two")) == names
+    for name in names:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    digests = {name: hashlib.sha256((tmp_path / "two" / name).read_bytes()).hexdigest()
+               for name in GOLDEN["two_communities"]}
+    assert digests == GOLDEN["two_communities"]
+
+
+def assert_failed_run_cleaned_up(out, forked, err, gc_was_enabled):
+    """One `error:` line and no traceback; the lock and every temp file are
+    gone, both forked processes are reaped and the collector is restored."""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [name for name in os.listdir(out) if name.startswith(".")] == []
+    assert len(forked) == 2
+    assert_reaped(forked)
+    assert gc.isenabled() is gc_was_enabled
+
+
+@pytest.mark.parametrize("fault", ["raises", "dies"])
+def test_writer_failure_is_one_line_exit_2(tmp_path, monkeypatch, capsys, fault):
+    """A log writer that raises while it writes the event log, or dies there,
+    ends `dbesim run` with one `error:` line and exit status 2, after the
+    main process has written the final state."""
+    main_pid = os.getpid()
+    serialize_events = engine.serialize_events
+
+    def failing_serialize_events(events):
+        if os.getpid() != main_pid:
+            if fault == "dies":
+                os._exit(3)
+            raise ValueError("disk on fire")
+        return serialize_events(events)
+
+    monkeypatch.setattr(engine, "serialize_events", failing_serialize_events)
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 2)
+    gc_was_enabled = gc.isenabled()
+    capsys.readouterr()
+    assert run_cli(tmp_path / "out") == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: writer process {forked[-1]}: ")
+    if fault == "raises":
+        assert err.rstrip().endswith(": ValueError: disk on fire")
+    else:
+        assert err.rstrip().endswith(": exited unexpectedly")
+    assert_failed_run_cleaned_up(tmp_path / "out", forked, err, gc_was_enabled)
+    assert (tmp_path / "out" / "snapshot.json").exists()
+    assert not (tmp_path / "out" / "events.jsonl").exists()
+
+
+def test_main_process_failure_kills_the_writer(tmp_path, monkeypatch, capsys):
+    """A failure in the main process while the writer is busy kills and
+    reaps the writer at once, and removes the temp file it was writing."""
+    main_pid = os.getpid()
+    serialize_events = engine.serialize_events
+
+    stalled = []
+
+    def stalled_serialize_events(events):
+        if os.getpid() != main_pid and not stalled:  # the writer's first chunk
+            stalled.append(True)
+            time.sleep(30)
+        return serialize_events(events)
+
+    def failing_serialize_snapshot(cfg, state):
+        deadline = time.monotonic() + 10
+        while not (tmp_path / "out" / ".events.jsonl.tmp").exists():  # the writer's first write
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        raise OSError("no space left")
+
+    monkeypatch.setattr(engine, "serialize_events", stalled_serialize_events)
+    monkeypatch.setattr(cli, "serialize_snapshot", failing_serialize_snapshot)
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 2)
+    gc_was_enabled = gc.isenabled()
+    capsys.readouterr()
+    start = time.monotonic()
+    assert run_cli(tmp_path / "out") == cli.EXIT_RUNTIME
+    assert time.monotonic() - start < 20
+    err = capsys.readouterr().err
+    assert err == "error: no space left\n"
+    assert_failed_run_cleaned_up(tmp_path / "out", forked, err, gc_was_enabled)
