@@ -22,7 +22,8 @@ from collections.abc import Iterable
 from itertools import islice
 
 from . import engine
-from .config import ConfigError, parse_config, serialize_config, serialize_snapshot
+from .config import ConfigError, parse_config, serialize_config, snapshot_chunks
+from .config import serialize_snapshot  # noqa: F401  (the benchmark's tracer looks it up here)
 from .ecosystem import EcosystemError, evolve_request
 from .evolution import EvolutionError, brute_force_best
 from .rng import derive_substream
@@ -205,17 +206,20 @@ def _run_and_write(cfg, state, out: OutputDir) -> tuple:
     """Run and write every output; returns (event count, last metrics row or None).
 
     The logs are written first and the event log is then emptied, so the
-    snapshot is built in the memory the log held rather than beside it. A
-    run on more than one process forks a writer for the logs instead, empties
-    its own copy of the event log at once and writes the final state while
-    the writer writes the logs.
+    final state object is built in the memory the log held rather than
+    beside it. Its text is then encoded and written a piece at a time, one
+    per member of each array: a habitat, a connection and so on
+    (`snapshot_chunks`), so the text is never whole in memory. A run on more
+    than one process forks a writer for the logs instead, empties its own
+    copy of the event log at once and writes the final state while the
+    writer writes the logs.
     """
     workers = worker_count(len(cfg.scenario.habitats), len(os.sched_getaffinity(0)))
     result = engine.run(cfg, state=state, workers=workers)
     n_events = len(result.events)
     with _logs_written(cfg, result, out, fork=workers > 1):
         result.events.clear()
-        out.write("snapshot.json", serialize_snapshot(cfg, result.final_state()))
+        out.write("snapshot.json", snapshot_chunks(cfg, result.final_state()))
         out.write("ecosystem.dot", result.eco.to_dot())
         out.write("business.dot", result.ledger.to_dot())
         out.write("flows.csv", result.ledger.flows_csv())

@@ -859,6 +859,10 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
 # --- Files ---
 
 
+# The compact, key-sorted encoder of every JSON text written on one line.
+COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def serialize_config(cfg: SimConfig) -> str:
     return json.dumps(config_to_obj(cfg), indent=2, sort_keys=True) + "\n"
 
@@ -867,9 +871,44 @@ def snapshot_to_obj(cfg: SimConfig, state: dict) -> dict:
     return {"format": SNAPSHOT_FORMAT, "config": config_to_obj(cfg), "state": state}
 
 
+def _pieces(value):
+    """`COMPACT.encode(value)` in pieces, for JSON values whose object keys are
+    strings. An object is written out by hand, keys in sorted order, around
+    its members' pieces; an array around its members' text, one member per
+    piece. So no piece holds more than one member of an array, and the
+    encoder's working set is one member's, not the whole value's."""
+    encode = COMPACT.encode
+    if type(value) is dict:
+        sep = "{"
+        for key in sorted(value):
+            yield f"{sep}{encode(key)}:"
+            yield from _pieces(value[key])
+            sep = ","
+        yield "}" if sep == "," else "{}"
+    elif type(value) is list:
+        sep = "["
+        for item in value:
+            yield sep + encode(item)
+            sep = ","
+        yield "]" if sep == "," else "[]"
+    else:
+        yield encode(value)
+
+
+def snapshot_chunks(cfg: SimConfig, state: dict):
+    """The snapshot text of a state object (`state_to_obj`'s form), in pieces
+    made as they are asked for: one per habitat, per connection and per
+    scenario habitat of the config, and so on for every array. The joined
+    pieces are `json.dumps(snapshot_to_obj(cfg, state), sort_keys=True,
+    separators=(",", ":")) + "\\n"`, and no more than one habitat's text is
+    in memory at a time."""
+    yield from _pieces(snapshot_to_obj(cfg, state))
+    yield "\n"
+
+
 def serialize_snapshot(cfg: SimConfig, state: dict) -> str:
-    return json.dumps(snapshot_to_obj(cfg, state), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    """The snapshot text of a state object as one string."""
+    return "".join(snapshot_chunks(cfg, state))
 
 
 def _snapshot_parts(v) -> tuple:

@@ -8,11 +8,11 @@ config produce byte-identical event logs and metrics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import (  # noqa: F401  (SnapshotError and validate_config are re-exported)
+    COMPACT,
     SimConfig,
     SnapshotError,
     state_from_obj,
@@ -72,9 +72,6 @@ METRICS_HEADER = ("epoch,mean_best_fitness,deployment_success_rate,"
                   "total_migrations,clustering_statistic,habitat_count,connection_count")
 
 
-_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def serialize_events(events) -> str:
     """Event log as JSON Lines (UTF-8, LF); events are (epoch, kind, payload) triples.
 
@@ -84,7 +81,7 @@ def serialize_events(events) -> str:
     and a kind is a code constant token that needs no escaping, so the bytes
     are those of `json.dumps(record, sort_keys=True, separators=(",", ":"))`.
     """
-    encode = _EVENT_ENCODER.encode
+    encode = COMPACT.encode
     return "".join([f'{{"epoch":{epoch},"kind":"{kind}","payload":{encode(payload)}}}\n'
                     for epoch, kind, payload in events])
 

@@ -21,6 +21,7 @@ from dbesim.config import (
     parse_config,
     serialize_config,
     serialize_snapshot,
+    snapshot_chunks,
     validate_config,
 )
 from dbesim.engine import run as engine_run
@@ -727,12 +728,12 @@ def test_run_empties_the_event_log_before_the_snapshot(tmp_path, monkeypatch):
             results.append(engine_run(*args, **kwargs))
             return results[-1]
 
-        def serialize(cfg, state):
+        def chunks(cfg, state):
             logs_at_snapshot.append(list(results[0].events))
-            return serialize_snapshot(cfg, state)
+            return snapshot_chunks(cfg, state)
 
         monkeypatch.setattr(engine, "run", keep_result)
-        monkeypatch.setattr(cli, "serialize_snapshot", serialize)
+        monkeypatch.setattr(cli, "snapshot_chunks", chunks)
         monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: workers)
         out = tmp_path / f"out{workers}"
         assert cli.main(["run", "--config", write_config(tmp_path, minimal_obj()),

@@ -416,8 +416,8 @@ def _flow(row):
     pytest.param(_set(["business", "floor_active", "h0"], 1),
                  "state.business.floor_active.h0: expected true", id="floor-active-int"),
     (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0].eta: expected 1.0"),
-    (_set(["habitats", 0, "pool", 0, "success_count"], 99),
-     "state.habitats[0].pool[0]: success exceeds usage"),
+    pytest.param(_set(["habitats", 0, "pool", 0, "success_count"], 99),
+                 "state.habitats[0].pool[0]: success exceeds usage", id="success-above-usage"),
     pytest.param(_set(["connections", 0, 2], math.inf),
                  "state.connections[0][2]: expected a finite number", id="connection-weight-inf"),
     pytest.param(_set(["habitats", 0, "active", 0, "population"], []),
@@ -426,8 +426,10 @@ def _flow(row):
     pytest.param(_set(["habitats", 0, "active", 0, "population", 0], [["h0_svc"] * 3, 0.5]),
                  "state.habitats[0].active[0].population[0][0]: genome length 3 outside "
                  "[1, max_len 2]", id="genome-too-long"),
-    (_set(["colour"], "blue"), "state: unknown key 'colour'"),
-    (_set(["habitats", 1, "colour"], "blue"), "state.habitats[1]: unknown key 'colour'"),
+    pytest.param(_set(["colour"], "blue"), "state: unknown key 'colour'",
+                 id="state-unknown-key"),
+    pytest.param(_set(["habitats", 1, "colour"], "blue"),
+                 "state.habitats[1]: unknown key 'colour'", id="habitat-unknown-key"),
     pytest.param(_set(["epoch"], -2), "state.epoch: must be >= 0", id="epoch-negative"),
     pytest.param(lambda st: st["connections"].append(list(st["connections"][0])),
                  "state.connections[1]: duplicate connection h0-h1", id="connection-duplicate"),
@@ -479,8 +481,9 @@ def _flow(row):
                  id="stream-state-negative"),
     pytest.param(_set(["streams", "h0"], 2**64), "state.streams.h0: stream state outside [0, 2**64)",
                  id="stream-state-2**64"),
-    (_set(["habitats", 0, "active", 0, "gens_since_reset"], -1),
-     "state.habitats[0].active[0].gens_since_reset: must be >= 0"),
+    pytest.param(_set(["habitats", 0, "active", 0, "gens_since_reset"], -1),
+                 "state.habitats[0].active[0].gens_since_reset: must be >= 0",
+                 id="gens-since-reset-negative"),
     pytest.param(_set(["habitats", 0, "active", 0, "total_generations"], -1),
                  "state.habitats[0].active[0].total_generations: must be >= 0",
                  id="total-generations-negative"),

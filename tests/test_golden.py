@@ -9,6 +9,8 @@ CHANGES.md entry saying why.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,14 +119,18 @@ def bridged24_obj():
     }
 
 
-def run_digests(config_path, out, subcommand="run", outputs=OUTPUTS):
-    assert cli.main([subcommand, "--config", str(config_path), "--out", str(out),
-                     "--quiet"]) == 0
+def digests_of(out, outputs=OUTPUTS):
     digests = {}
     for name in outputs:
         with open(os.path.join(out, name), "rb") as f:
             digests[name] = hashlib.sha256(f.read()).hexdigest()
     return digests
+
+
+def run_digests(config_path, out, subcommand="run", outputs=OUTPUTS):
+    assert cli.main([subcommand, "--config", str(config_path), "--out", str(out),
+                     "--quiet"]) == 0
+    return digests_of(out, outputs)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +142,40 @@ def two_communities_out(tmp_path_factory):
 def test_golden_two_communities(two_communities_out):
     _, got = two_communities_out
     assert got == GOLDEN["two_communities"]
+
+
+# Run in a fresh interpreter: `dbesim run` of argv[1] into argv[2] as shipped,
+# then into argv[3] forced onto two processes (a shard worker and a log
+# writer); prints the number of processes forked.
+HASH_SEED_RUNS = """\
+import os, sys
+from dbesim import cli
+forks, fork = [], os.fork
+os.fork = lambda: (forks.append(1), fork())[1]
+argv = ["run", "--config", sys.argv[1], "--quiet", "--out"]
+assert cli.main(argv + [sys.argv[2]]) == 0
+cli.worker_count = lambda n_habitats, cpus: 2
+assert cli.main(argv + [sys.argv[3]]) == 0
+print(len(forks))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "987654"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    """Under two PYTHONHASHSEED values, on one process and on two, `dbesim
+    run` writes the pinned bytes: no output depends on the iteration order
+    of a set of strings, which the hash seed changes."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = [tmp_path / "one", tmp_path / "two"]
+    done = subprocess.run([sys.executable, "-c", HASH_SEED_RUNS,
+                           asset_path("two_communities.json"), *map(str, outs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2\n"
+    for out in outs:
+        assert digests_of(out) == GOLDEN["two_communities"], out.name
 
 
 def test_snapshot_reserializes_to_the_written_bytes(two_communities_out):

@@ -1,0 +1,56 @@
+"""Relations with closed forms: what a run must do when a parameter takes
+an extreme value, checked on the shipped `two_communities.json`.
+
+These test the model's semantics, not its bytes. Renaming habitats is not
+such a relation: each habitat's stream is derived from its id
+(`habitat:{id}`), so a renamed habitat draws differently.
+"""
+
+from collections import Counter
+
+from conftest import load_asset_obj
+from dbesim import engine
+from dbesim.config import config_from_obj
+
+
+def two_communities(ecosystem=None, reliability=None):
+    """(config, result) of `two_communities.json` with ecosystem parameters
+    replaced and, if given, every service's reliability set."""
+    obj = load_asset_obj("two_communities.json")
+    obj["ecosystem"].update(ecosystem or {})
+    if reliability is not None:
+        for h in obj["scenario"]["habitats"]:
+            for s in h["catalog"]:
+                s["reliability"] = reliability
+    cfg = config_from_obj(obj)
+    return cfg, engine.run(cfg)
+
+
+def test_without_migration_weights_decay_in_closed_form():
+    """With `p_mig` 0 no service moves, so no connection is reinforced, and
+    each weight is 1.0 decayed once per epoch at the floor: iterated
+    max(w * lambda, w_min), float for float."""
+    cfg, result = two_communities({"p_mig": 0.0})
+    kinds = Counter(e.kind for e in result.events)
+    assert kinds["migration"] == kinds["reinforcement"] == 0
+    assert kinds["deployment"] > 0
+    eco = cfg.ecosystem
+    w = 1.0
+    for _ in range(cfg.epochs):
+        w = max(w * eco.decay_lambda, eco.w_min)
+    assert w == 0.13397967485796175
+    assert len(result.eco.connections) == len(cfg.scenario.habitats)  # the ring
+    assert set(result.eco.connections.values()) == {w}
+
+
+def test_without_migration_or_decay_weights_stay_one():
+    _, result = two_communities({"p_mig": 0.0, "decay_lambda": 1.0})
+    assert set(result.eco.connections.values()) == {1.0}
+
+
+def test_every_deployment_of_reliable_services_succeeds():
+    cfg, result = two_communities(reliability=1.0)
+    deployments = [e.payload for e in result.events if e.kind == "deployment"]
+    assert len(deployments) == cfg.epochs * len(cfg.scenario.habitats)
+    assert all(d["success"] for d in deployments)
+    assert {row.deployment_success_rate for row in result.metrics} == {1.0}

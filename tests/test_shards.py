@@ -335,7 +335,7 @@ def test_main_process_failure_kills_the_writer(tmp_path, monkeypatch, capsys):
             time.sleep(30)
         return serialize_events(events)
 
-    def failing_serialize_snapshot(cfg, state):
+    def failing_snapshot_chunks(cfg, state):
         deadline = time.monotonic() + 10
         while not (tmp_path / "out" / ".events.jsonl.tmp").exists():  # the writer's first write
             assert time.monotonic() < deadline
@@ -343,7 +343,7 @@ def test_main_process_failure_kills_the_writer(tmp_path, monkeypatch, capsys):
         raise OSError("no space left")
 
     monkeypatch.setattr(engine, "serialize_events", stalled_serialize_events)
-    monkeypatch.setattr(cli, "serialize_snapshot", failing_serialize_snapshot)
+    monkeypatch.setattr(cli, "snapshot_chunks", failing_snapshot_chunks)
     forked = record_forks(monkeypatch)
     monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 2)
     gc_was_enabled = gc.isenabled()
