@@ -268,10 +268,10 @@ def cmd_topology(cfg, out: OutputDir, quiet: bool) -> int:
             print(f"injected vertex final rank: {trajectory[-1][1]}")
     else:
         grow(graph, topo.steps, topo.m, topo.eta, rng)
-    out.write("degrees.csv", map("".join, _batches(graph.degree_lines())))
-    out.write("business.dot", map("".join, _batches(graph.dot_lines())))
-    degrees = sorted(v.degree for v in graph.vertices.values())
+    out.write("degrees.csv", graph.degree_lines())
+    out.write("business.dot", graph.dot_lines())
     if not quiet:
+        degrees = sorted(v.degree for v in graph.vertices.values())
         print(f"vertices={len(graph.vertices)} edges={len(graph.attachment_edges)} "
               f"max_degree={degrees[-1]} median_degree={degrees[len(degrees) // 2]}")
     return EXIT_OK

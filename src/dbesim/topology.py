@@ -19,8 +19,10 @@ from .rng import Stream
 SERVICE_FLOW = "service_flow"
 CAPITAL_FLOW = "capital_flow"
 
+CHUNK_LINES = 1024  # lines per chunk of `degree_lines` and `dot_lines`
 
-@dataclass
+
+@dataclass(slots=True, eq=False)
 class BusinessVertex:
     id: str
     eta: float
@@ -54,11 +56,11 @@ class EtaDist:
 class BusinessGraph:
     """Undirected attachment graph of the growth experiment.
 
-    The sampling pool holds one entry per unit of degree, and one floor
-    entry for a vertex of degree 0, which its first edge takes over, so a
-    uniform proposal over the pool is proportional to max(degree, 1); an
-    eta-acceptance step then yields target probability proportional to
-    eta * max(degree, 1).
+    The sampling pool holds the vertex objects themselves, one entry per
+    unit of degree, and one floor entry for a vertex of degree 0, which its
+    first edge takes over, so a uniform proposal over the pool is
+    proportional to max(degree, 1); an eta-acceptance step then yields
+    target probability proportional to eta * max(degree, 1).
 
     Only `seed_business_graph` and `_add_grown_vertex` add to it, each
     vertex under a fresh id as soon as the id is made, with checked etas
@@ -68,21 +70,24 @@ class BusinessGraph:
     def __init__(self):
         self.vertices: dict[str, BusinessVertex] = {}
         self.attachment_edges: list[tuple] = []
-        self._pool: list[str] = []
+        self._pool: list[BusinessVertex] = []
 
     def add_vertex(self, vertex_id: str, eta: float, birth_step: int) -> BusinessVertex:
         v = BusinessVertex(vertex_id, eta, 0, birth_step)
         self.vertices[vertex_id] = v
-        self._pool.append(vertex_id)
+        self._pool.append(v)
         return v
 
-    def add_attachment_edge(self, a: str, b: str) -> None:
-        self.attachment_edges.append((a, b) if a < b else (b, a))
-        for vid in (a, b):
-            v = self.vertices[vid]
-            if v.degree:  # at degree 0, the floor entry is the first degree unit
-                self._pool.append(vid)
-            v.degree += 1
+    def add_attachment_edge(self, a: BusinessVertex, b: BusinessVertex) -> None:
+        """Join two vertices; at degree 0 the floor entry is the first degree unit."""
+        ai, bi = a.id, b.id
+        self.attachment_edges.append((ai, bi) if ai < bi else (bi, ai))
+        if a.degree:
+            self._pool.append(a)
+        a.degree += 1
+        if b.degree:
+            self._pool.append(b)
+        b.degree += 1
 
     def fresh_id(self) -> str:
         """The id of the next vertex: vertices are never removed, so the
@@ -94,25 +99,35 @@ class BusinessGraph:
         d = self.vertices[vertex_id].degree
         return 1 + sum(1 for v in self.vertices.values() if v.degree > d)
 
+    def _by_id(self) -> list:
+        """The vertices in id order."""
+        vertices = self.vertices
+        return [vertices[vid] for vid in sorted(vertices)]
+
     def dot_lines(self):
-        """The lines of `to_dot`, each ending in a newline, made one at a time."""
+        """The text of `to_dot` in pieces: the header line, the vertex and
+        then the edge lines in chunks of `CHUNK_LINES`, the closing line."""
         yield "graph business {\n"
-        for vid in sorted(self.vertices):
-            v = self.vertices[vid]
-            yield f'  "{vid}" [label="{vid} eta={v.eta:.4f} k={v.degree}"];\n'
-        for a, b in sorted(self.attachment_edges):
-            yield f'  "{a}" -- "{b}";\n'
+        rows = self._by_id()
+        for i in range(0, len(rows), CHUNK_LINES):
+            yield "".join([f'  "{v.id}" [label="{v.id} eta={v.eta:.4f} k={v.degree}"];\n'
+                           for v in rows[i:i + CHUNK_LINES]])
+        edges = sorted(self.attachment_edges)
+        for i in range(0, len(edges), CHUNK_LINES):
+            yield "".join([f'  "{a}" -- "{b}";\n' for a, b in edges[i:i + CHUNK_LINES]])
         yield "}\n"
 
     def to_dot(self) -> str:
         return "".join(self.dot_lines())
 
     def degree_lines(self):
-        """The lines of `degree_csv`, each ending in a newline, made one at a time."""
+        """The text of `degree_csv` in pieces: the header line, then the
+        vertex lines in chunks of `CHUNK_LINES`."""
         yield "vertex,eta,degree,birth_step\n"
-        for vid in sorted(self.vertices):
-            v = self.vertices[vid]
-            yield f"{vid},{v.eta!r},{v.degree},{v.birth_step}\n"
+        rows = self._by_id()
+        for i in range(0, len(rows), CHUNK_LINES):
+            yield "".join([f"{v.id},{v.eta!r},{v.degree},{v.birth_step}\n"
+                           for v in rows[i:i + CHUNK_LINES]])
 
     def degree_csv(self) -> str:
         return "".join(self.degree_lines())
@@ -152,41 +167,38 @@ class FlowLedger:
 def seed_business_graph(count: int, eta_dist: EtaDist, rng: Stream) -> BusinessGraph:
     """Fully connected seed graph of count >= 1 vertices; etas drawn in id order."""
     g = BusinessGraph()
-    for _ in range(count):
-        g.add_vertex(g.fresh_id(), eta_dist.draw(rng), 0)
-    ids = list(g.vertices)
+    vs = [g.add_vertex(g.fresh_id(), eta_dist.draw(rng), 0) for _ in range(count)]
     for i in range(count):
         for j in range(i + 1, count):
-            g.add_attachment_edge(ids[i], ids[j])
+            g.add_attachment_edge(vs[i], vs[j])
     return g
 
 
-def _draw_target(g: BusinessGraph, rng: Stream, exclude: set) -> str:
-    """One attachment target, probability proportional to eta * max(degree, 1).
+def _add_grown_vertex(g: BusinessGraph, eta: float, step: int, m: int,
+                      rng: Stream) -> BusinessVertex:
+    """Add one vertex born at `step` with m distinct targets, each drawn
+    with probability proportional to eta * max(degree, 1).
 
-    Repeats (proposal draw; if excluded, redraw; else acceptance draw)
-    until a proposal outside `exclude` passes its eta acceptance test.
+    Per target, repeats (proposal draw `below(len(pool))`; if already a
+    target, redraw; else acceptance draw `random()`) until a proposal
+    passes its eta acceptance test. The targets are all drawn before the
+    vertex is added, so the pool is fixed while they are drawn. The
+    acceptance draw is `random()` written out on `next_u64`, and a vertex
+    is in `targets` by identity (`BusinessVertex` has `eq=False`).
     """
-    while True:
-        vid = g._pool[rng.below(len(g._pool))]
-        if vid in exclude:
-            continue
-        if rng.random() < g.vertices[vid].eta:
-            return vid
-
-
-def _add_grown_vertex(g: BusinessGraph, eta: float, step: int, m: int, rng: Stream) -> str:
-    targets: list[str] = []
-    excluded: set[str] = set()
+    pool = g._pool
+    n = len(pool)
+    below, nxt = rng.below, rng.next_u64
+    targets: list[BusinessVertex] = []
     for _ in range(m):
-        t = _draw_target(g, rng, excluded)
+        t = pool[below(n)]
+        while t in targets or (nxt() >> 11) * 2.0**-53 >= t.eta:
+            t = pool[below(n)]
         targets.append(t)
-        excluded.add(t)
-    vid = g.fresh_id()
-    g.add_vertex(vid, eta, step)
+    v = g.add_vertex(g.fresh_id(), eta, step)
     for t in targets:
-        g.add_attachment_edge(vid, t)
-    return vid
+        g.add_attachment_edge(v, t)
+    return v
 
 
 def grow(g: BusinessGraph, steps: int, m: int, eta_dist: EtaDist, rng: Stream) -> None:
@@ -216,7 +228,7 @@ def inject_and_track(g: BusinessGraph, eta_star: float, at_step: int, total_step
     trajectory = []
     for step in range(1, total_steps + 1):
         if step == at_step:
-            injected_id = _add_grown_vertex(g, eta_star, step, m, rng)
+            injected_id = _add_grown_vertex(g, eta_star, step, m, rng).id
         _add_grown_vertex(g, eta_dist.draw(rng), step, m, rng)
         if injected_id is not None and (step % every == 0 or step == total_steps):
             trajectory.append((step, g.degree_rank(injected_id)))

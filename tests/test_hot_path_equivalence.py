@@ -1,20 +1,24 @@
 """The GA gene table, `Stream.weighted_index`, the unchecked fitness kernel,
-the per-edge similarity memo and the event-log writer against the plain
-computations they replace.
+the per-edge similarity memo, the event-log writer and the growth kernel
+with its chunked writers against the plain computations they replace.
 
 Each reference below is the plain computation: gene draws through
 `Stream.weighted_index` over freshly computed replication weights, a
 two-pass loop for `weighted_index` itself, the checked `fitness`, the
-clustering statistic with every profile similarity recomputed, and one
-`json.dumps` of the sorted record per event. Equality is exact: the fast
-paths keep the draw order and the float arithmetic.
+clustering statistic with every profile similarity recomputed, one
+`json.dumps` of the sorted record per event, growth over a pool of vertex
+ids with `below`/`random` draws and dict lookups, and one formatted line
+per vertex and edge. Equality is exact: the fast paths keep the draw order
+and the float arithmetic.
 """
 
 import json
 import math
 import os
+from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_asset_obj, req, svc
@@ -41,6 +45,14 @@ from dbesim.evolution import (
 )
 from dbesim.manifest import Catalog, chain_fitness, fitness
 from dbesim.rng import Stream, derive_substream
+from dbesim.topology import (
+    CHUNK_LINES,
+    BusinessGraph,
+    EtaDist,
+    grow,
+    inject_and_track,
+    seed_business_graph,
+)
 
 MASK = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -359,3 +371,147 @@ def test_events_jsonl_equals_serialized_event_records(tmp_path):
     assert {ev.kind for ev in records} >= {"deployment", "failure", "heal", "migration"}
     assert written == engine.serialize_events(records).encode("utf-8")
     assert written == reference_events(records).encode("utf-8")
+
+
+class ReferenceGraph:
+    """The growth graph as a pool of vertex ids over a dict of vertices."""
+
+    def __init__(self):
+        self.vertices = {}
+        self.attachment_edges = []
+        self.pool = []
+
+    def add_vertex(self, vid, eta, birth_step):
+        self.vertices[vid] = SimpleNamespace(id=vid, eta=eta, degree=0, birth_step=birth_step)
+        self.pool.append(vid)
+
+    def add_attachment_edge(self, a, b):
+        self.attachment_edges.append((a, b) if a < b else (b, a))
+        for vid in (a, b):
+            v = self.vertices[vid]
+            if v.degree:
+                self.pool.append(vid)
+            v.degree += 1
+
+    def add_grown_vertex(self, eta, step, m, rng):
+        targets = []
+        for _ in range(m):
+            while True:
+                vid = self.pool[rng.below(len(self.pool))]
+                if vid not in targets and rng.random() < self.vertices[vid].eta:
+                    break
+            targets.append(vid)
+        vid = f"v{len(self.vertices)}"
+        self.add_vertex(vid, eta, step)
+        for t in targets:
+            self.add_attachment_edge(vid, t)
+        return vid
+
+    def grow(self, steps, m, eta_dist, rng):
+        base = max((v.birth_step for v in self.vertices.values()), default=0)
+        for step in range(base + 1, base + steps + 1):
+            self.add_grown_vertex(eta_dist.draw(rng), step, m, rng)
+
+    def inject_and_track(self, eta_star, at_step, total_steps, m, eta_dist, rng):
+        every = max(1, total_steps // 20)
+        injected, trajectory = None, []
+        for step in range(1, total_steps + 1):
+            if step == at_step:
+                injected = self.add_grown_vertex(eta_star, step, m, rng)
+            self.add_grown_vertex(eta_dist.draw(rng), step, m, rng)
+            if injected is not None and (step % every == 0 or step == total_steps):
+                d = self.vertices[injected].degree
+                trajectory.append((step, 1 + sum(v.degree > d for v in self.vertices.values())))
+        return trajectory
+
+    def degree_csv(self):
+        text = "vertex,eta,degree,birth_step\n"
+        for vid in sorted(self.vertices):
+            v = self.vertices[vid]
+            text += f"{vid},{v.eta!r},{v.degree},{v.birth_step}\n"
+        return text
+
+    def to_dot(self):
+        text = "graph business {\n"
+        for vid in sorted(self.vertices):
+            v = self.vertices[vid]
+            text += f'  "{vid}" [label="{vid} eta={v.eta:.4f} k={v.degree}"];\n'
+        for a, b in sorted(self.attachment_edges):
+            text += f'  "{a}" -- "{b}";\n'
+        return text + "}\n"
+
+
+def seeded_pair(count, eta_dist, seed):
+    """The kernel's seed graph and the reference one, each with its own stream."""
+    rng, ref_rng = derive_substream(seed, "growth"), derive_substream(seed, "growth")
+    ref = ReferenceGraph()
+    for i in range(count):
+        ref.add_vertex(f"v{i}", eta_dist.draw(ref_rng), 0)
+    for i in range(count):
+        for j in range(i + 1, count):
+            ref.add_attachment_edge(f"v{i}", f"v{j}")
+    return seed_business_graph(count, eta_dist, rng), rng, ref, ref_rng
+
+
+def assert_same_graph(g, rng, ref, ref_rng):
+    assert ([(v.id, v.eta, v.degree, v.birth_step) for v in g.vertices.values()]
+            == [(v.id, v.eta, v.degree, v.birth_step) for v in ref.vertices.values()])
+    assert g.attachment_edges == ref.attachment_edges
+    assert [v.id for v in g._pool] == ref.pool
+    assert rng.state == ref_rng.state
+
+
+GROWTH_CASES = [  # (seed vertices, m, eta distribution)
+    (3, 1, EtaDist("uniform", 1.0)),
+    (3, 2, EtaDist("uniform", 0.5)),
+    (4, 3, EtaDist("uniform", 1.0)),
+    (3, 3, EtaDist("fixed", 0.7)),
+    (1, 1, EtaDist("fixed", 1.0)),
+    (2, 2, EtaDist("uniform", 1.0)),
+]
+
+
+@pytest.mark.parametrize("count,m,eta", GROWTH_CASES)
+def test_grow_matches_the_id_pool_reference(count, m, eta):
+    g, rng, ref, ref_rng = seeded_pair(count, eta, 31 + m)
+    assert_same_graph(g, rng, ref, ref_rng)
+    grow(g, 400, m, eta, rng)
+    ref.grow(400, m, eta, ref_rng)
+    assert_same_graph(g, rng, ref, ref_rng)
+    grow(g, 50, m, eta, rng)  # a second call continues the birth steps
+    ref.grow(50, m, eta, ref_rng)
+    assert_same_graph(g, rng, ref, ref_rng)
+
+
+@pytest.mark.parametrize("count,m,eta", GROWTH_CASES)
+def test_inject_and_track_matches_the_id_pool_reference(count, m, eta):
+    g, rng, ref, ref_rng = seeded_pair(count, eta, 47 + m)
+    trajectory = inject_and_track(g, 0.9, 150, 400, m, eta, rng)
+    assert trajectory == ref.inject_and_track(0.9, 150, 400, m, eta, ref_rng)
+    assert len(trajectory) == 13
+    assert_same_graph(g, rng, ref, ref_rng)
+
+
+def test_chunked_writers_match_the_per_line_text():
+    """More than one chunk of vertex and of edge lines, with ids made by
+    `add_vertex` that sort apart from the fresh ones."""
+    eta = EtaDist("uniform", 1.0)
+    g, rng, ref, ref_rng = seeded_pair(3, eta, 5)
+    for vid, e in (("a", 0.25), ("zz", 1.0), ("v10x", 0.5)):
+        g.add_vertex(vid, e, 0)
+        ref.add_vertex(vid, e, 0)
+    g.add_attachment_edge(g.vertices["a"], g.vertices["v0"])
+    ref.add_attachment_edge("a", "v0")
+    grow(g, 2 * CHUNK_LINES, 2, eta, rng)
+    ref.grow(2 * CHUNK_LINES, 2, eta, ref_rng)
+    assert_same_graph(g, rng, ref, ref_rng)
+    csv, dot = list(g.degree_lines()), list(g.dot_lines())
+    # 2054 vertex lines in 3 chunks, 4100 edge lines in 5, and the header and closing lines
+    assert len(g.vertices) == 2054 and len(g.attachment_edges) == 4100
+    assert (len(csv), len(dot)) == (1 + 3, 1 + 3 + 5 + 1)
+    assert all(chunk.count("\n") <= CHUNK_LINES for chunk in csv + dot)
+    assert "".join(csv) == g.degree_csv() == ref.degree_csv()
+    assert "".join(dot) == g.to_dot() == ref.to_dot()
+    empty = BusinessGraph()
+    assert empty.degree_csv() == ReferenceGraph().degree_csv()
+    assert empty.to_dot() == ReferenceGraph().to_dot()

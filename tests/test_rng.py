@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dbesim import engine
 from dbesim.rng import FNV_OFFSET_BASIS, Stream, derive_substream, fnv1a64
+from dbesim.topology import inject_and_track, seed_business_graph
 
 from conftest import load_asset_config
 
@@ -250,3 +251,42 @@ def test_every_draw_of_a_run_goes_through_next_u64(monkeypatch):
     counted = sum(s.draws for s, _ in created)
     assert counted > 1000
     assert counted == sum(draws_from_state(start, s.state) for s, start in created)
+
+
+class ProposalCountingStream(CountingStream):
+    """Also counts its `below` calls, which the benchmark reads as proposals."""
+
+    __slots__ = ("belows",)
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.belows = 0
+
+    def below(self, n):
+        self.belows += 1
+        return Stream.below(self, n)
+
+
+class ReadCountingList(list):
+    """A sampling pool that counts its index reads: one per proposal."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_every_draw_of_the_growth_experiment_goes_through_next_u64():
+    """The benchmark's draw self-check on `topology`, as a test: the growth
+    draws all go through `next_u64`, and each proposal is one `below` call,
+    so its acceptance ratio counts proposals there."""
+    topo = load_asset_config("topology_experiment.json").topology
+    start = derive_substream(1, "growth").state
+    rng = ProposalCountingStream(start)
+    g = seed_business_graph(topo.seed_vertices, topo.eta, rng)
+    g._pool = pool = ReadCountingList(g._pool)
+    inject_and_track(g, topo.inject_eta, 1000, 2000, topo.m, topo.eta, rng)
+    assert rng.draws > 2 * 2000 * topo.m
+    assert rng.draws == draws_from_state(start, rng.state)
+    assert rng.belows == pool.reads >= 2001 * topo.m
