@@ -149,57 +149,25 @@ def _logs_written(cfg, result, out: OutputDir, fork: bool):
     """Write the run's logs before the block or, if `fork`, in a forked
     writer process while the block runs.
 
-    The writer is reaped when the block ends, and its error (sent as text
-    over a pipe) or its death then raises a RuntimeError. If the block
-    raises, the writer is killed and reaped first.
+    The writer is reaped when the block ends, and its error or its death
+    then raises a `shards.ShardError`. If the block or the wait raises, the
+    writer is killed and reaped first, and any temp file it left removed.
     """
     if not fork:
         _write_logs(cfg, result, out)
         yield
         return
-    report_r, report_w = os.pipe()
+    from .shards import Child
+
+    writer = Child("writer", lambda recv, send: _write_logs(cfg, result, out))
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(report_r)
-        os.close(report_w)
-        raise
-    if pid == 0:  # the writer: it never returns from this branch
-        status = 1
-        try:
-            os.close(report_r)
-            with open(report_w, "w", encoding="utf-8") as report:
-                try:
-                    _write_logs(cfg, result, out)
-                    status = 0
-                except BaseException as e:
-                    report.write(f"{type(e).__name__}: {e}")
-        finally:
-            os._exit(status)
-    os.close(report_w)
-    with open(report_r, encoding="utf-8", errors="replace") as report:
-        try:
-            yield
-        except BaseException:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            _reap_writer(pid, out)
-            raise
-        error = report.read()
-    if _reap_writer(pid, out):
-        raise RuntimeError(f"writer process {pid}: {error or 'exited unexpectedly'}")
-
-
-def _reap_writer(pid: int, out: OutputDir) -> int:
-    """Reap the log writer and return its wait status; a writer that failed
-    or was killed may have left temp files, which are removed."""
-    status = os.waitpid(pid, 0)[1]
-    if status:
+        yield
+        writer.join()
+    finally:
+        writer.close(kill=True)  # a writer already reaped is left alone
         for name in RUN_LOGS:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(out.tmp_path(name))
-    return status
 
 
 def _run_and_write(cfg, state, out: OutputDir) -> tuple:

@@ -26,17 +26,18 @@ state and stays its one writer:
 
 Workers are forked, not spawned: a worker inherits the built run state
 instead of receiving it pickled, and the program starts no threads that a
-fork could leave holding a lock. Messages are pickles over pipes. A worker
-that raises sends the error as a string and exits; one that dies leaves EOF
-on its pipe. Either surfaces in the main process as a `ShardError`, and
-every worker is reaped. `pickle` and `signal` are imported only where a
-worker is forked or reaped, so a one-process run never loads them.
+fork could leave holding a lock. Every forked process, a worker or `dbesim
+run`'s log writer, is a `Child`: pickles over two pipes, its error or death
+raised as a `ShardError`, and killed or reaped. `pickle` and `signal` are
+imported only where a child is forked or reaped, so a one-process run never
+loads them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+from functools import partial
 from itertools import islice
 
 from .ecosystem import Deployment, emit_step, habitat_step
@@ -44,16 +45,100 @@ from .evolution import record_deployment
 
 
 class ShardError(RuntimeError):
-    """A worker process failed or died."""
+    """A forked process failed or died: `<name> process <pid>: <Type>: <message>`
+    for an error it raised, else `<name> process <pid>: exited unexpectedly`."""
 
 
-class _Worker:
-    def __init__(self, pid: int, ids: list, send, recv):
-        self.pid = pid
-        self.ids = ids  # the shard, in id order
-        self.live = ids  # the habitats the last message named, or the shard before one
-        self.send = send
-        self.recv = recv
+class Child:
+    """A forked process that runs `serve(recv, send)` on its ends of two
+    pipes, having closed the `inherited` files of the parent's.
+
+    If `serve` raises, the child sends the error's text and exits; either
+    reaches the parent through `get` or `join` as a `ShardError`.
+    """
+
+    def __init__(self, name: str, serve, inherited=()):
+        import pickle
+
+        self.name = name
+        self.status = None  # the wait status, once reaped
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:  # the child: it never returns from this branch
+            status = 1
+            try:
+                os.close(down_w)
+                os.close(up_r)
+                for f in inherited:
+                    f.close()
+                with open(down_r, "rb") as recv, open(up_w, "wb") as send:
+                    try:
+                        serve(recv, send)
+                        status = 0
+                    except Exception as e:
+                        pickle.dump(f"{type(e).__name__}: {e}", send)
+            finally:
+                os._exit(status)
+        os.close(down_r)
+        os.close(up_w)
+        self.send = open(down_w, "wb")
+        self.recv = open(up_r, "rb")
+
+    def _error(self, text: str) -> ShardError:
+        return ShardError(f"{self.name} process {self.pid}: {text}")
+
+    def put(self, msg) -> None:
+        import pickle
+
+        try:
+            pickle.dump(msg, self.send, pickle.HIGHEST_PROTOCOL)
+            self.send.flush()
+        except BrokenPipeError:
+            raise self._error("exited unexpectedly") from None
+
+    def get(self):
+        import pickle
+
+        try:
+            msg = pickle.load(self.recv)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._error("exited unexpectedly") from None
+        if type(msg) is str:
+            raise self._error(msg)
+        return msg
+
+    def join(self) -> None:
+        """Reap a child that sends nothing unless it fails; raise its error
+        or its death."""
+        try:
+            self.get()
+        except ShardError:  # its error, or the end of its output
+            if self.close():
+                raise
+
+    def close_pipes(self) -> None:
+        """End the child's input and discard its output."""
+        for f in (self.send, self.recv):
+            with contextlib.suppress(OSError):
+                f.close()
+
+    def close(self, kill: bool = False) -> int:
+        """Close both pipes and reap the child, killing it first if `kill`;
+        returns its wait status. A child already reaped is left alone."""
+        self.close_pipes()
+        if self.status is None:
+            if kill:
+                import signal
+
+                os.kill(self.pid, signal.SIGKILL)
+            self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
 
 
 class Shards:
@@ -72,10 +157,13 @@ class Shards:
         ids = eco.habitat_ids()
         self.local = ids[0::n]
         self.pool_sizes = {hid: len(eco.habitats[hid].pool) for hid in ids}
+        self.shards = [ids[k::n] for k in range(1, n)]  # each worker's, in id order
+        self.live = self.shards  # what each worker's last message named, or its shard
         self.workers: list = []
         try:
-            for k in range(1, n):
-                self.workers.append(self._fork(ids[k::n]))
+            for shard in self.shards:
+                inherited = [f for w in self.workers for f in (w.send, w.recv)]
+                self.workers.append(Child("worker", partial(self._serve, shard), inherited))
         except BaseException:
             self.close(kill=True)
             raise
@@ -86,37 +174,6 @@ class Shards:
     def __exit__(self, exc_type, *exc):
         self.close(kill=exc_type is not None)
         return False
-
-    def _fork(self, ids: list) -> _Worker:
-        import pickle
-
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            for fd in (down_r, down_w, up_r, up_w):
-                os.close(fd)
-            raise
-        if pid == 0:  # the worker: it never returns from this branch
-            status = 1
-            try:
-                os.close(down_w)
-                os.close(up_r)
-                for w in self.workers:  # the earlier workers' pipe ends
-                    w.send.close()
-                    w.recv.close()
-                with open(down_r, "rb") as recv, open(up_w, "wb") as send:
-                    try:
-                        self._serve(ids, recv, send)
-                    except Exception as e:
-                        pickle.dump(f"{type(e).__name__}: {e}", send)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(down_r)
-        os.close(up_w)
-        return _Worker(pid, ids, open(down_w, "wb"), open(up_r, "rb"))
 
     def _serve(self, ids: list, recv, send) -> None:
         """The worker's loop: step the habitats each message names; at EOF, send
@@ -143,26 +200,6 @@ class Shards:
         for hid in ids:
             pickle.dump(habitats[hid].active, send, pickle.HIGHEST_PROTOCOL)
 
-    def _send(self, w: _Worker, msg) -> None:
-        import pickle
-
-        try:
-            pickle.dump(msg, w.send, pickle.HIGHEST_PROTOCOL)
-            w.send.flush()
-        except BrokenPipeError:
-            raise ShardError(f"worker process {w.pid} exited unexpectedly") from None
-
-    def _recv(self, w: _Worker):
-        import pickle
-
-        try:
-            msg = pickle.load(w.recv)
-        except (EOFError, pickle.UnpicklingError):
-            raise ShardError(f"worker process {w.pid} exited unexpectedly") from None
-        if type(msg) is str:
-            raise ShardError(f"worker process {w.pid}: {msg}")
-        return msg
-
     def _added(self, habitats: dict, ids: list) -> list:
         """(id, [(service, provenance)]) of each habitat whose pool grew
         since the last message, new members in pool order."""
@@ -183,14 +220,13 @@ class Shards:
         order."""
         habitats = self.eco.habitats
         streams = self.streams
-        for w in self.workers:
-            w.live = [hid for hid in w.ids if hid in habitats]
-            self._send(w, (w.live, [streams[hid].state for hid in w.live],
-                           self._added(habitats, w.live)))
+        self.live = [[hid for hid in ids if hid in habitats] for ids in self.shards]
+        for w, live in zip(self.workers, self.live):
+            w.put((live, [streams[hid].state for hid in live], self._added(habitats, live)))
         steps = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute)
                  for hid in self.local if hid in habitats}
-        for w in self.workers:
-            for hid, (state, record) in zip(w.live, self._recv(w)):
+        for w, live in zip(self.workers, self.live):
+            for hid, (state, record) in zip(live, w.get()):
                 streams[hid].state = state
                 if len(record) > 1:
                     # Replay the feedback on the main process's copies and take the ids
@@ -214,23 +250,16 @@ class Shards:
         worker's input makes it send them."""
         for w in self.workers:
             w.send.close()
-        for w in self.workers:
-            for hid in w.live:
-                self.eco.habitats[hid].active = self._recv(w)
+        for w, live in zip(self.workers, self.live):
+            for hid in live:
+                self.eco.habitats[hid].active = w.get()
 
     def close(self, kill: bool = False) -> None:
         """Close every pipe and reap every worker; `kill` stops busy ones first.
 
         A worker whose input is closed sends its evolution states and exits.
         """
+        for w in self.workers:  # every pipe first, so the workers end together
+            w.close_pipes()
         for w in self.workers:
-            for f in (w.send, w.recv):
-                with contextlib.suppress(OSError):
-                    f.close()
-        for w in self.workers:
-            if kill:
-                import signal
-
-                os.kill(w.pid, signal.SIGKILL)
-            os.waitpid(w.pid, 0)
-        self.workers = []
+            w.close(kill)

@@ -4,10 +4,13 @@
 habitat-count rule `dbesim run` applies (`cli.worker_count`).
 """
 
+import ast
+import errno
 import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -246,7 +249,7 @@ def test_worker_failure_is_one_line_exit_2(tmp_path, monkeypatch, capsys, fault)
     if fault == "raises":
         assert err.rstrip().endswith(": ValueError: broken service")
     else:
-        assert "exited unexpectedly" in err
+        assert err.rstrip().endswith(": exited unexpectedly")
     assert not os.path.exists(out / cli.LOCK_NAME)
     assert len(forked) == 2
     assert_reaped(forked)
@@ -354,3 +357,85 @@ def test_main_process_failure_kills_the_writer(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: no space left\n"
     assert_failed_run_cleaned_up(tmp_path / "out", forked, err, gc_was_enabled)
+
+
+def test_interrupt_while_run_waits_for_its_writer_kills_the_writer(tmp_path, monkeypatch):
+    """SIGINT while `dbesim run` waits for its stalled log writer, after the
+    main process has written its last file, raises KeyboardInterrupt only
+    once the writer is killed and reaped: the lock and every temp file are
+    gone."""
+    main_pid = os.getpid()
+    out = tmp_path / "out"
+    serialize_events = engine.serialize_events
+
+    def stalled_serialize_events(events):
+        if os.getpid() != main_pid:  # the writer, on its first chunk
+            deadline = time.monotonic() + 10
+            while not (out / "flows.csv").exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # the main process is waiting for the writer by now
+            os.kill(main_pid, signal.SIGINT)
+            time.sleep(30)
+        return serialize_events(events)
+
+    monkeypatch.setattr(engine, "serialize_events", stalled_serialize_events)
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 2)
+    gc_was_enabled = gc.isenabled()
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(out)
+    assert time.monotonic() - start < 20
+    assert (out / "flows.csv").exists() and not (out / "events.jsonl").exists()
+    assert [name for name in os.listdir(out) if name.startswith(".")] == []
+    assert len(forked) == 2
+    assert_reaped(forked)
+    assert gc.isenabled() is gc_was_enabled
+
+
+@pytest.mark.parametrize("workers", [3, 2])
+def test_a_refused_fork_leaks_nothing(tmp_path, monkeypatch, capsys, workers):
+    """A refused second fork, of the second shard worker on three processes
+    or of the log writer on two, ends `dbesim run` with the error as its one
+    line and exit status 2. The first child is reaped, and no file
+    descriptor or dot-file is left."""
+    refused = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    forked = record_forks(monkeypatch)
+    fork = os.fork
+
+    def refusing_fork():
+        if forked:
+            raise refused
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refusing_fork)
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: workers)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    capsys.readouterr()
+    assert run_cli(tmp_path / "out") == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {refused}\n"
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert [name for name in os.listdir(tmp_path / "out") if name.startswith(".")] == []
+
+
+def test_only_shards_forks_or_reaps():
+    """Every forked process is a `shards.Child`: no other module of the
+    package uses the process calls of `os`."""
+    calls = {"fork", "pipe", "kill", "waitpid", "_exit"}
+    package = os.path.dirname(engine.__file__)
+    users = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in calls
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                users.add(name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in calls for alias in node.names):
+                users.add(name)
+    assert users == {"shards.py"}
