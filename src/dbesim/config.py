@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import isfinite
 from operator import attrgetter
 from sys import float_info
@@ -859,8 +860,29 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
 # --- Files ---
 
 
+class _CompactEncoder(json.JSONEncoder):
+    """`JSONEncoder(sort_keys=True, separators=(",", ":"))` whose C encoder
+    is built once, not on every `encode` call. Its text and its errors are
+    the stdlib's: an unserializable value reaches `self.default`, which
+    raises the stdlib `TypeError`. It keeps no markers, so it does not
+    detect cycles; every value a run encodes is acyclic."""
+
+    def __init__(self):
+        super().__init__(sort_keys=True, separators=(",", ":"))
+        self._chunks = c_make_encoder(
+            None, self.default, encode_basestring_ascii, self.indent, self.key_separator,
+            self.item_separator, self.sort_keys, self.skipkeys, self.allow_nan)
+
+    def encode(self, o) -> str:
+        if isinstance(o, str):  # as `JSONEncoder.encode` does
+            return encode_basestring_ascii(o)
+        return "".join(self._chunks(o, 0))
+
+
 # The compact, key-sorted encoder of every JSON text written on one line.
-COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Without the `_json` accelerator the stdlib's pure-Python encoder serves.
+COMPACT = (_CompactEncoder() if c_make_encoder is not None
+           else json.JSONEncoder(sort_keys=True, separators=(",", ":")))
 
 
 def serialize_config(cfg: SimConfig) -> str:

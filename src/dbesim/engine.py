@@ -77,9 +77,10 @@ def serialize_events(events) -> str:
 
     Each line is the compact, key-sorted JSON of {"epoch", "kind", "payload"}.
     The wrapper is written out by hand around the one shared encoder's
-    payload text: its keys are already in sorted order, an epoch is an int
-    and a kind is a code constant token that needs no escaping, so the bytes
-    are those of `json.dumps(record, sort_keys=True, separators=(",", ":"))`.
+    payload text (`config.COMPACT`, whose C encoder is built once): its keys
+    are already in sorted order, an epoch is an int and a kind is a code
+    constant token that needs no escaping, so the bytes are those of
+    `json.dumps(record, sort_keys=True, separators=(",", ":"))`.
     """
     encode = COMPACT.encode
     return "".join([f'{{"epoch":{epoch},"kind":"{kind}","payload":{encode(payload)}}}\n'

@@ -209,36 +209,42 @@ def mutate(g: ChainGenome, table: tuple, max_len: int, rng: Stream) -> ChainGeno
 
 
 def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream,
-                    table: tuple) -> list:
+                    table: tuple, known: dict) -> list:
     """Produce the next generation, preserving population size.
 
     The top-elitism individuals (ties by index) carry over unchanged. Each
     offspring pair consumes draws in the order: selection pair, crossover
     decision, cut points (if crossover fires), then per child a mutation
-    decision and the mutation's own draws.
+    decision and the mutation's own draws. A decision is one output read as
+    `Stream.random` reads it, `(next_u64() >> 11) * 2**-53`, against the rate.
 
-    A child whose genome is already known this generation reuses that
-    individual: fitness depends only on the request and on the attributes,
-    ports and prices of pool members, which never change once in a pool.
-    One gene table serves the whole generation: pool membership and usage
-    counters do not change within it. `table` is
-    `gene_table(catalog, params.gamma)`.
+    A child whose genome is already known in this `advance` call reuses that
+    individual: fitness depends only on the request, `beta` and the
+    attributes, ports and prices of pool members, which never change once in
+    a pool. `known` maps genomes to individuals; it is seeded from the
+    call's first population and gains every new child. One gene table
+    serves the whole call: pool membership and usage counters do not change
+    within it. `table` is `gene_table(catalog, params.gamma)`.
     """
     size = len(pop)
-    known = {ind.genome: ind for ind in pop}
+    k = params.tournament_size
+    crossover_rate = params.crossover_rate
+    mutation_rate = params.mutation_rate
+    max_len = req.max_len
+    nxt = rng.next_u64
     next_pop = sorted(pop, key=attrgetter("fitness"), reverse=True)[: params.elitism]
     while len(next_pop) < size:
-        p1 = tournament_select(pop, params.tournament_size, rng)
-        p2 = tournament_select(pop, params.tournament_size, rng)
-        if rng.random() < params.crossover_rate:
-            c1, c2 = crossover(p1.genome, p2.genome, req.max_len, rng)
+        p1 = tournament_select(pop, k, rng)
+        p2 = tournament_select(pop, k, rng)
+        if (nxt() >> 11) * 2.0**-53 < crossover_rate:
+            c1, c2 = crossover(p1.genome, p2.genome, max_len, rng)
         else:
             c1, c2 = p1.genome, p2.genome
         for child in (c1, c2):
             if len(next_pop) >= size:
                 break
-            if rng.random() < params.mutation_rate:
-                child = mutate(child, table, req.max_len, rng)
+            if (nxt() >> 11) * 2.0**-53 < mutation_rate:
+                child = mutate(child, table, max_len, rng)
             ind = known.get(child)
             if ind is None:
                 ind = known[child] = Individual(child, evaluate_genome(child, catalog, req, params))
@@ -252,16 +258,19 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
 
     Returns (population, its best individual, per-step (best, mean) fitness).
     A population already at target, or max_steps <= 0, is returned at once,
-    with no draw. One gene table serves every step: pool membership and
-    usage counters do not change inside this call.
+    with no draw. One gene table and one genome memo serve every step: pool
+    membership and usage counters do not change inside this call. The memo
+    holds at most population_size * (max_steps + 1) individuals and is
+    dropped when the call returns; it never enters the evolution's state.
     """
     best, _ = population_stats(pop)
     stats = []
     if best.fitness >= params.target_fitness or max_steps <= 0:
         return pop, best, stats
     table = gene_table(catalog, params.gamma)
+    known = {ind.genome: ind for ind in pop}
     for _ in range(max_steps):
-        pop = step_generation(pop, catalog, req, params, rng, table)
+        pop = step_generation(pop, catalog, req, params, rng, table, known)
         best, mean = population_stats(pop)
         stats.append((best.fitness, mean))
         if best.fitness >= params.target_fitness:

@@ -4,11 +4,18 @@ import json
 import os
 
 import pytest
+from hypothesis import settings
 
 from dbesim.config import config_from_obj
 from dbesim.ecosystem import Habitat, RequestTemplate, evolve_request
 from dbesim.manifest import Catalog, Request, ServiceManifest
 from dbesim.rng import Stream
+
+# Every property test draws the same examples on every run, and no example
+# database carries failures from one run into the next: a tier-1 verdict does
+# not depend on the run. Each test keeps its own `max_examples`.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "dbesim", "assets")
 

@@ -274,7 +274,8 @@ def test_step_generation_preserves_size_and_elite():
     pop = init_population(catalog, r, params, rng)
     best = max(pop, key=lambda i: i.fitness)
     for _ in range(100):
-        pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma))
+        pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma),
+                              {ind.genome: ind for ind in pop})
         assert len(pop) == 30
         assert any(ind.fitness >= best.fitness for ind in pop)
         for ind in pop:
@@ -289,7 +290,8 @@ def test_step_generation_identity_when_all_elite():
                              mutation_rate=0.0, elitism=10)
     rng = derive_substream(34, "ident")
     pop = init_population(catalog, r, _params(population_size=10), rng)
-    next_pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma))
+    next_pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma),
+                               {ind.genome: ind for ind in pop})
     assert sorted(ind.genome for ind in next_pop) == sorted(ind.genome for ind in pop)
 
 
@@ -299,7 +301,8 @@ def test_step_generation_without_operators_draws_from_parents():
     rng = derive_substream(35, "copy")
     pop = init_population(catalog, r, params, rng)
     genomes = {ind.genome for ind in pop}
-    next_pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma))
+    next_pop = step_generation(pop, catalog, r, params, rng, gene_table(catalog, params.gamma),
+                               {ind.genome: ind for ind in pop})
     assert all(ind.genome in genomes for ind in next_pop)
 
 
@@ -398,14 +401,25 @@ def test_reused_fitness_survives_pool_growth(monkeypatch):
     params = _params(population_size=20)
     rng = derive_substream(41, "grow")
     calls = _counting_evaluate_genome(monkeypatch)
-    pop, _, first = advance(init_population(catalog, r, params, rng), catalog, r, params, rng,
-                            15)
+    per_call = []  # per `advance` call: (genomes it started with, genomes it evaluated)
+
+    def counted_advance(pop, max_steps):
+        started_with, before = {ind.genome for ind in pop}, len(calls)
+        result = advance(pop, catalog, r, params, rng, max_steps)
+        per_call.append((started_with, calls[before:]))
+        return result
+
+    pop, _, first = counted_advance(init_population(catalog, r, params, rng), 15)
     assert len(first) == 15
     catalog.add(svc("rc", {"c"}, in_port="mid", out_port="dst", usage=4, success=3))
-    pop, _, second = advance(pop, catalog, r, params, rng, 40)
+    pop, _, second = counted_advance(pop, 40)
     assert any("rc" in ind.genome for ind in pop)
     for ind in pop:
         assert ind.fitness == evaluate_genome(ind.genome, catalog, r, params)
+    # one `advance` call evaluates no genome twice, nor one it started with
+    for started_with, evaluated in per_call:
+        assert len(evaluated) == len(set(evaluated))
+        assert not started_with & set(evaluated)
     children = (len(first) + len(second)) * (params.population_size - params.elitism)
     assert len(calls) < params.population_size + children
 
@@ -416,7 +430,7 @@ def test_converged_population_skips_known_genomes(monkeypatch):
     pop = [Individual(("good",), 1.0)] * 29 + [Individual(("meh",), 0.5)]
     calls = _counting_evaluate_genome(monkeypatch)
     next_pop = step_generation(pop, catalog, r, params, derive_substream(42, "conv"),
-                               gene_table(catalog, params.gamma))
+                               gene_table(catalog, params.gamma), {ind.genome: ind for ind in pop})
     children = params.population_size - params.elitism
     assert 0 < len(calls) < children
     assert len(calls) == len(set(calls))

@@ -1,15 +1,17 @@
-"""The GA gene table, `Stream.weighted_index`, the unchecked fitness kernel,
-the per-edge similarity memo, the event-log writer and the growth kernel
-with its chunked writers against the plain computations they replace.
+"""The GA gene table, the GA's per-call genome memo and decision draws,
+`Stream.weighted_index`, the unchecked fitness kernel, the per-edge
+similarity memo, the event-log writer and the growth kernel with its
+chunked writers against the plain computations they replace.
 
 Each reference below is the plain computation: gene draws through
-`Stream.weighted_index` over freshly computed replication weights, a
-two-pass loop for `weighted_index` itself, the checked `fitness`, the
-clustering statistic with every profile similarity recomputed, one
-`json.dumps` of the sorted record per event, growth over a pool of vertex
-ids with `below`/`random` draws and dict lookups, and one formatted line
-per vertex and edge. Equality is exact: the fast paths keep the draw order
-and the float arithmetic.
+`Stream.weighted_index` over freshly computed replication weights,
+generations that each seed their own genome memo and draw decisions with
+`Stream.random`, a two-pass loop for `weighted_index` itself, the checked
+`fitness`, the clustering statistic with every profile similarity
+recomputed, one `json.dumps` of the sorted record per event, growth over a
+pool of vertex ids with `below`/`random` draws and dict lookups, and one
+formatted line per vertex and edge. Equality is exact: the fast paths keep
+the draw order and the float arithmetic.
 """
 
 import json
@@ -23,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load_asset_obj, req, svc
 from dbesim import cli, engine, evolution
-from dbesim.config import config_from_obj
+from dbesim.config import COMPACT, config_from_obj
 from dbesim.ecosystem import (
     Habitat,
     RequestTemplate,
@@ -38,8 +40,10 @@ from dbesim.evolution import (
     EvolutionParams,
     advance,
     draw_service,
+    evaluate_genome,
     gene_table,
     init_population,
+    population_stats,
     record_deployment,
     replication_weight,
 )
@@ -187,6 +191,108 @@ def test_ga_across_deployments_matches_fresh_weights(data):
         return pops, rng.state
 
     assert trajectory(False) == trajectory(True)
+
+
+# --- the GA's generation loop ---
+
+
+def reference_step_generation(pop, catalog, request, params, rng, table):
+    """One generation with its own genome memo, seeded from `pop`, and
+    `rng.random()` decisions."""
+    size = len(pop)
+    known = {ind.genome: ind for ind in pop}
+    next_pop = sorted(pop, key=lambda ind: ind.fitness, reverse=True)[: params.elitism]
+    while len(next_pop) < size:
+        p1 = evolution.tournament_select(pop, params.tournament_size, rng)
+        p2 = evolution.tournament_select(pop, params.tournament_size, rng)
+        if rng.random() < params.crossover_rate:
+            c1, c2 = evolution.crossover(p1.genome, p2.genome, request.max_len, rng)
+        else:
+            c1, c2 = p1.genome, p2.genome
+        for child in (c1, c2):
+            if len(next_pop) >= size:
+                break
+            if rng.random() < params.mutation_rate:
+                child = evolution.mutate(child, table, request.max_len, rng)
+            ind = known.get(child)
+            if ind is None:
+                ind = known[child] = evolution.Individual(
+                    child, evaluate_genome(child, catalog, request, params))
+            next_pop.append(ind)
+    return next_pop
+
+
+def reference_advance(pop, catalog, request, params, rng, max_steps):
+    best, _ = population_stats(pop)
+    stats = []
+    if best.fitness >= params.target_fitness or max_steps <= 0:
+        return pop, best, stats
+    table = gene_table(catalog, params.gamma)
+    for _ in range(max_steps):
+        pop = reference_step_generation(pop, catalog, request, params, rng, table)
+        best, mean = population_stats(pop)
+        stats.append((best.fitness, mean))
+        if best.fitness >= params.target_fitness:
+            break
+    return pop, best, stats
+
+
+def sharing(pop):
+    """For each slot, the first slot that holds the same individual."""
+    first = {}
+    return [first.setdefault(id(ind), i) for i, ind in enumerate(pop)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_advance_matches_the_per_generation_reference(data):
+    """Same populations (genomes and fitnesses in order), statistics and
+    stream state as generations that each seed a memo of their own. Services
+    of equal attributes tie on fitness, and a request may be unreachable so
+    that every generation of the budget runs.
+
+    Shared slots are compared from a first population that holds one
+    individual per genome. `init_population` makes a separate individual
+    per slot, and from such a start the two memos may pick different ones
+    of a genome's equal individuals; nothing reads which."""
+    tokens = st.sampled_from("abc")
+    services = [svc(f"s{i}", data.draw(st.frozensets(tokens, min_size=1, max_size=2)),
+                    in_port=data.draw(st.sampled_from(["src", "mid"])),
+                    out_port=data.draw(st.sampled_from(["mid", "dst"])),
+                    price=data.draw(st.sampled_from([1.0, 2.0])))
+                for i in range(data.draw(st.integers(1, 5), label="services"))]
+    request = req("r", data.draw(st.frozensets(st.sampled_from("abcz"), min_size=1, max_size=3)),
+                  max_len=data.draw(st.integers(1, 4), label="max_len"),
+                  budget=data.draw(st.sampled_from([None, 3.0])))
+    rates = st.sampled_from([0.0, 0.5, 1.0])
+    size = data.draw(st.integers(1, 12), label="population")
+    params = EvolutionParams(
+        population_size=size,
+        tournament_size=data.draw(st.sampled_from([1, 3])),
+        crossover_rate=data.draw(rates, label="crossover"),
+        mutation_rate=data.draw(rates, label="mutation"),
+        elitism=min(size, data.draw(st.sampled_from([0, 1, 3]), label="elitism")),
+        target_fitness=data.draw(st.sampled_from([0.999, 1.5]), label="target"))
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    budgets = data.draw(st.lists(st.integers(0, 25), min_size=1, max_size=3), label="budgets")
+    one_per_genome = data.draw(st.booleans(), label="one individual per genome")
+
+    def trajectory(step):
+        catalog = Catalog(s.copy() for s in services)
+        rng = derive_substream(seed, "ga")
+        pop = init_population(catalog, request, params, rng)
+        if one_per_genome:
+            first = {}
+            pop = [first.setdefault(ind.genome, ind) for ind in pop]
+        calls = []
+        for budget in budgets:
+            pop, best, stats = step(pop, catalog, request, params, rng, budget)
+            calls.append(([(ind.genome, ind.fitness) for ind in pop],
+                          sharing(pop) if one_per_genome else None,
+                          (best.genome, best.fitness), stats))
+        return calls, rng.state
+
+    assert trajectory(advance) == trajectory(reference_advance)
 
 
 # --- weighted index ---
@@ -348,11 +454,23 @@ def test_serialize_events_equals_json_dumps_for_every_kind():
         (10, "heal", {"created": [["h0", "h3", 0.01], ["h3", "h4", 1e-17]]}),
         (123456, "warning", {"message": 'quote " backslash \\ newline \n tab \t '
                                         "caf\u00e9 \u2603 \U0001F600 nul \x00"}),
+        (7, "deployment", {"habitat": "h2", "request": "r2", "chain": [], "fitness": -0.0,
+                           "success": False, "extra": {}, "big": 2**64 - 1}),
     ]]
     assert {r.kind for r in records} == {"request_sampled", "warning", "deployment",
                                          "reinforcement", "migration", "failure", "heal"}
     assert engine.serialize_events(records) == reference_events(records)
     assert engine.serialize_events([]) == ""
+    # a top-level string, as `config._pieces` encodes every key
+    for text in ("state", 'k"\\\u2603\x00', ""):
+        assert COMPACT.encode(text) == json.dumps(text)
+    # an unserializable value raises the stdlib's error
+    bad = [engine.EventRecord(3, "migration", {"service": {"s1"}})]
+    with pytest.raises(TypeError) as expected:
+        reference_events(bad)
+    with pytest.raises(TypeError) as got:
+        engine.serialize_events(bad)
+    assert str(got.value) == str(expected.value) == "Object of type set is not JSON serializable"
 
 
 def test_events_jsonl_equals_serialized_event_records(tmp_path):
