@@ -6,9 +6,10 @@ fault: a silently ignored typo in a simulation config is a reproducibility
 bug. A bad value raises `_Bad`; each reader that descends into a member or
 element puts that key in front of the fault's path as it passes, and
 `read_json` names the fault once, at the entry point, as a `ConfigError` or
-`SnapshotError`. Each flat record has one field table (`Record`): the JSON
-key, kind and range checks of every field. The same table reads the record,
-echoes it and lists its range violations.
+`SnapshotError`. Every config record, the top-level config and the
+scenario included, has one field table (`Record`): the JSON key, kind and
+range checks of every field. The same table reads the record, echoes it and
+lists its range violations.
 
 Reading a config checks structure and types; `validate_config` checks
 ranges and cross-record rules, so configs built in code are checked the
@@ -62,14 +63,19 @@ class SnapshotError(ValueError):
 
 @dataclass(frozen=True)
 class TopologyParams:
-    """Business-graph growth experiment parameters."""
+    """Business-graph growth experiment parameters. `seed_vertices` defaults
+    to max(m, 2) + 1, in a config file and in code alike."""
 
     steps: int = 2000
     m: int = 2
-    seed_vertices: int = 3
+    seed_vertices: int | None = None
     eta: EtaDist = field(default_factory=lambda: EtaDist("uniform", 1.0))
     inject_eta: float | None = None
     inject_at: int | None = None
+
+    def __post_init__(self):
+        if self.seed_vertices is None:
+            object.__setattr__(self, "seed_vertices", max(self.m, 2) + 1)
 
 
 @dataclass
@@ -81,12 +87,12 @@ class HabitatSpec:
     """
 
     id: str
-    services: list  # of ServiceManifest
+    catalog: list  # of ServiceManifest
     profile: list  # of RequestTemplate
 
     def build(self) -> Habitat:
         """A fresh habitat whose pool holds copies of the services."""
-        return Habitat(id=self.id, pool=Catalog(s.copy() for s in self.services),
+        return Habitat(id=self.id, pool=Catalog(s.copy() for s in self.catalog),
                        profile=list(self.profile))
 
 
@@ -287,6 +293,10 @@ def _initial_topology(v) -> tuple:
     return (kind, f["m"]) if "m" in f else (kind,)
 
 
+def _initial_topology_obj(topo: tuple) -> dict:
+    return {"kind": "ring"} if topo[0] == "ring" else {"kind": "random_m", "m": topo[1]}
+
+
 # --- Field tables ---
 
 
@@ -351,6 +361,11 @@ class Record:
         if self.view is not None:
             record = self.view(record)
         return [text.format(r=record) for ok, text in self.checks if not ok(record)]
+
+
+def _one(record: Record, cls: type) -> Kind:
+    """One record, built as `cls(**fields)`."""
+    return Kind(lambda v: cls(**record.read(v)), record.echo)
 
 
 def _array_of(record: Record, cls: type) -> Kind:
@@ -423,6 +438,15 @@ TOPOLOGY = Record(
     view=_topology_view,
 )
 
+
+def _topology(v) -> TopologyParams:
+    vals = TOPOLOGY.read(v)
+    inject = vals.pop("inject", None)
+    if inject is not None:
+        vals["inject_eta"], vals["inject_at"] = inject["eta"], inject["at_step"]
+    return TopologyParams(**vals)
+
+
 # attrgetter(key) checks that a string or set field is non-empty, with no
 # Python-level call per record.
 SERVICE = Record(
@@ -452,7 +476,7 @@ REQUEST = Record(
 )
 
 TEMPLATE = Record(
-    req("request", Kind(lambda v: Request(**REQUEST.read(v)), REQUEST.echo)),
+    req("request", _one(REQUEST, Request)),
     opt("weight", NUMBER, lambda r: r.weight > 0.0, "profile weight must be > 0"),
 )
 
@@ -460,49 +484,40 @@ HABITAT = Record(
     req("id", STRING),
     req("catalog", _array_of(SERVICE, ServiceManifest)),
     req("profile", _array_of(TEMPLATE, RequestTemplate)),
-    view=lambda h: SimpleNamespace(id=h.id, catalog=h.services, profile=h.profile),
 )
 
 FAILURE = Record(
     req("epoch", INT),
     req("victims", Kind(lambda v: tuple(_strings(v)), list)),
 )
+_FAILURES = _array_of(FAILURE, FailureEvent)
+
+SCENARIO = Record(
+    req("habitats", _array_of(HABITAT, HabitatSpec)),
+    opt("initial_topology", Kind(_initial_topology, _initial_topology_obj)),
+)
+
+
+CONFIG = Record(
+    req("seed", INT, lambda r: 0 <= r.seed <= _MAX_SEED, "seed must be an unsigned 64-bit integer"),
+    req("epochs", INT, lambda r: r.epochs >= 1, "epochs must be >= 1"),
+    opt("evolution", _one(EVOLUTION, EvolutionParams)),
+    opt("ecosystem", _one(ECOSYSTEM, EcosystemParams)),
+    opt("topology", Kind(_topology, TOPOLOGY.echo)),
+    req("scenario", _one(SCENARIO, ScenarioConfig)),
+    opt("failures", Kind(lambda v: tuple(_FAILURES.read(v)), _FAILURES.echo)),
+    # an empty failure schedule is left out of the echo
+    view=lambda c: SimpleNamespace(seed=c.master_seed, epochs=c.epochs, evolution=c.evolution,
+                                   ecosystem=c.ecosystem, topology=c.topology,
+                                   scenario=c.scenario, failures=c.failures or None),
+)
 
 # --- Configs ---
 
 
-def _topology(v) -> TopologyParams:
-    vals = TOPOLOGY.read(v)
-    inject = vals.pop("inject", None)
-    if inject is not None:
-        vals["inject_eta"], vals["inject_at"] = inject["eta"], inject["at_step"]
-    vals.setdefault("seed_vertices", max(vals.get("m", 2), 2) + 1)
-    return TopologyParams(**vals)
-
-
-def _scenario(v) -> ScenarioConfig:
-    obj = _object(v, {"habitats", "initial_topology"})
-    habitats = [HabitatSpec(f["id"], f["catalog"], f["profile"])
-                for f in _get(obj, "habitats", _each, HABITAT.read)]
-    topo = (_get(obj, "initial_topology", _initial_topology) if "initial_topology" in obj
-            else ("ring",))
-    return ScenarioConfig(habitats=habitats, initial_topology=topo)
-
-
 def _config(v) -> SimConfig:
-    obj = _object(v, {"seed", "epochs", "scenario", "evolution", "ecosystem", "topology",
-                      "failures"})
-    cfg = SimConfig(master_seed=_get(obj, "seed", INT.read), epochs=_get(obj, "epochs", INT.read))
-    if "evolution" in obj:
-        cfg.evolution = EvolutionParams(**_get(obj, "evolution", EVOLUTION.read))
-    if "ecosystem" in obj:
-        cfg.ecosystem = EcosystemParams(**_get(obj, "ecosystem", ECOSYSTEM.read))
-    if "topology" in obj:
-        cfg.topology = _get(obj, "topology", _topology)
-    cfg.scenario = _get(obj, "scenario", _scenario)
-    if "failures" in obj:
-        cfg.failures = tuple(_get(obj, "failures", _array_of(FAILURE, FailureEvent).read))
-    return cfg
+    fields = CONFIG.read(v)
+    return SimConfig(master_seed=fields.pop("seed"), **fields)
 
 
 def config_from_obj(obj, path: str = "config") -> SimConfig:
@@ -512,31 +527,12 @@ def config_from_obj(obj, path: str = "config") -> SimConfig:
 
 def config_to_obj(cfg: SimConfig) -> dict:
     """Serialize a config with every default made explicit (the echo form)."""
-    scen = cfg.scenario
-    obj = {
-        "seed": cfg.master_seed,
-        "epochs": cfg.epochs,
-        "evolution": EVOLUTION.echo(cfg.evolution),
-        "ecosystem": ECOSYSTEM.echo(cfg.ecosystem),
-        "topology": TOPOLOGY.echo(cfg.topology),
-        "scenario": {
-            "initial_topology": ({"kind": "ring"} if scen.initial_topology[0] == "ring"
-                                 else {"kind": "random_m", "m": scen.initial_topology[1]}),
-            "habitats": [HABITAT.echo(spec) for spec in scen.habitats],
-        },
-    }
-    if cfg.failures:
-        obj["failures"] = [FAILURE.echo(f) for f in cfg.failures]
-    return obj
+    return CONFIG.echo(cfg)
 
 
 def validate_config(config: SimConfig) -> list[str]:
     """Check every range and cross-record invariant; returns all violations."""
-    bad = []
-    if not (0 <= config.master_seed <= _MAX_SEED):
-        bad.append("seed must be an unsigned 64-bit integer")
-    if config.epochs < 1:
-        bad.append("epochs must be >= 1")
+    bad = CONFIG.violations(config)
     bad.extend(EVOLUTION.violations(config.evolution))
     bad.extend(ECOSYSTEM.violations(config.ecosystem))
     bad.extend(TOPOLOGY.violations(config.topology))
@@ -564,7 +560,7 @@ def validate_config(config: SimConfig) -> list[str]:
         req_ids = [t.request.id for t in h.profile]
         if len(req_ids) != len(set(req_ids)):
             bad.append(f"habitat {h.id!r}: duplicate request template ids")
-        sids = [s.id for s in h.services]
+        sids = [s.id for s in h.catalog]
         if len(sids) != len(set(sids)):
             bad.append(f"habitat {h.id!r}: duplicate service ids")
         # migration and provenance identify a service by its id alone
@@ -577,7 +573,7 @@ def validate_config(config: SimConfig) -> list[str]:
                 bad.append(f"habitat {h.id!r}: {v}")
             for v in REQUEST.violations(t.request):
                 bad.append(f"habitat {h.id!r}: request {t.request.id!r}: {v}")
-        for s in h.services:
+        for s in h.catalog:
             for v in POOL_SERVICE.violations(s):
                 bad.append(f"habitat {h.id!r}: service {s.id!r}: {v}")
 

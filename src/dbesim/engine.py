@@ -57,8 +57,9 @@ class EventRecord(NamedTuple):
     payload: dict
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
+    """One row of `metrics.csv`; the field names are its header."""
+
     epoch: int
     mean_best_fitness: float
     deployment_success_rate: float
@@ -66,10 +67,6 @@ class MetricsRow:
     clustering_statistic: float
     habitat_count: int
     connection_count: int
-
-
-METRICS_HEADER = ("epoch,mean_best_fitness,deployment_success_rate,"
-                  "total_migrations,clustering_statistic,habitat_count,connection_count")
 
 
 def serialize_events(events) -> str:
@@ -88,11 +85,9 @@ def serialize_events(events) -> str:
 
 
 def serialize_metrics(rows) -> str:
-    lines = [METRICS_HEADER]
-    for r in rows:
-        lines.append(f"{r.epoch},{r.mean_best_fitness!r},{r.deployment_success_rate!r},"
-                     f"{r.total_migrations},{r.clustering_statistic!r},"
-                     f"{r.habitat_count},{r.connection_count}")
+    """`metrics.csv`: the header, then each row's values as their `repr`."""
+    lines = [",".join(MetricsRow._fields)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -137,16 +137,20 @@ def init_population(catalog: Catalog, req: Request, params: EvolutionParams, rng
     """Random initial population.
 
     Per individual: one draw for the genome length (uniform in 1..max_len),
-    then one weighted draw per gene.
+    then one weighted draw per gene. Equal genomes share one individual.
     """
     if len(catalog) == 0:
         raise EvolutionError("empty catalog")
     table = gene_table(catalog, params.gamma)
+    known = {}
     pop = []
     for _ in range(params.population_size):
         length = 1 + rng.below(req.max_len)
         genome = tuple(draw_service(table, rng).id for _ in range(length))
-        pop.append(Individual(genome, evaluate_genome(genome, catalog, req, params)))
+        ind = known.get(genome)
+        if ind is None:
+            ind = known[genome] = Individual(genome, evaluate_genome(genome, catalog, req, params))
+        pop.append(ind)
     return pop
 
 

@@ -50,15 +50,15 @@ def test_criterion_1_oracle_equivalence():
     cfg = config_from_obj(load_asset_obj("catalog8.json"))
     spec = cfg.scenario.habitats[0]
     request = spec.profile[0].request
-    assert request.max_len == 3 and len(spec.services) == 8
+    assert request.max_len == 3 and len(spec.catalog) == 8
     params = EvolutionParams()  # defaults: population 100, 200 generations
-    _, oracle_fit = brute_force_best(Catalog(s.copy() for s in spec.services),
+    _, oracle_fit = brute_force_best(Catalog(s.copy() for s in spec.catalog),
                                      request, beta=params.beta)
     start = time.perf_counter()
     hits = 0
     for seed in range(100):
         rng = derive_substream(seed, "acceptance:oracle")
-        best, _ = evolve(Catalog(s.copy() for s in spec.services), request, params, rng)
+        best, _ = evolve(Catalog(s.copy() for s in spec.catalog), request, params, rng)
         if best.fitness == oracle_fit:
             hits += 1
     elapsed = time.perf_counter() - start

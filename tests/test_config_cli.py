@@ -156,10 +156,23 @@ def test_wrong_types_rejected():
         config_from_obj(obj)
 
 
+def every_optional_shape_obj():
+    """A config that uses every optional shape the echo writes."""
+    obj = minimal_obj()
+    obj["epochs"] = 4
+    obj["evolution"] = {"generation_budget_per_epoch": 5}
+    obj["topology"] = {"m": 3, "eta": {"kind": "fixed", "value": 0.5},
+                       "inject": {"eta": 1.0, "at_step": 100}}
+    obj["scenario"]["initial_topology"] = {"kind": "random_m", "m": 1}
+    obj["scenario"]["habitats"][0]["profile"][0]["request"]["budget"] = 2.5
+    obj["failures"] = [{"epoch": 3, "victims": ["h1"]}]
+    return obj
+
+
 def test_echo_round_trip_identity():
     for source in (minimal_obj(), load_asset_obj("two_communities.json"),
                    load_asset_obj("topology_experiment.json"),
-                   load_asset_obj("catalog8.json")):
+                   load_asset_obj("catalog8.json"), every_optional_shape_obj()):
         cfg = config_from_obj(source)
         echoed = config_to_obj(cfg)
         cfg2 = config_from_obj(echoed)
@@ -207,6 +220,14 @@ def test_parse_config_range_violations_reported(tmp_path):
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert message in str(info.value), (message, str(info.value))
+
+
+def test_seed_vertices_default_is_the_same_in_code_and_in_a_file():
+    obj = minimal_obj()
+    obj["topology"] = {"m": 4}
+    assert TopologyParams(m=4).seed_vertices == 5
+    assert TopologyParams(m=4) == config_from_obj(obj).topology
+    assert TopologyParams(m=4, seed_vertices=4).seed_vertices == 4
 
 
 def test_code_built_inject_needs_both_fields():

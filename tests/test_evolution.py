@@ -95,6 +95,31 @@ def test_init_population_lengths_within_bounds():
     assert set(lengths) == {1, 2, 3}
 
 
+def test_init_population_evaluates_each_genome_once(monkeypatch):
+    """Equal genomes of one initial population share one individual, scored
+    once; the draws and the values are those of a slot-by-slot build."""
+    catalog = Catalog([svc("x", {"a"}), svc("y", {"b"})])
+    r = req(attrs={"a", "b"}, max_len=2)
+    params = _params(population_size=40)
+    calls = _counting_evaluate_genome(monkeypatch)
+    rng = derive_substream(25, "init4")
+    pop = init_population(catalog, r, params, rng)
+    genomes = [ind.genome for ind in pop]
+    assert len(set(genomes)) < len(genomes)  # six genomes exist, so some repeat
+    assert sorted(calls) == sorted(set(genomes))
+    by_genome = {}
+    for ind in pop:
+        assert by_genome.setdefault(ind.genome, ind) is ind
+        assert ind.fitness == evaluate_genome(ind.genome, catalog, r, params)
+    ref = derive_substream(25, "init4")
+    table = gene_table(catalog, params.gamma)
+    expected = []
+    for _ in range(params.population_size):
+        length = 1 + ref.below(r.max_len)
+        expected.append(tuple(draw_service(table, ref).id for _ in range(length)))
+    assert genomes == expected and rng.state == ref.state
+
+
 def test_uniform_gene_frequencies_without_feedback():
     # Equal weights: gene draws binomial with p = 1/n within 3.5 sigma.
     n = 5
