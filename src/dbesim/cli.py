@@ -36,8 +36,14 @@ EXIT_RUNTIME = 2
 LOCK_NAME = ".dbesim.lock"
 
 # `run` uses a process for each this many habitats, at most one per CPU. On
-# a 2-CPU host, 256 habitats ran slower on two processes than on one, and
-# 512 ran about 1.2x faster.
+# a 2-CPU host, with each epoch's worker message sent before the last
+# epoch's decay, `dbesim run` of the benchmark's `wide` ecosystem (seed 5)
+# cut to 64, 128, 256, 512 and 1024 habitats ran 1.08x, 1.12x, 1.29x,
+# 1.31x and 1.40x as fast on two processes as on one (medians of 9 runs
+# each). Two processes already won at 64 habitats, but only this one
+# ecosystem shape was read (the 16-habitat, GA-bound `communities` gained
+# nothing on two), so the constant stays until a benchmark covers the
+# smaller sizes.
 HABITATS_PER_WORKER = 256
 
 # Events or lines per chunk of a file written in chunks, so that no large

@@ -448,7 +448,7 @@ def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> 
 
 
 def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, streams: dict, emit,
-              shards) -> tuple:
+              shards, dispatch_next: bool = False) -> tuple:
     """Advance the ecosystem by one epoch.
 
     `shards` (the `shards.Shards` of `eco` and `streams`) takes every
@@ -457,6 +457,11 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, streams: dict, emit,
     order. Then three single-writer phases follow in id order: reinforcement
     of provenance edges used by successful deployments, migration of
     deployed chains, and one decay pass over all weights.
+
+    `dispatch_next` says that the next epoch starts on the ecosystem as
+    migration leaves it (no failure comes first): its message then goes to
+    the shard workers before the decay pass, which neither draws nor touches
+    a pool, so they step while this process finishes.
 
     `emit(kind, payload)` receives the epoch's events. Returns (deployments
     in habitat id order, number of services migrated).
@@ -479,6 +484,8 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, streams: dict, emit,
             migrations += 1
             emit("migration", {"service": sid, "source": h.id, "destination": dest_id})
 
+    if dispatch_next:
+        shards.dispatch()
     decay_all(eco, eco_params.decay_lambda)
     eco.epoch += 1
     return deployments, migrations

@@ -170,7 +170,11 @@ def _epochs(config: SimConfig, eco: Ecosystem, streams: dict, ledger: FlowLedger
             if created:
                 emit("heal", {"created": [[a, b, w] for a, b, w in created]})
 
-        deployments, migrations = run_epoch(eco, config.ecosystem, streams, emit, shards)
+        # The workers may start the next epoch's steps once this epoch's migration
+        # is done, unless that epoch's failures must remove habitats first.
+        dispatch_next = epoch_now < config.epochs and epoch_now + 1 not in failures_by_epoch
+        deployments, migrations = run_epoch(eco, config.ecosystem, streams, emit, shards,
+                                            dispatch_next)
 
         total = 0.0
         successes = 0

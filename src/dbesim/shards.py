@@ -16,6 +16,13 @@ state and stays its one writer:
   them in the main process), and the pool members added since the last
   message, in pool order, with their provenance. The worker adds them
   through `Habitat.receive`, so its pool version follows.
+- Epoch e + 1's message depends only on what epoch e's migration leaves, so
+  it goes out (`dispatch`) right after that migration, and the workers step
+  while the main process decays the weights, records the transactions and
+  builds the metrics row, none of which draws or touches a pool. The first
+  epoch of a run, and an epoch with a scheduled failure, get their message
+  only when they start: a failure must remove its victims before the
+  message names the habitats still present.
 - A worker answers (new stream state, `habitat_step` record) per habitat.
   The main process sets the stream state and replays the record's feedback
   on its own copies of the chain's counters (migration copies them). One
@@ -159,6 +166,7 @@ class Shards:
         self.pool_sizes = {hid: len(eco.habitats[hid].pool) for hid in ids}
         self.shards = [ids[k::n] for k in range(1, n)]  # each worker's, in id order
         self.live = self.shards  # what each worker's last message named, or its shard
+        self.sent = False  # whether the next epoch's message is out
         self.workers: list = []
         try:
             for shard in self.shards:
@@ -214,15 +222,33 @@ class Shards:
                 sizes[hid] = n
         return added
 
+    def dispatch(self) -> None:
+        """Send each worker the message of the next `habitat_epochs` call: its
+        present habitats, their stream states and the pool members added
+        since its last message, unless that message is out already. With one
+        process there is no worker, so it sends nothing.
+
+        `run_epoch` calls it as soon as the next epoch's inputs are final,
+        so the workers step while the main process finishes the epoch;
+        `habitat_epochs` calls it otherwise.
+        """
+        if self.sent:
+            return
+        habitats = self.eco.habitats
+        streams = self.streams
+        self.live = [[hid for hid in ids if hid in habitats] for ids in self.shards]
+        for w, live in zip(self.workers, self.live):
+            w.put((live, [streams[hid].state for hid in live], self._added(habitats, live)))
+        self.sent = True
+
     def habitat_epochs(self, emit) -> list:
         """Every present habitat's step of this epoch, each reported by
         `emit_step` in habitat id order; returns the deployments in that
         order."""
         habitats = self.eco.habitats
         streams = self.streams
-        self.live = [[hid for hid in ids if hid in habitats] for ids in self.shards]
-        for w, live in zip(self.workers, self.live):
-            w.put((live, [streams[hid].state for hid in live], self._added(habitats, live)))
+        self.dispatch()
+        self.sent = False
         steps = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute)
                  for hid in self.local if hid in habitats}
         for w, live in zip(self.workers, self.live):

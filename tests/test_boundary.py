@@ -107,10 +107,10 @@ def _check_clean(out: str) -> None:
         assert not left, left
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_a_damaged_config_is_refused_in_one_line_or_echoes_back(data):
-    doc = _damaged(data, _config_obj())
+def _check_config(doc) -> int:
+    """`doc` is refused in one line by `validate` and `run` alike, or its
+    echo reads back to an equal config that echoes identically; returns the
+    exit status."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as f:
@@ -125,10 +125,25 @@ def test_a_damaged_config_is_refused_in_one_line_or_echoes_back(data):
             again = config_from_obj(echoed)
             assert again == cfg
             assert config_to_obj(again) == echoed
-            return
+            return status
         out = os.path.join(tmp, "out")
         assert _cli("run", "--config", path, "--out", out, "--quiet") == (status, err)
         _check_clean(out)
+        return status
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_damaged_config_is_refused_in_one_line_or_echoes_back(data):
+    _check_config(_damaged(data, _config_obj()))
+
+
+def test_an_emptied_failure_schedule_echoes_back():
+    """The schedule with its one failure deleted: the echo omits an empty
+    schedule, so it reads back equal only if both spell it alike (a tuple)."""
+    doc = copy.deepcopy(_config_obj())
+    del doc["failures"][0]
+    assert _check_config(doc) == cli.EXIT_OK
 
 
 @settings(max_examples=150, deadline=None)

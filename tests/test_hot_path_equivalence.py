@@ -251,10 +251,9 @@ def test_advance_matches_the_per_generation_reference(data):
     of equal attributes tie on fitness, and a request may be unreachable so
     that every generation of the budget runs.
 
-    Shared slots are compared from a first population that holds one
-    individual per genome. `init_population` makes a separate individual
-    per slot, and from such a start the two memos may pick different ones
-    of a genome's equal individuals; nothing reads which."""
+    Shared slots are compared too. `init_population` already holds one
+    individual per genome, so the two memos of a generation map each genome
+    to the same individual and the slots share alike."""
     tokens = st.sampled_from("abc")
     services = [svc(f"s{i}", data.draw(st.frozensets(tokens, min_size=1, max_size=2)),
                     in_port=data.draw(st.sampled_from(["src", "mid"])),
@@ -275,20 +274,18 @@ def test_advance_matches_the_per_generation_reference(data):
         target_fitness=data.draw(st.sampled_from([0.999, 1.5]), label="target"))
     seed = data.draw(st.integers(0, 2**32), label="seed")
     budgets = data.draw(st.lists(st.integers(0, 25), min_size=1, max_size=3), label="budgets")
-    one_per_genome = data.draw(st.booleans(), label="one individual per genome")
 
     def trajectory(step):
         catalog = Catalog(s.copy() for s in services)
         rng = derive_substream(seed, "ga")
         pop = init_population(catalog, request, params, rng)
-        if one_per_genome:
-            first = {}
-            pop = [first.setdefault(ind.genome, ind) for ind in pop]
+        first = {}
+        assert sharing(pop) == [first.setdefault(ind.genome, i) for i, ind in enumerate(pop)]
         calls = []
         for budget in budgets:
             pop, best, stats = step(pop, catalog, request, params, rng, budget)
             calls.append(([(ind.genome, ind.fitness) for ind in pop],
-                          sharing(pop) if one_per_genome else None,
+                          sharing(pop),
                           (best.genome, best.fitness), stats))
         return calls, rng.state
 

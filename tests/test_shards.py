@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import asset_path, load_asset_obj
-from dbesim import cli, engine
+from dbesim import cli, ecosystem, engine, shards
 from dbesim.config import config_from_obj, serialize_snapshot
 from test_engine import _evolving_scenario_obj
 from test_golden import GOLDEN, bridged24_obj
@@ -123,6 +123,66 @@ def test_sharded_resume_at_every_epoch(seed, failure_epoch):
                 == engine.serialize_metrics(full.metrics[k:])), k
         assert serialize_snapshot(cfg_full, resumed.final_state()) == final, k
         assert stream_states(resumed) == stream_states(full), k
+
+
+def _two_communities_with_failures(epochs, schedule) -> dict:
+    """`two_communities.json` over `epochs` epochs; `schedule` maps an epoch
+    to the indices, in sorted id order, of the habitats it removes."""
+    obj = load_asset_obj("two_communities.json")
+    ids = sorted(h["id"] for h in obj["scenario"]["habitats"])
+    obj["epochs"] = epochs
+    obj["failures"] = [{"epoch": e, "victims": [ids[i] for i in victims]}
+                       for e, victims in sorted(schedule.items())]
+    return obj
+
+
+@pytest.mark.parametrize("schedule", [
+    {1: [1, 6]},  # before the first message
+    {3: [2, 4], 4: [3, 9]},  # two epochs in a row
+    {8: [5, 10]},  # at the last epoch
+], ids=["first-epoch", "consecutive-epochs", "last-epoch"])
+def test_failures_around_the_early_message_give_the_one_process_run(schedule):
+    """An epoch with a failure gets its message only after the failure, and
+    every other one before the last epoch's decay: either way a run on 2 or
+    3 processes gives the events, metrics, snapshot and streams of one."""
+    cfg = config_from_obj(_two_communities_with_failures(8, schedule))
+    single = engine.run(cfg)
+    for workers in (2, 3):
+        sharded = engine.run(cfg, workers=workers)
+        assert outputs(cfg, sharded) == outputs(cfg, single), workers
+        assert stream_states(sharded) == stream_states(single), workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_next_epochs_message_goes_out_before_this_epochs_decay(monkeypatch, workers):
+    """Epoch e + 1's message is put before epoch e's decay pass, except when
+    a failure comes first in epoch e + 1; every message put has been
+    answered when `collect` runs."""
+    cfg = config_from_obj(_two_communities_with_failures(6, {3: [1], 6: [2]}))
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(shards.Child, "put", recording("put", shards.Child.put))
+    monkeypatch.setattr(shards.Child, "get", recording("get", shards.Child.get))
+    monkeypatch.setattr(ecosystem, "decay_all", recording("decay", ecosystem.decay_all))
+    monkeypatch.setattr(shards.Shards, "collect", recording("collect", shards.Shards.collect))
+    engine.run(cfg, workers=workers)
+    one_worker = ("put get put decay "  # epoch 1: its message, then epoch 2's
+                  "get decay "  # epoch 2: epoch 3 has a failure
+                  "put get put decay "  # epoch 3: after its failure, then epoch 4's
+                  "get put decay "  # epoch 4
+                  "get decay "  # epoch 5: epoch 6 has a failure
+                  "put get decay "  # epoch 6: the last
+                  "collect").split()
+    expected = [c for c in one_worker for _ in range(workers - 1 if c in ("put", "get") else 1)]
+    head = calls[:calls.index("collect") + 1]
+    assert head == expected
+    assert head.count("put") == head.count("get")
 
 
 def test_resume_with_no_epoch_left_collects_at_end_of_input(monkeypatch):
