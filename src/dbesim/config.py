@@ -3,13 +3,14 @@
 One strict reader reads configs and snapshots: unknown keys are rejected
 everywhere, numbers must be finite, and every error names the JSON path at
 fault: a silently ignored typo in a simulation config is a reproducibility
-bug. A bad value raises `_Bad`; each reader that descends into a member or
-element puts that key in front of the fault's path as it passes, and
-`read_json` names the fault once, at the entry point, as a `ConfigError` or
-`SnapshotError`. Every config record, the top-level config and the
-scenario included, has one field table (`Record`): the JSON key, kind and
-range checks of every field. The same table reads the record, echoes it and
-lists its range violations.
+bug. Every check of an input file is made here. A bad value, a malformed
+attribute or port token included, raises the one fault type `_Bad`; each
+reader that descends into a member or element puts that key in front of the
+fault's path as it passes, and `read_json` names the fault once, at the
+entry point, as a `ConfigError` or `SnapshotError`. Every config record,
+the top-level config and the scenario included, has one field table
+(`Record`): the JSON key, kind and range checks of every field. The same
+table reads the record, echoes it and lists its range violations.
 
 Reading a config checks structure and types; `validate_config` checks
 ranges and cross-record rules, so configs built in code are checked the
@@ -23,6 +24,7 @@ accepted wherever a config is, resuming the run.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -41,7 +43,7 @@ from .ecosystem import (
     edge_key,
 )
 from .evolution import EvolutionParams, Individual, evaluate_genome
-from .manifest import Catalog, ManifestError, Request, ServiceManifest, parse_token
+from .manifest import Request, ServiceManifest
 from .rng import Stream
 from .topology import CAPITAL_FLOW, SERVICE_FLOW, EtaDist, FlowEdge, FlowLedger
 
@@ -92,7 +94,7 @@ class HabitatSpec:
 
     def build(self) -> Habitat:
         """A fresh habitat whose pool holds copies of the services."""
-        return Habitat(id=self.id, pool=Catalog(s.copy() for s in self.catalog),
+        return Habitat(id=self.id, pool={s.id: s.copy() for s in self.catalog},
                        profile=list(self.profile))
 
 
@@ -131,21 +133,12 @@ class _Bad(Exception):
         self.keys = list(keys)
 
 
-# A token that fails `parse_token` is a bad value like any other.
-_BAD = (_Bad, ManifestError)
-
-
-def _bad(e: Exception) -> _Bad:
-    return e if isinstance(e, _Bad) else _Bad(str(e))
-
-
 def read_json(value, root: str, error: type, read: Callable, *args):
     """`read(value, *args)` of the JSON document `root`; a bad value it meets
     is raised as `error`, named at its path such as `state.habitats[0].pool`."""
     try:
         return read(value, *args)
-    except _BAD as e:
-        e = _bad(e)
+    except _Bad as e:
         path = root + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in e.keys)
         raise error(f"{path}: {e}") from None
 
@@ -155,8 +148,7 @@ def _at(key, read: Callable, value, *args):
     it gets `key` in front of its path."""
     try:
         return read(value, *args)
-    except _BAD as e:
-        e = _bad(e)
+    except _Bad as e:
         e.keys.insert(0, key)
         raise e from None
 
@@ -181,7 +173,7 @@ def _each(values, read: Callable, *args) -> list:
         raise _Bad("expected an array")
     try:
         return [read(v, *args) for v in values]
-    except _BAD:
+    except _Bad:
         _locate(((i, read, v) for i, v in enumerate(values)), *args)
         raise
 
@@ -202,7 +194,7 @@ def _row(values, reads: tuple) -> list:
         raise _Bad(f"expected {len(reads)} elements, got {len(values)}")
     try:
         return [read(v) for read, v in zip(reads, values)]
-    except _BAD:
+    except _Bad:
         _locate((i, read, v) for i, (read, v) in enumerate(zip(reads, values)))
         raise
 
@@ -255,8 +247,22 @@ def _strings(v) -> list:
     return _each(v, _string)
 
 
+_TOKEN = re.compile(r"[a-z0-9_]{1,64}\Z")
+
+
+def _token(v) -> str:
+    """An attribute or port token: a string, lowercased, then `[a-z0-9_]{1,64}`.
+    Tokens compare by exact equality once read."""
+    if type(v) is not str:
+        raise _Bad(f"token must be a string, got {type(v).__name__}")
+    tok = v.lower()
+    if not _TOKEN.match(tok):
+        raise _Bad(f"invalid attribute token: {v!r}")
+    return tok
+
+
 def _tokens(v) -> frozenset:
-    return frozenset(_each(v, parse_token))
+    return frozenset(_each(v, _token))
 
 
 OBJECT = Kind(_exact(dict, "an object"))
@@ -265,7 +271,7 @@ COUNT = Kind(_int_in(0, float("inf"), "must be >= 0"))
 STREAM_STATE = Kind(_int_in(0, _MAX_SEED, "stream state outside [0, 2**64)"))
 NUMBER = Kind(_number)
 STRING = Kind(_string)
-TOKEN = Kind(parse_token)
+TOKEN = Kind(_token)
 TOKENS = Kind(_tokens, sorted)
 
 
@@ -343,7 +349,7 @@ class Record:
         readers = self.readers
         try:
             return {key: readers[key](v) for key, v in obj.items()}
-        except _BAD:
+        except _Bad:
             _locate((key, readers[key], v) for key, v in obj.items())
             raise
 
@@ -612,7 +618,7 @@ def state_to_obj(eco: Ecosystem, streams: dict, ledger: FlowLedger) -> dict:
             })
         habitats.append({
             "id": hid,
-            "pool": [POOL_SERVICE.echo(s) for s in h.pool],
+            "pool": [POOL_SERVICE.echo(s) for s in h.pool.values()],
             "provenance": {k: h.provenance[k] for k in sorted(h.provenance)},
             "pool_version": len(h.provenance),
             "active": active,
@@ -629,7 +635,7 @@ def state_to_obj(eco: Ecosystem, streams: dict, ledger: FlowLedger) -> dict:
     }
 
 
-def _genome(v, pool: Catalog, max_len: int) -> tuple:
+def _genome(v, pool: dict, max_len: int) -> tuple:
     """1..max_len services of the habitat's pool."""
     for sid in _strings(v):
         if sid not in pool:
@@ -639,7 +645,7 @@ def _genome(v, pool: Catalog, max_len: int) -> tuple:
     return tuple(v)
 
 
-def _population(rows, pool: Catalog, req: Request, params: EvolutionParams) -> list:
+def _population(rows, pool: dict, req: Request, params: EvolutionParams) -> list:
     """Individuals from [genome, fitness] rows. The run trusts a cached
     fitness, so each must be its genome's score; equal genomes share one
     individual, as they do in a run."""
@@ -672,7 +678,7 @@ def _trace(rows, total: int) -> list:
     return [(best, mean) for _, best, mean in rows]
 
 
-def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams,
+def _evolution(v, pool: dict, templates: dict, params: EvolutionParams,
                habitat_version: int) -> tuple:
     """(request id, its ActiveEvolution); `habitat_version` is the pool version
     of its habitat, which no evolution's can exceed."""
@@ -694,15 +700,23 @@ def _evolution(v, pool: Catalog, templates: dict, params: EvolutionParams,
                                 _get(obj, "trace", _trace, total))
 
 
-def _pool(v) -> Catalog:
+def _pool(v) -> dict:
+    """Service id -> manifest, in array order. `validate_config` checks the
+    ids of a scenario's catalogs; a snapshot's pools are checked here, and
+    the run core adds only ids a pool lacks."""
     services = [ServiceManifest(**f) for f in _each(v, POOL_SERVICE.read)]
     for i, s in enumerate(services):
         if bad := POOL_SERVICE.violations(s):
             raise _Bad("; ".join(bad), i)
-    return Catalog(services)
+    pool = {}
+    for s in services:
+        if s.id in pool:
+            raise _Bad(f"duplicate service id: {s.id!r}")
+        pool[s.id] = s
+    return pool
 
 
-def _provenance(v, pool: Catalog, hid: str, specs: dict) -> dict:
+def _provenance(v, pool: dict, hid: str, specs: dict) -> dict:
     """Each migrated pool service, mapped to the other scenario habitat it came from."""
     obj = OBJECT.read(v)
     for sid, src in obj.items():

@@ -22,7 +22,7 @@ from .evolution import (
     population_stats,
     record_deployment,
 )
-from .manifest import Catalog, Request
+from .manifest import Request
 from .rng import Stream
 
 W_MIN_DEFAULT = 0.01
@@ -73,15 +73,16 @@ class Habitat:
     """A per-SME node: local pool, request profile, evolution state."""
 
     id: str
-    pool: Catalog
+    pool: dict  # service id -> ServiceManifest, in insertion order (every draw's order)
     profile: list  # of RequestTemplate
     provenance: dict = field(default_factory=dict)  # service id -> source habitat id
     active: dict = field(default_factory=dict)  # request id -> ActiveEvolution
 
     def receive(self, service, source: str) -> None:
-        """Add a service migrated from habitat `source` to the pool. Pools grow
-        only this way, so `len(provenance)` is the pool version."""
-        self.pool.add(service)
+        """Add a service migrated from habitat `source` to the pool, which
+        lacks its id. Pools grow only this way, so `len(provenance)` is the
+        pool version."""
+        self.pool[service.id] = service
         self.provenance[service.id] = source
 
 
@@ -318,7 +319,7 @@ def migrate(h: Habitat, genome: tuple, eco: Ecosystem, p_mig: float, rng: Stream
             dest_id = neighbors[rng.weighted_index(weights)][0]
             dest = eco.habitats[dest_id]
             if sid not in dest.pool:
-                dest.receive(h.pool.get(sid).copy(), h.id)
+                dest.receive(h.pool[sid].copy(), h.id)
                 copied.append((sid, dest_id))
     return copied
 
@@ -425,7 +426,7 @@ def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute) -> t
         return (idx,)
     best = evolve_request(h, h.profile[idx].request, params, rng,
                           params.generation_budget_per_epoch)
-    chain = h.pool.resolve(best.genome)
+    chain = [h.pool[sid] for sid in best.genome]
     success = execute(chain, rng)
     record_deployment(chain, success)
     return idx, best.genome, best.fitness, success

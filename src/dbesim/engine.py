@@ -186,8 +186,8 @@ def _epochs(config: SimConfig, eco: Ecosystem, streams: dict, ledger: FlowLedger
             provider = h.provenance.get(genome[0], h.id)
             if provider == h.id:
                 continue  # native first service: no inter-habitat transaction
-            record_transaction(ledger, provider, h.id, chain_price(h.pool.resolve(genome)),
-                               epoch_now)
+            chain = [h.pool[sid] for sid in genome]
+            record_transaction(ledger, provider, h.id, chain_price(chain), epoch_now)
 
         n = len(deployments)
         mean_best = total / n if n else 0.0

@@ -1,6 +1,7 @@
 """Genetic evolution of service supply chains against a request.
 
-An individual is an ordered sequence of service ids drawn from a catalog.
+An individual is an ordered sequence of service ids drawn from a catalog: a
+habitat's pool, a dict of service id -> manifest in insertion order.
 Selection is by tournament, recombination is one-point crossover, and
 mutation inserts, deletes, or replaces a single gene. Run-time feedback
 enters as a replication weight: services with a better success record are
@@ -20,7 +21,6 @@ from operator import attrgetter
 
 from .manifest import (
     DEFAULT_BETA,
-    Catalog,
     Request,
     ServiceManifest,
     chain_fitness,
@@ -74,14 +74,14 @@ def replication_weight(s: ServiceManifest, gamma: float) -> float:
     return 1.0
 
 
-def gene_table(catalog: Catalog, gamma: float) -> tuple:
+def gene_table(catalog: dict, gamma: float) -> tuple:
     """(services, cumulative replication weights), both in catalog order.
 
     The running sum matches `Stream.weighted_index`'s left-to-right
     accumulation float for float. A table stays valid while neither pool
     membership nor any usage counter changes.
     """
-    services = list(catalog)
+    services = list(catalog.values())
     return services, list(itertools.accumulate(replication_weight(s, gamma) for s in services))
 
 
@@ -101,13 +101,13 @@ def draw_service(table: tuple, rng: Stream) -> ServiceManifest:
 # --- Evaluation ---
 
 
-def evaluate_genome(genome: ChainGenome, catalog: Catalog, req: Request, params: EvolutionParams) -> float:
+def evaluate_genome(genome: ChainGenome, catalog: dict, req: Request, params: EvolutionParams) -> float:
     """Fitness of a genome; chains priced over the request budget score 0.
 
     Unchecked: the GA's operators keep genomes within 1..max_len and the
     parameters are checked at the boundary (the config schema).
     """
-    chain = catalog.resolve(genome)
+    chain = [catalog[sid] for sid in genome]
     if req.budget is not None and chain_price(chain) > req.budget:
         return 0.0
     return chain_fitness(chain, req, params.beta)
@@ -133,7 +133,7 @@ def population_stats(pop) -> tuple:
 # --- Operators ---
 
 
-def init_population(catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream) -> list:
+def init_population(catalog: dict, req: Request, params: EvolutionParams, rng: Stream) -> list:
     """Random initial population.
 
     Per individual: one draw for the genome length (uniform in 1..max_len),
@@ -212,7 +212,7 @@ def mutate(g: ChainGenome, table: tuple, max_len: int, rng: Stream) -> ChainGeno
     return g[:pos] + (svc.id,) + g[pos + 1:]
 
 
-def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream,
+def step_generation(pop, catalog: dict, req: Request, params: EvolutionParams, rng: Stream,
                     table: tuple, known: dict) -> list:
     """Produce the next generation, preserving population size.
 
@@ -256,7 +256,7 @@ def step_generation(pop, catalog: Catalog, req: Request, params: EvolutionParams
     return next_pop
 
 
-def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: Stream,
+def advance(pop, catalog: dict, req: Request, params: EvolutionParams, rng: Stream,
             max_steps: int) -> tuple:
     """Run up to max_steps generations, stopping once target fitness is hit.
 
@@ -285,7 +285,7 @@ def advance(pop, catalog: Catalog, req: Request, params: EvolutionParams, rng: S
 # --- Exhaustive oracle ---
 
 
-def brute_force_best(catalog: Catalog, req: Request, beta: float = DEFAULT_BETA) -> tuple:
+def brute_force_best(catalog: dict, req: Request, beta: float = DEFAULT_BETA) -> tuple:
     """Exhaustively find the best chain of length 1..max_len.
 
     Chains are enumerated by increasing length, ids in lexicographic order
@@ -299,12 +299,12 @@ def brute_force_best(catalog: Catalog, req: Request, beta: float = DEFAULT_BETA)
         raise EvolutionError("empty catalog")
     if n ** req.max_len > ORACLE_GUARD:
         raise EvolutionError("oracle too large")
-    ids = sorted(catalog.ids())
+    ids = sorted(catalog)
     best_genome = None
     best_fit = -1.0
     for k in range(1, req.max_len + 1):
         for combo in itertools.product(ids, repeat=k):
-            chain = catalog.resolve(combo)
+            chain = [catalog[sid] for sid in combo]
             if req.budget is not None and chain_price(chain) > req.budget:
                 continue
             f = fitness(chain, req, beta)

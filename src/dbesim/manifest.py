@@ -5,36 +5,19 @@ a set of semantic attribute tokens, an input and an output port type,
 price, per-invocation reliability, and usage counters that accumulate
 run-time feedback. A request states the attributes a user needs, the
 endpoint port types, and a bound on chain length. Fitness scores an
-ordered chain of services against a request.
+ordered chain of services against a request, and a chain's price is the
+sum of its members'.
+
+This module holds the model only. Attribute and port tokens are checked
+and lowercased where they are read (`config.py`) and compare by exact
+equality afterwards.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
-MAX_TOKEN_LEN = 64
-TOKEN_PATTERN = re.compile(rf"[a-z0-9_]{{1,{MAX_TOKEN_LEN}}}\Z")
-
 DEFAULT_BETA = 0.3
-
-
-class ManifestError(ValueError):
-    """Raised for malformed tokens and duplicate catalog ids."""
-
-
-def parse_token(value: str) -> str:
-    """Canonicalize an attribute or port token.
-
-    Tokens are lowercased at parse time; afterwards comparison is exact
-    byte equality.
-    """
-    if type(value) is not str:
-        raise ManifestError(f"token must be a string, got {type(value).__name__}")
-    tok = value.lower()
-    if not TOKEN_PATTERN.match(tok):
-        raise ManifestError(f"invalid attribute token: {value!r}")
-    return tok
 
 
 @dataclass
@@ -69,42 +52,6 @@ class Request:
     sink_port: str
     max_len: int
     budget: float | None = None
-
-
-class Catalog:
-    """Ordered pool of service manifests keyed by id.
-
-    Iteration order is insertion order, which keeps every weighted draw
-    over the pool deterministic.
-    """
-
-    def __init__(self, services=()):
-        self._services: dict[str, ServiceManifest] = {}
-        for s in services:
-            self.add(s)
-
-    def add(self, service: ServiceManifest) -> None:
-        if service.id in self._services:
-            raise ManifestError(f"duplicate service id: {service.id!r}")
-        self._services[service.id] = service
-
-    def get(self, service_id: str) -> ServiceManifest:
-        return self._services[service_id]
-
-    def __contains__(self, service_id: str) -> bool:
-        return service_id in self._services
-
-    def __iter__(self):
-        return iter(self._services.values())
-
-    def __len__(self) -> int:
-        return len(self._services)
-
-    def ids(self) -> list[str]:
-        return list(self._services.keys())
-
-    def resolve(self, service_ids) -> list[ServiceManifest]:
-        return [self._services[sid] for sid in service_ids]
 
 
 # --- Descriptor algebra and fitness ---

@@ -217,7 +217,7 @@ class Shards:
             h = habitats[hid]
             n = len(h.pool)
             if n != sizes[hid]:
-                new = [(s, h.provenance[s.id]) for s in islice(h.pool, sizes[hid], None)]
+                new = [(s, h.provenance[s.id]) for s in islice(h.pool.values(), sizes[hid], None)]
                 added.append((hid, new))
                 sizes[hid] = n
         return added
@@ -257,7 +257,7 @@ class Shards:
                 if len(record) > 1:
                     # Replay the feedback on the main process's copies and take the ids
                     # from them: the log keeps each chain, and unpickled ids are new strings.
-                    chain = habitats[hid].pool.resolve(record[1])
+                    chain = [habitats[hid].pool[sid] for sid in record[1]]
                     record_deployment(chain, record[3])
                     record = (record[0], tuple(s.id for s in chain), *record[2:])
                 steps[hid] = record

@@ -105,7 +105,7 @@ class BusinessGraph:
         return [vertices[vid] for vid in sorted(vertices)]
 
     def dot_lines(self):
-        """The text of `to_dot` in pieces: the header line, the vertex and
+        """The DOT text of the graph in pieces: the header line, the vertex and
         then the edge lines in chunks of `CHUNK_LINES`, the closing line."""
         yield "graph business {\n"
         rows = self._by_id()
@@ -117,20 +117,14 @@ class BusinessGraph:
             yield "".join([f'  "{a}" -- "{b}";\n' for a, b in edges[i:i + CHUNK_LINES]])
         yield "}\n"
 
-    def to_dot(self) -> str:
-        return "".join(self.dot_lines())
-
     def degree_lines(self):
-        """The text of `degree_csv` in pieces: the header line, then the
+        """The degree CSV text in pieces: the header line, then the
         vertex lines in chunks of `CHUNK_LINES`."""
         yield "vertex,eta,degree,birth_step\n"
         rows = self._by_id()
         for i in range(0, len(rows), CHUNK_LINES):
             yield "".join([f"{v.id},{v.eta!r},{v.degree},{v.birth_step}\n"
                            for v in rows[i:i + CHUNK_LINES]])
-
-    def degree_csv(self) -> str:
-        return "".join(self.degree_lines())
 
 
 class FlowLedger:

@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from dbesim.config import config_from_obj
 from dbesim.ecosystem import Habitat, RequestTemplate, evolve_request
-from dbesim.manifest import Catalog, Request, ServiceManifest
+from dbesim.manifest import Request, ServiceManifest
 from dbesim.rng import Stream
 
 # Every property test draws the same examples on every run, and no example
@@ -38,6 +38,11 @@ def svc(sid, attrs, in_port="src", out_port="dst", price=1.0, reliability=1.0,
     return ServiceManifest(id=sid, attrs=frozenset(attrs), in_port=in_port,
                            out_port=out_port, price=price, reliability=reliability,
                            usage_count=usage, success_count=success)
+
+
+def pool_of(services):
+    """A habitat's pool of the services: id -> manifest, in their order."""
+    return {s.id: s for s in services}
 
 
 def req(rid="r", attrs=("a",), source="src", sink="dst", max_len=3, budget=None):
@@ -101,7 +106,7 @@ def random_catalog(rng: Stream, n_services=None, attr_pool=("a", "b", "c", "d", 
             price=float(1 + rng.below(5)),
             reliability=0.5 + 0.5 * rng.random(),
         ))
-    return Catalog(services)
+    return pool_of(services)
 
 
 def random_request(rng: Stream, attr_pool=("a", "b", "c", "d", "e", "f"),

@@ -14,7 +14,7 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import evolve, load_asset_obj, random_catalog, random_request
+from conftest import evolve, load_asset_obj, pool_of, random_catalog, random_request
 from dbesim import cli, engine
 from dbesim.config import config_from_obj
 from dbesim.evolution import (
@@ -24,7 +24,7 @@ from dbesim.evolution import (
     gene_table,
 )
 from dbesim.ecosystem import failure_inject
-from dbesim.manifest import Catalog, ServiceManifest
+from dbesim.manifest import ServiceManifest
 from dbesim.rng import derive_substream
 from dbesim.topology import EtaDist, grow, inject_and_track, seed_business_graph
 
@@ -52,13 +52,13 @@ def test_criterion_1_oracle_equivalence():
     request = spec.profile[0].request
     assert request.max_len == 3 and len(spec.catalog) == 8
     params = EvolutionParams()  # defaults: population 100, 200 generations
-    _, oracle_fit = brute_force_best(Catalog(s.copy() for s in spec.catalog),
+    _, oracle_fit = brute_force_best(pool_of(s.copy() for s in spec.catalog),
                                      request, beta=params.beta)
     start = time.perf_counter()
     hits = 0
     for seed in range(100):
         rng = derive_substream(seed, "acceptance:oracle")
-        best, _ = evolve(Catalog(s.copy() for s in spec.catalog), request, params, rng)
+        best, _ = evolve(pool_of(s.copy() for s in spec.catalog), request, params, rng)
         if best.fitness == oracle_fit:
             hits += 1
     elapsed = time.perf_counter() - start
@@ -85,7 +85,7 @@ def test_criterion_2_elitism_monotonicity():
 
 
 def test_criterion_3_feedback_replication():
-    catalog = Catalog([
+    catalog = pool_of([
         ServiceManifest("reliable", frozenset({"a"}), "x", "y", 1.0, 1.0,
                         usage_count=10, success_count=10),
         ServiceManifest("flaky", frozenset({"a"}), "x", "y", 1.0, 1.0,

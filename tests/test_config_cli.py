@@ -1,5 +1,6 @@
 """Config schema strictness, echo round-trips, and CLI behavior."""
 
+import ast
 import gc
 import hashlib
 import importlib.util
@@ -778,3 +779,24 @@ def test_chunked_outputs_equal_the_single_string_forms(tmp_path, monkeypatch, ch
             got[asset, name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
             pinned[asset, name] = GOLDEN[asset][name]
     assert got == pinned
+
+
+def test_only_config_parses_input():
+    """Every input check is made in `config.py`: no other module of the package
+    parses JSON text or compiles a pattern."""
+    calls = {("json", "load"), ("json", "loads"), ("re", "compile")}
+    package = os.path.dirname(engine.__file__)
+    users = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in calls):
+                users.add(name)
+            elif isinstance(node, ast.ImportFrom) and any(
+                    (node.module, alias.name) in calls for alias in node.names):
+                users.add(name)
+    assert users == {"config.py"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import random_catalog, random_request, req, svc
+from conftest import pool_of, random_catalog, random_request, req, svc
 from dbesim.ecosystem import (
     ActiveEvolution,
     EcosystemParams,
@@ -26,13 +26,12 @@ from dbesim.ecosystem import (
     self_heal,
 )
 from dbesim.evolution import EvolutionParams
-from dbesim.manifest import Catalog
 from dbesim.rng import derive_substream
 from dbesim.shards import Shards
 
 
 def make_habitat(hid, services=(), attrs=("a",)):
-    pool = Catalog(services)
+    pool = pool_of(services)
     profile = [RequestTemplate(req(f"{hid}_req", attrs=attrs), 1.0)]
     return Habitat(id=hid, pool=pool, profile=profile)
 
@@ -222,8 +221,8 @@ def test_migrate_copies_manifest_with_counters_and_provenance():
     service_id, destination = events[0]
     assert service_id == "payload"
     dest = eco.habitats[destination]
-    copied = dest.pool.get("payload")
-    original = center.pool.get("payload")
+    copied = dest.pool["payload"]
+    original = center.pool["payload"]
     assert copied is not original
     assert copied.attrs == original.attrs
     assert (copied.usage_count, copied.success_count) == (4, 3)
@@ -233,7 +232,7 @@ def test_migrate_copies_manifest_with_counters_and_provenance():
 def test_migrate_skips_existing_id_but_consumes_draws():
     eco, center = _migration_eco()
     for target in ("aleft", "zright"):
-        eco.habitats[target].pool.add(svc("payload", {"a"}))
+        eco.habitats[target].pool["payload"] = svc("payload", {"a"})
     assert migrate(center, ("payload",), eco, 1.0, derive_substream(3, "mig")) == []
 
 
@@ -323,7 +322,7 @@ def test_failure_pools_lost_but_copies_survive():
     b = make_habitat("b")
     c = make_habitat("c")
     eco = build_ecosystem([a, b, c], ("ring",), derive_substream(0, "b"))
-    b.pool.add(a.pool.get("x").copy())
+    b.pool["x"] = a.pool["x"].copy()
     b.provenance["x"] = "a"
     failure_inject(eco, ["a"])
     assert "a" not in eco.habitats
@@ -361,7 +360,7 @@ def _epoch_fixture(n=2):
     for i in range(n):
         services = [svc(f"h{i}_svc", {f"t{i}"}, in_port="src", out_port="dst",
                         reliability=1.0)]
-        pool = Catalog(services)
+        pool = pool_of(services)
         profile = [RequestTemplate(req(f"h{i}_req", attrs=(f"t{i}",), max_len=2), 1.0)]
         habitats.append(Habitat(id=f"h{i}", pool=pool, profile=profile))
     eco = build_ecosystem(habitats, ("ring",), derive_substream(0, "build"))
@@ -396,7 +395,7 @@ def test_run_epoch_increments_and_decays_once():
 
 def test_run_epoch_empty_pool_warns_and_skips():
     eco, streams = _epoch_fixture()
-    eco.habitats["h0"].pool = Catalog()
+    eco.habitats["h0"].pool = {}
     events = []
     deployments, _ = _run_epoch(eco, streams, lambda k, p: events.append((k, p)))
     kinds = [k for k, _ in events]
@@ -408,7 +407,7 @@ def test_run_epoch_empty_pool_warns_and_skips():
 def test_run_epoch_feedback_reaches_counters():
     eco, streams = _epoch_fixture()
     _run_epoch(eco, streams, lambda k, p: None)
-    s = eco.habitats["h0"].pool.get("h0_svc")
+    s = eco.habitats["h0"].pool["h0_svc"]
     assert s.usage_count == 1 and s.success_count == 1
 
 
@@ -416,7 +415,7 @@ def test_run_epoch_reinforces_provenance_on_success():
     eco, streams = _epoch_fixture()
     # plant a migrated copy that h0 will deploy: it covers h0's request better
     migrant = svc("imported", {"t0"}, in_port="src", out_port="dst")
-    eco.habitats["h0"].pool = Catalog([migrant])
+    eco.habitats["h0"].pool = pool_of([migrant])
     eco.habitats["h0"].provenance["imported"] = "h1"
     _run_epoch(eco, streams, lambda k, p: None)
     assert eco.connections[("h0", "h1")] == pytest.approx((1.0 + 0.1) * 0.99)

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load_asset_config, svc
 from dbesim import engine
-from dbesim.config import config_from_obj, serialize_snapshot
+from dbesim.config import (
+    ConfigError,
+    config_from_obj,
+    config_to_obj,
+    serialize_snapshot,
+    state_to_obj,
+)
 from dbesim.engine import (
     MetricsRow,
     SimConfig,
@@ -440,6 +446,8 @@ def _flow(row):
                  id="connection-unknown-habitat"),
     pytest.param(lambda st: st["habitats"].append(st["habitats"][0]),
                  "state.habitats: duplicate habitat id: 'h0'", id="habitat-duplicate-id"),
+    pytest.param(lambda st: st["habitats"][0]["pool"].append(dict(st["habitats"][0]["pool"][0])),
+                 "state.habitats[0].pool: duplicate service id: 'h0_svc'", id="pool-duplicate-id"),
     # what the run core relies on unchecked
     pytest.param(_set(["habitats"], []), "state.habitats: expected a non-empty array",
                  id="habitats-empty"),
@@ -520,6 +528,51 @@ def test_snapshot_errors_name_the_json_path(damage, message):
     with pytest.raises(engine.SnapshotError) as info:
         engine.state_from_obj(cfg, state)
     assert message in str(info.value)
+
+
+_SERVICE = ["scenario", "habitats", 1, "catalog", 0]
+_REQUEST = ["scenario", "habitats", 1, "profile", 0, "request"]
+_POOL_SERVICE = ["habitats", 0, "pool", 0]
+
+
+@pytest.mark.parametrize("root, keys", [
+    ("config", _SERVICE + ["attrs", 0]),
+    ("config", _SERVICE + ["in_port"]),
+    ("config", _SERVICE + ["out_port"]),
+    ("config", _REQUEST + ["req_attrs", 0]),
+    ("config", _REQUEST + ["source_port"]),
+    ("config", _REQUEST + ["sink_port"]),
+    ("state", _POOL_SERVICE + ["attrs", 0]),
+    ("state", _POOL_SERVICE + ["in_port"]),
+    ("state", _POOL_SERVICE + ["out_port"]),
+], ids=lambda v: v if type(v) is str else v[-2] if type(v[-1]) is int else v[-1])
+def test_a_token_is_checked_at_its_path_and_lowercased(root, keys):
+    """Every attribute and port token of a config and of a snapshot pool is
+    read by one rule: a bad one is named at its path, and a mixed-case one
+    reads as its lowercase form."""
+    cfg = config_from_obj(scenario_obj())
+    if root == "config":
+        doc, error = scenario_obj(), ConfigError
+        def echo(d):
+            return config_to_obj(config_from_obj(d))
+    else:
+        doc, error = engine.run(cfg).final_state(), engine.SnapshotError
+        def echo(d):
+            return state_to_obj(*engine.state_from_obj(cfg, d))
+    expected = echo(doc)
+    *head, last = keys
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    token = parent[last]
+    parent[last] = "dash-ed"
+    path = root + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)
+    with pytest.raises(error) as info:
+        echo(doc)
+    assert str(info.value) == f"{path}: invalid attribute token: 'dash-ed'"
+    parent[last] = token.capitalize()
+    assert parent[last] != token
+    assert echo(doc) == expected
 
 
 def test_serialize_metrics_header():

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Scripted, evolve, random_catalog, random_request, req, svc
+from conftest import Scripted, evolve, pool_of, random_catalog, random_request, req, svc
 from dbesim import evolution
 from dbesim.evolution import (
     EvolutionError,
@@ -26,7 +26,6 @@ from dbesim.evolution import (
     step_generation,
     tournament_select,
 )
-from dbesim.manifest import Catalog
 from dbesim.rng import derive_substream
 
 
@@ -46,7 +45,7 @@ def test_replication_weight_failures_confer_no_bonus():
 
 def test_feedback_ratio_over_weighted_draws():
     # Success rates 1.0 vs 0.0 with gamma 2 give weights 3 : 1.
-    catalog = Catalog([
+    catalog = pool_of([
         svc("good", {"a"}, usage=10, success=10),
         svc("bad", {"a"}, usage=10, success=0),
     ])
@@ -66,7 +65,7 @@ def _params(**kw):
 
 
 def test_init_population_single_service_single_slot():
-    catalog = Catalog([svc("only", {"a"}, in_port="src", out_port="dst")])
+    catalog = pool_of([svc("only", {"a"}, in_port="src", out_port="dst")])
     pop = init_population(catalog, req(max_len=1), _params(population_size=10),
                           derive_substream(22, "init1"))
     assert all(ind.genome == ("only",) for ind in pop)
@@ -82,7 +81,7 @@ def test_init_population_size_exact():
 
 def test_init_population_empty_catalog_raises():
     with pytest.raises(EvolutionError, match="empty catalog"):
-        init_population(Catalog(), req(), _params(), derive_substream(0, "x"))
+        init_population({}, req(), _params(), derive_substream(0, "x"))
 
 
 def test_init_population_lengths_within_bounds():
@@ -98,7 +97,7 @@ def test_init_population_lengths_within_bounds():
 def test_init_population_evaluates_each_genome_once(monkeypatch):
     """Equal genomes of one initial population share one individual, scored
     once; the draws and the values are those of a slot-by-slot build."""
-    catalog = Catalog([svc("x", {"a"}), svc("y", {"b"})])
+    catalog = pool_of([svc("x", {"a"}), svc("y", {"b"})])
     r = req(attrs={"a", "b"}, max_len=2)
     params = _params(population_size=40)
     calls = _counting_evaluate_genome(monkeypatch)
@@ -123,7 +122,7 @@ def test_init_population_evaluates_each_genome_once(monkeypatch):
 def test_uniform_gene_frequencies_without_feedback():
     # Equal weights: gene draws binomial with p = 1/n within 3.5 sigma.
     n = 5
-    catalog = Catalog([svc(f"s{i}", {"a"}) for i in range(n)])
+    catalog = pool_of([svc(f"s{i}", {"a"}) for i in range(n)])
     rng = derive_substream(25, "freq")
     draws = 10000
     counts = {f"s{i}": 0 for i in range(n)}
@@ -232,7 +231,7 @@ def test_crossover_children_always_valid():
 # --- mutation ---
 
 def _two_service_catalog():
-    return Catalog([svc("s0", {"a"}), svc("s1", {"b"})])
+    return pool_of([svc("s0", {"a"}), svc("s1", {"b"})])
 
 
 def test_mutate_delete_skipped_at_floor():
@@ -248,7 +247,7 @@ def test_mutate_insert_skipped_at_ceiling():
 
 
 def test_mutate_replace_single_service_catalog_is_identity():
-    catalog = Catalog([svc("only", {"a"})])
+    catalog = pool_of([svc("only", {"a"})])
     g = ("only", "only")
     # op=2 replace, position 1, then one weighted draw
     out = mutate(g, gene_table(catalog, 2.0), 3,
@@ -284,7 +283,7 @@ def test_mutate_always_valid():
 # --- generations ---
 
 def _chain_scenario():
-    catalog = Catalog([
+    catalog = pool_of([
         svc("good", {"a", "b"}, in_port="src", out_port="dst"),
         svc("meh", {"a"}, in_port="src", out_port="dst"),
         svc("junk", {"z"}, in_port="p", out_port="q"),
@@ -332,7 +331,7 @@ def test_step_generation_without_operators_draws_from_parents():
 
 
 def test_budget_gates_fitness_to_zero():
-    catalog = Catalog([svc("pricey", {"a"}, in_port="src", out_port="dst", price=100.0)])
+    catalog = pool_of([svc("pricey", {"a"}, in_port="src", out_port="dst", price=100.0)])
     r = req(attrs={"a"}, max_len=1, budget=5.0)
     assert evaluate_genome(("pricey",), catalog, r, _params()) == 0.0
     r2 = req(attrs={"a"}, max_len=1, budget=100.0)
@@ -342,7 +341,7 @@ def test_budget_gates_fitness_to_zero():
 # --- evolve ---
 
 def test_evolve_perfect_single_service_terminates_immediately():
-    catalog = Catalog([svc("hit", {"a"}, in_port="src", out_port="dst")])
+    catalog = pool_of([svc("hit", {"a"}, in_port="src", out_port="dst")])
     best, trace = evolve(catalog, req(attrs={"a"}, max_len=1), _params(population_size=10),
                          derive_substream(36, "fast"))
     assert best.fitness == 1.0
@@ -417,7 +416,7 @@ def _counting_evaluate_genome(monkeypatch):
 def test_reused_fitness_survives_pool_growth(monkeypatch):
     # The pool gains a service mid-evolution, as migration does: every cached
     # fitness must still equal a fresh evaluation against the grown pool.
-    catalog = Catalog([
+    catalog = pool_of([
         svc("pa", {"a"}, in_port="src", out_port="mid"),
         svc("qb", {"b"}, in_port="mid", out_port="dst"),
         svc("junk", {"z"}, in_port="mid", out_port="mid"),
@@ -436,7 +435,7 @@ def test_reused_fitness_survives_pool_growth(monkeypatch):
 
     pop, _, first = counted_advance(init_population(catalog, r, params, rng), 15)
     assert len(first) == 15
-    catalog.add(svc("rc", {"c"}, in_port="mid", out_port="dst", usage=4, success=3))
+    catalog["rc"] = svc("rc", {"c"}, in_port="mid", out_port="dst", usage=4, success=3)
     pop, _, second = counted_advance(pop, 40)
     assert any("rc" in ind.genome for ind in pop)
     for ind in pop:
@@ -474,20 +473,20 @@ def test_tournament_ties_at_equal_fitness_keep_lowest_index():
 
 def test_evolve_empty_catalog_raises():
     with pytest.raises(EvolutionError, match="empty catalog"):
-        evolve(Catalog(), req(), _params(), derive_substream(0, "x"))
+        evolve({}, req(), _params(), derive_substream(0, "x"))
 
 
 # --- oracle ---
 
 def test_oracle_single_service():
-    catalog = Catalog([svc("only", {"a"}, in_port="src", out_port="dst")])
+    catalog = pool_of([svc("only", {"a"}, in_port="src", out_port="dst")])
     genome, fit = brute_force_best(catalog, req(attrs={"a"}, max_len=1))
     assert genome == ("only",)
     assert fit == 1.0
 
 
 def test_oracle_finds_known_perfect_chain():
-    catalog = Catalog([
+    catalog = pool_of([
         svc("s1", {"a", "b"}, in_port="sigma", out_port="x"),
         svc("s2", {"c"}, in_port="x", out_port="tau"),
     ])
@@ -499,7 +498,7 @@ def test_oracle_finds_known_perfect_chain():
 
 def test_oracle_prefers_first_in_enumeration_order():
     # Two singleton optima; lexicographically smaller id wins.
-    catalog = Catalog([
+    catalog = pool_of([
         svc("z_first", {"a"}, in_port="src", out_port="dst"),
         svc("a_first", {"a"}, in_port="src", out_port="dst"),
     ])
@@ -509,13 +508,13 @@ def test_oracle_prefers_first_in_enumeration_order():
 
 
 def test_oracle_guard():
-    catalog = Catalog([svc(f"s{i:02d}", {"a"}) for i in range(11)])
+    catalog = pool_of([svc(f"s{i:02d}", {"a"}) for i in range(11)])
     with pytest.raises(EvolutionError, match="oracle too large"):
         brute_force_best(catalog, req(max_len=6))
 
 
 def test_oracle_budget_excludes_infeasible():
-    catalog = Catalog([svc("pricey", {"a"}, in_port="src", out_port="dst", price=10.0)])
+    catalog = pool_of([svc("pricey", {"a"}, in_port="src", out_port="dst", price=10.0)])
     genome, fit = brute_force_best(catalog, req(attrs={"a"}, max_len=1, budget=1.0))
     assert genome is None and fit == 0.0
 

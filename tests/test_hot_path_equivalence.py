@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_asset_obj, req, svc
+from conftest import load_asset_obj, pool_of, req, svc
 from dbesim import cli, engine, evolution
 from dbesim.config import COMPACT, config_from_obj
 from dbesim.ecosystem import (
@@ -47,7 +47,7 @@ from dbesim.evolution import (
     record_deployment,
     replication_weight,
 )
-from dbesim.manifest import Catalog, chain_fitness, fitness
+from dbesim.manifest import chain_fitness, fitness
 from dbesim.rng import Stream, derive_substream
 from dbesim.topology import (
     CHUNK_LINES,
@@ -93,7 +93,7 @@ def boundary_output(cum, i, low_bits):
 
 def reference_draw(catalog, gamma, rng):
     """Gene draw through weighted_index over fresh weights."""
-    services = list(catalog)
+    services = list(catalog.values())
     return services[rng.weighted_index([replication_weight(s, gamma) for s in services])]
 
 
@@ -105,7 +105,7 @@ def catalogs(draw):
         usage = draw(st.sampled_from([0, 1, 2, 3, 4, 8]))
         success = draw(st.integers(0, usage))
         services.append(svc(f"s{i}", ["a"], usage=usage, success=success))
-    return Catalog(services)
+    return pool_of(services)
 
 
 gammas = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0)
@@ -152,7 +152,7 @@ def test_draw_service_table_reused_over_many_draws(catalog, gamma, state, draws)
 def test_draw_service_on_exact_running_sums():
     # four unused services weigh 1 each: r = 1.0, 2.0, 3.0 sit exactly on
     # the running sums, where `r < acc` moves on to the next service
-    catalog = Catalog(svc(f"s{i}", ["a"]) for i in range(4))
+    catalog = pool_of(svc(f"s{i}", ["a"]) for i in range(4))
     table = gene_table(catalog, 2.0)
     assert table[1] == [1.0, 2.0, 3.0, 4.0]
     for k in range(4):
@@ -166,7 +166,7 @@ def test_ga_across_deployments_matches_fresh_weights(data):
     """init, advance, record_deployment, pool growth, advance: the gene table
     must never outlive a counter or pool change."""
     base = data.draw(catalogs())
-    for s in base:
+    for s in base.values():
         s.usage_count = s.success_count = 0
     request = req("r", ["a", "z"], max_len=3)  # unreachable: every generation runs
     params = EvolutionParams(population_size=6, mutation_rate=0.9,
@@ -175,7 +175,7 @@ def test_ga_across_deployments_matches_fresh_weights(data):
     deploy = data.draw(st.lists(st.booleans(), min_size=1, max_size=3), label="outcomes")
 
     def trajectory(fresh_weights):
-        catalog = Catalog(s.copy() for s in base)
+        catalog = pool_of(s.copy() for s in base.values())
         rng = derive_substream(seed, "ga")
         draw = draw_service
         if fresh_weights:  # ignore the table: weigh the live catalog at each draw
@@ -184,9 +184,9 @@ def test_ga_across_deployments_matches_fresh_weights(data):
         with mock.patch.object(evolution, "draw_service", draw):
             pops = [init_population(catalog, request, params, rng)]
             for i, success in enumerate(deploy):
-                record_deployment(catalog.resolve(pops[-1][0].genome), success)
+                record_deployment([catalog[sid] for sid in pops[-1][0].genome], success)
                 if i == 1:
-                    catalog.add(svc("migrant", ["a"], usage=3, success=3))
+                    catalog["migrant"] = svc("migrant", ["a"], usage=3, success=3)
                 pops.append(advance(pops[-1], catalog, request, params, rng, 2)[0])
         return pops, rng.state
 
@@ -276,7 +276,7 @@ def test_advance_matches_the_per_generation_reference(data):
     budgets = data.draw(st.lists(st.integers(0, 25), min_size=1, max_size=3), label="budgets")
 
     def trajectory(step):
-        catalog = Catalog(s.copy() for s in services)
+        catalog = pool_of(s.copy() for s in services)
         rng = derive_substream(seed, "ga")
         pop = init_population(catalog, request, params, rng)
         first = {}
@@ -386,7 +386,7 @@ def check_clustering(eco):
 def test_clustering_memo_matches_recomputation(data):
     n = data.draw(st.integers(5, 12), label="habitats")
     attrs = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=4)
-    habitats = [Habitat(id=f"h{i:02d}", pool=Catalog(),
+    habitats = [Habitat(id=f"h{i:02d}", pool={},
                         profile=[RequestTemplate(req(f"r{i}", data.draw(attrs)), 1.0)])
                 for i in range(n)]
     eco = build_ecosystem(habitats, ("random_m", 2),
@@ -625,8 +625,8 @@ def test_chunked_writers_match_the_per_line_text():
     assert len(g.vertices) == 2054 and len(g.attachment_edges) == 4100
     assert (len(csv), len(dot)) == (1 + 3, 1 + 3 + 5 + 1)
     assert all(chunk.count("\n") <= CHUNK_LINES for chunk in csv + dot)
-    assert "".join(csv) == g.degree_csv() == ref.degree_csv()
-    assert "".join(dot) == g.to_dot() == ref.to_dot()
+    assert "".join(csv) == ref.degree_csv()
+    assert "".join(dot) == ref.to_dot()
     empty = BusinessGraph()
-    assert empty.degree_csv() == ReferenceGraph().degree_csv()
-    assert empty.to_dot() == ReferenceGraph().to_dot()
+    assert "".join(empty.degree_lines()) == ReferenceGraph().degree_csv()
+    assert "".join(empty.dot_lines()) == ReferenceGraph().to_dot()

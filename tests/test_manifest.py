@@ -3,10 +3,8 @@
 import pytest
 
 from conftest import req, svc
-from dbesim.config import POOL_SERVICE, REQUEST, SERVICE, read_json
+from dbesim.config import POOL_SERVICE, REQUEST, SERVICE, TOKEN, ConfigError, read_json
 from dbesim.manifest import (
-    Catalog,
-    ManifestError,
     Request,
     ServiceManifest,
     chain_descriptor,
@@ -14,7 +12,6 @@ from dbesim.manifest import (
     compat,
     coverage,
     fitness,
-    parse_token,
     surplus,
 )
 from dbesim.rng import derive_substream
@@ -22,13 +19,17 @@ from dbesim.rng import derive_substream
 
 # --- tokens ---
 
+def parse_token(value):
+    return read_json(value, "token", ConfigError, TOKEN.read)
+
+
 def test_token_lowercased_at_parse():
     assert parse_token("Alpha_3") == "alpha_3"
 
 
 @pytest.mark.parametrize("bad", ["", "has space", "dash-ed", "Ünicode", "x" * 65])
 def test_token_rejects_invalid(bad):
-    with pytest.raises(ManifestError):
+    with pytest.raises(ConfigError):
         parse_token(bad)
 
 
@@ -214,18 +215,7 @@ def test_validate_manifest_negative_price():
     assert "negative price" in POOL_SERVICE.violations(m)
 
 
-# --- catalog ---
-
-def test_catalog_rejects_duplicate_ids():
-    c = Catalog([svc("s", {"a"})])
-    with pytest.raises(ManifestError):
-        c.add(svc("s", {"b"}))
-
-
-def test_catalog_preserves_insertion_order():
-    c = Catalog([svc("s2", {"a"}), svc("s0", {"a"}), svc("s1", {"a"})])
-    assert c.ids() == ["s2", "s0", "s1"]
-
+# --- price ---
 
 def test_chain_price_sums():
     chain = [svc("s1", {"a"}, price=1.5), svc("s2", {"a"}, price=2.25)]
@@ -235,11 +225,11 @@ def test_chain_price_sums():
 # --- JSON interchange ---
 
 def service_from_obj(obj):
-    return ServiceManifest(**read_json(obj, "service", ManifestError, SERVICE.read))
+    return ServiceManifest(**read_json(obj, "service", ConfigError, SERVICE.read))
 
 
 def request_from_obj(obj):
-    return Request(**read_json(obj, "request", ManifestError, REQUEST.read))
+    return Request(**read_json(obj, "request", ConfigError, REQUEST.read))
 
 
 def _service_obj():
@@ -255,14 +245,14 @@ def test_service_obj_roundtrip():
 def test_service_obj_rejects_unknown_key():
     obj = _service_obj()
     obj["color"] = "blue"
-    with pytest.raises(ManifestError, match="color"):
+    with pytest.raises(ConfigError, match="color"):
         service_from_obj(obj)
 
 
 def test_service_obj_rejects_missing_key():
     obj = _service_obj()
     del obj["price"]
-    with pytest.raises(ManifestError, match="price"):
+    with pytest.raises(ConfigError, match="price"):
         service_from_obj(obj)
 
 
@@ -279,5 +269,5 @@ def test_request_obj_roundtrip_with_budget():
 def test_request_obj_rejects_unknown_key():
     obj = {"id": "r1", "req_attrs": ["a"], "source_port": "src",
            "sink_port": "dst", "max_len": 2, "deadline": 5}
-    with pytest.raises(ManifestError, match="deadline"):
+    with pytest.raises(ConfigError, match="deadline"):
         request_from_obj(obj)

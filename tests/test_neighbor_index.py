@@ -17,7 +17,6 @@ from dbesim.ecosystem import (
     reinforce,
     self_heal,
 )
-from dbesim.manifest import Catalog
 from dbesim.rng import derive_substream
 
 
@@ -56,7 +55,7 @@ def test_neighbors_match_brute_force_scan(data):
         topology = ("ring",)
     else:
         topology = ("random_m", data.draw(st.integers(1, min(3, n - 1)), label="m"))
-    habitats = [Habitat(id=f"h{i:02d}", pool=Catalog(),
+    habitats = [Habitat(id=f"h{i:02d}", pool={},
                         profile=[RequestTemplate(req(f"r{i}"), 1.0)]) for i in range(n)]
     seed = data.draw(st.integers(0, 2**16), label="seed")
     eco = build_ecosystem(habitats, topology, derive_substream(seed, "build"))
@@ -91,7 +90,7 @@ def test_neighbors_match_brute_force_scan(data):
 
 
 def test_reinforce_unconnected_pair_enters_index():
-    habitats = [Habitat(id=h, pool=Catalog(), profile=[RequestTemplate(req(h), 1.0)])
+    habitats = [Habitat(id=h, pool={}, profile=[RequestTemplate(req(h), 1.0)])
                 for h in ("a", "b", "c", "d")]
     eco = build_ecosystem(habitats, ("ring",), derive_substream(0, "build"))
     assert [n for n, _ in eco.neighbors("a")] == ["b", "d"]

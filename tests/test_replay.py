@@ -58,7 +58,7 @@ def replay(cfg, start, events):
                 request = next(t.request for t in h.profile if t.request.id == p["request"])
                 genome = tuple(p["chain"])
                 assert p["fitness"] == evaluate_genome(genome, h.pool, request, cfg.evolution)
-                record_deployment(h.pool.resolve(genome), p["success"])
+                record_deployment([h.pool[sid] for sid in genome], p["success"])
             elif kind == "reinforcement":
                 key = (p["a"], p["b"])
                 assert p["weight"] == conns.get(key, eco.w_min) + eco_params.reinforce_delta
@@ -66,7 +66,7 @@ def replay(cfg, start, events):
             elif kind == "migration":
                 dest, sid = habitats[p["destination"]], p["service"]
                 assert sid not in dest.pool
-                dest.pool.add(habitats[p["source"]].pool.get(sid).copy())
+                dest.pool[sid] = habitats[p["source"]].pool[sid].copy()
                 dest.provenance[sid] = p["source"]
             else:
                 assert kind == "warning", kind
@@ -77,7 +77,7 @@ def replay(cfg, start, events):
 
 
 def pools(habitats):
-    return {hid: [(s.id, s.usage_count, s.success_count) for s in h.pool]
+    return {hid: [(s.id, s.usage_count, s.success_count) for s in h.pool.values()]
             for hid, h in habitats.items()}
 
 

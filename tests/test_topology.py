@@ -331,11 +331,11 @@ def test_exports_have_expected_shape():
     g = seed_business_graph(3, fixed(0.5), derive_substream(26, "seed"))
     grow(g, 5, 1, fixed(0.5), derive_substream(26, "grow"))
 
-    dot = g.to_dot()
+    dot = "".join(g.dot_lines())
     assert dot.startswith("graph business {") and dot.rstrip().endswith("}")
     assert '"v0" -- "v1"' in dot
 
-    csv_lines = g.degree_csv().strip().split("\n")
+    csv_lines = "".join(g.degree_lines()).strip().split("\n")
     assert csv_lines[0] == "vertex,eta,degree,birth_step"
     assert len(csv_lines) == 1 + len(g.vertices)
 
@@ -355,4 +355,4 @@ def test_ledger_dot_matches_graph_of_its_habitats(ids):
     graph = BusinessGraph()
     for vid in ids:
         graph.add_vertex(vid, 1.0, 0)
-    assert FlowLedger(ids).to_dot() == graph.to_dot()
+    assert FlowLedger(ids).to_dot() == "".join(graph.dot_lines())
