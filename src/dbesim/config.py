@@ -704,14 +704,12 @@ def _pool(v) -> dict:
     """Service id -> manifest, in array order. `validate_config` checks the
     ids of a scenario's catalogs; a snapshot's pools are checked here, and
     the run core adds only ids a pool lacks."""
-    services = [ServiceManifest(**f) for f in _each(v, POOL_SERVICE.read)]
-    for i, s in enumerate(services):
+    pool = {}
+    for i, s in enumerate(ServiceManifest(**f) for f in _each(v, POOL_SERVICE.read)):
         if bad := POOL_SERVICE.violations(s):
             raise _Bad("; ".join(bad), i)
-    pool = {}
-    for s in services:
         if s.id in pool:
-            raise _Bad(f"duplicate service id: {s.id!r}")
+            raise _Bad(f"duplicate service id: {s.id!r}", i)
         pool[s.id] = s
     return pool
 
@@ -754,11 +752,12 @@ def _ecosystem(v, specs: dict, params: EvolutionParams, w_min: float) -> Ecosyst
     habitats = _each(v, _habitat, specs, params)
     if not habitats:  # no run removes its last habitat
         raise _Bad("expected a non-empty array")
-    eco = Ecosystem(habitats, w_min=w_min)
-    if len(eco.habitats) < len(habitats):
-        ids = [h.id for h in habitats]
-        raise _Bad(f"duplicate habitat id: {min(i for i in ids if ids.count(i) > 1)!r}")
-    return eco
+    seen = set()
+    for i, h in enumerate(habitats):
+        if h.id in seen:
+            raise _Bad(f"duplicate habitat id: {h.id!r}", i)
+        seen.add(h.id)
+    return Ecosystem(habitats, w_min=w_min)
 
 
 _CONNECTION_ROW = (STRING.read, STRING.read, NUMBER.read)
@@ -776,6 +775,9 @@ def _connect(rows, eco: Ecosystem) -> None:
         if w < eco.w_min:
             raise _Bad(f"weight below floor on {key}", i)
         eco.add_connection(a, b, w)
+    comps = eco.components()
+    if len(comps) > 1:  # builds and heals leave it connected; migration relies on that
+        raise _Bad(f"not connected: no path joins {comps[0][0]!r} and {comps[1][0]!r}")
 
 
 def _streams(v, specs: dict) -> dict:
@@ -859,10 +861,11 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
     its total_generations and whose pool version is at most the habitat's;
     each trace holds total_generations + 1 rows, numbered from 0; each
     connection joins two distinct habitats of the state, once, at a weight
-    >= the floor; streams belong to scenario habitats and are 64-bit;
-    counters are >= 0; each cached fitness is its genome's score; the
-    business fields other than flows are the ones a run writes; and flows
-    join two habitats with a known kind and a value >= 0.
+    >= the floor, and a path of connections joins every two habitats;
+    streams belong to scenario habitats and are 64-bit; counters are >= 0;
+    each cached fitness is its genome's score; the business fields other
+    than flows are the ones a run writes; and flows join two habitats with
+    a known kind and a value >= 0.
     """
     return read_json(state, "state", SnapshotError, _state, config)
 

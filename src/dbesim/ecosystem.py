@@ -11,7 +11,9 @@ connected.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .evolution import (
@@ -87,12 +89,13 @@ class Habitat:
 
 
 class Deployment(NamedTuple):
-    """What a habitat deployed this epoch."""
+    """What a habitat deployed this epoch, and its fired migration draws."""
 
     habitat: Habitat
     genome: tuple
     fitness: float
     success: bool
+    fired: list  # (chain index, destination draw) per fired migration, see `migrate`
 
 
 def edge_key(a: str, b: str) -> tuple:
@@ -297,30 +300,31 @@ def clustering_statistic(eco: Ecosystem) -> float:
 # --- Migration ---
 
 
-def migrate(h: Habitat, genome: tuple, eco: Ecosystem, p_mig: float, rng: Stream) -> list:
-    """Spread the habitat's deployed chain `genome` to weighted neighbors.
+def migrate(h: Habitat, genome: tuple, fired: list, eco: Ecosystem) -> list:
+    """Spread the members of the habitat's deployed chain `genome` whose
+    migration fired to weighted neighbors.
 
-    Per constituent service, one uniform draw decides whether migration
-    fires; if it does, one weighted draw picks the destination among the
-    habitat's neighbors (sorted by id). The manifest is copied with its
-    counters, provenance pointing at this habitat, unless the destination
-    already holds that id (the draw is still consumed). Returns the
-    (service id, destination id) pairs copied.
+    `habitat_step` draws migration on the habitat's stream, when the habitat
+    has a neighbor: per chain member in order, one uniform draw that fires
+    below `p_mig` and, if it fires, one uniform draw u for the destination.
+    `fired` holds the (chain index, u) pairs of the fired members. u picks
+    among the neighbors, sorted by id, as `Stream.weighted_index` would over
+    their weights as reinforcement leaves them: the first whose running sum
+    exceeds u times the total. The manifest is copied with its counters,
+    provenance pointing at this habitat, unless the destination already
+    holds that id. Returns the (service id, destination id) pairs copied.
     """
-    if h.id not in eco._adj:  # `_adj` holds only habitats with neighbors
-        return []
-    neighbors = None
+    neighbors = eco.neighbors(h.id)
+    cum = list(accumulate(w for _, w in neighbors))
     copied = []
-    for sid in genome:
-        if rng.random() < p_mig:
-            if neighbors is None:  # built once a migration fires; no edge changes here
-                neighbors = eco.neighbors(h.id)
-                weights = [w for _, w in neighbors]
-            dest_id = neighbors[rng.weighted_index(weights)][0]
-            dest = eco.habitats[dest_id]
-            if sid not in dest.pool:
-                dest.receive(h.pool[sid].copy(), h.id)
-                copied.append((sid, dest_id))
+    for i, u in fired:
+        k = bisect_right(cum, u * cum[-1])
+        dest_id = neighbors[k if k < len(cum) else len(cum) - 1][0]  # float round-up at the top
+        dest = eco.habitats[dest_id]
+        sid = genome[i]
+        if sid not in dest.pool:
+            dest.receive(h.pool[sid].copy(), h.id)
+            copied.append((sid, dest_id))
     return copied
 
 
@@ -412,14 +416,20 @@ def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Strea
     return best
 
 
-def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute) -> tuple:
+def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute,
+                 p_mig: float | None) -> tuple:
     """One habitat's step of an epoch; all draws come from its stream `rng`.
 
     In this order: sample a request from the profile, evolve it under
     `params.generation_budget_per_epoch`, deploy the best chain through
-    `execute`, and record the feedback. Returns the step's record, which a
-    shard worker sends as it is: (profile index of the request, genome,
-    fitness, success) of the deployment, or (profile index,) for an empty pool.
+    `execute`, record the feedback, and draw the chain's migration. That is,
+    unless `p_mig` is None (the habitat has no neighbor), per chain member in
+    order one uniform draw that fires below `p_mig` and, if it fires, one
+    uniform draw for the destination, which `migrate` maps. Returns the
+    step's record, which a shard worker sends as it is: (profile index of
+    the request, genome, fitness, success, [(chain index, destination draw)
+    of each fired migration]) of the deployment, or (profile index,) for an
+    empty pool.
     """
     idx = rng.weighted_index([t.weight for t in h.profile])
     if len(h.pool) == 0:
@@ -429,7 +439,12 @@ def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute) -> t
     chain = [h.pool[sid] for sid in best.genome]
     success = execute(chain, rng)
     record_deployment(chain, success)
-    return idx, best.genome, best.fitness, success
+    fired = []
+    if p_mig is not None:
+        for i in range(len(chain)):
+            if rng.random() < p_mig:
+                fired.append((i, rng.random()))
+    return idx, best.genome, best.fitness, success, fired
 
 
 def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> None:
@@ -448,28 +463,29 @@ def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> 
     })
 
 
-def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, streams: dict, emit,
-              shards, dispatch_next: bool = False) -> tuple:
+def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards,
+              dispatch_next: bool = False) -> tuple:
     """Advance the ecosystem by one epoch.
 
-    `shards` (the `shards.Shards` of `eco` and `streams`) takes every
-    habitat's `habitat_step`, local or on a worker, turns each record into a
+    `shards` (the `shards.Shards` of `eco`) takes every habitat's
+    `habitat_step`, local or on a worker, turns each record into a
     `Deployment` and reports the step through `emit_step`, in habitat id
     order. Then three single-writer phases follow in id order: reinforcement
-    of provenance edges used by successful deployments, migration of
-    deployed chains, and one decay pass over all weights.
+    of provenance edges used by successful deployments, migration of the
+    deployed chains' fired members, and one decay pass over all weights.
+    None of them draws: the steps drew the migrations.
 
     `dispatch_next` says that the next epoch starts on the ecosystem as
     migration leaves it (no failure comes first): its message then goes to
-    the shard workers before the decay pass, which neither draws nor touches
-    a pool, so they step while this process finishes.
+    the shard workers before the decay pass, which touches no pool, so they
+    step while this process finishes.
 
     `emit(kind, payload)` receives the epoch's events. Returns (deployments
     in habitat id order, number of services migrated).
     """
     deployments = shards.habitat_epochs(emit)
 
-    for h, genome, _, success in deployments:
+    for h, genome, _, success, _ in deployments:
         if not success:
             continue
         for sid in genome:
@@ -480,8 +496,10 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, streams: dict, emit,
                 emit("reinforcement", {"a": a, "b": b, "service": sid, "weight": w})
 
     migrations = 0
-    for h, genome, _, _ in deployments:
-        for sid, dest_id in migrate(h, genome, eco, eco_params.p_mig, streams[h.id]):
+    for h, genome, _, _, fired in deployments:
+        if not fired:
+            continue
+        for sid, dest_id in migrate(h, genome, fired, eco):
             migrations += 1
             emit("migration", {"service": sid, "source": h.id, "destination": dest_id})
 

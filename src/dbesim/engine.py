@@ -128,7 +128,9 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
     The habitats' steps of each epoch run through `shards.Shards` on
     `workers` processes, the main one included; the outputs are the same for
     every count. The default, one, forks nothing, so every draw is made
-    where the caller's `Stream` objects live.
+    where the caller's `Stream` objects live. With more, each worker draws
+    on its own copies of its shard's streams, and their final states are set
+    on the caller's objects when the run ends.
 
     Precondition: a config that `parse_config` returned, or one that
     `validate_config` returned `[]` for. The run core does not check it
@@ -140,14 +142,14 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
         eco, streams, ledger = build_run_state(config)
     else:
         eco, streams, ledger = state_from_obj(config, state)
-    with Shards(eco, streams, config.evolution, simulate_execution, workers) as shards:
-        events, metrics = _epochs(config, eco, streams, ledger, shards)
+    with Shards(eco, streams, config.evolution, simulate_execution, config.ecosystem.p_mig,
+                workers) as shards:
+        events, metrics = _epochs(config, eco, ledger, shards)
         shards.collect()
     return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams)
 
 
-def _epochs(config: SimConfig, eco: Ecosystem, streams: dict, ledger: FlowLedger,
-            shards) -> tuple:
+def _epochs(config: SimConfig, eco: Ecosystem, ledger: FlowLedger, shards) -> tuple:
     """The epoch loop of `run`; returns (events, metrics rows)."""
     events: list[EventRecord] = []
     metrics: list[MetricsRow] = []
@@ -173,12 +175,11 @@ def _epochs(config: SimConfig, eco: Ecosystem, streams: dict, ledger: FlowLedger
         # The workers may start the next epoch's steps once this epoch's migration
         # is done, unless that epoch's failures must remove habitats first.
         dispatch_next = epoch_now < config.epochs and epoch_now + 1 not in failures_by_epoch
-        deployments, migrations = run_epoch(eco, config.ecosystem, streams, emit, shards,
-                                            dispatch_next)
+        deployments, migrations = run_epoch(eco, config.ecosystem, emit, shards, dispatch_next)
 
         total = 0.0
         successes = 0
-        for h, genome, fitness, success in deployments:
+        for h, genome, fitness, success, _ in deployments:
             total += fitness
             if not success:
                 continue

@@ -13,16 +13,15 @@ a time, with a few big-integer operations on one packed `int` (one 128-bit
 lane per output, so no product carries into the next lane), and hands them
 out one per draw. The outputs are exactly those of the scalar recurrence,
 and `Stream.state` is always the logical position: the state after the
-draws taken so far, as if each had advanced it once. Setting the state to a
-position at or ahead of the current one within the block already computed
-skips forward in that block; any other position drops the block.
+draws taken so far, as if each had advanced it once. Setting the state
+drops the block.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import length_hint
 
 _MASK64 = (1 << 64) - 1
@@ -41,7 +40,6 @@ def fnv1a64(label: str) -> int:
 
 
 _GAMMA = 0x9E3779B97F4A7C15
-_GAMMA_INV = pow(_GAMMA, -1, 1 << 64)  # the draws from state a to b: (b - a) * _GAMMA_INV
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _EXHAUSTED = iter(())  # no block: the next draw computes one
@@ -58,11 +56,8 @@ def _block_constants(n: int) -> tuple:
     return ones, gammas, ones * _MASK64, min(2 * n, 64)
 
 
-# Blocks start at 4 outputs whenever the state is set outside the block
-# computed (a sharded run moves many streams per epoch for a few draws each)
-# and double up to 64. A state set inside that block keeps it and its size:
-# a shard worker's stream survives the migration draws the main process made
-# on it since the last epoch.
+# Blocks start at 4 outputs whenever the state is set, and double up to 64:
+# a stream that makes few draws computes few outputs it never reads.
 _BLOCKS = {n: _block_constants(n) for n in (4, 8, 16, 32, 64)}
 
 
@@ -74,15 +69,14 @@ class Stream:
     the stated number of raw 64-bit outputs, each through `next_u64`.
 
     The outputs are computed ahead in blocks (see the module docstring).
-    `state` reads the logical position and may be set, which skips forward
-    in the block when the new position lies ahead within it, and else drops
-    the block.
+    `state` reads the logical position and may be set, which drops the
+    block.
     """
 
     __slots__ = ("_base", "_block", "_size", "_next_size")
 
     def __init__(self, state: int):
-        self._drop(state)
+        self.state = state
 
     @property
     def state(self) -> int:
@@ -92,16 +86,8 @@ class Stream:
 
     @state.setter
     def state(self, value: int) -> None:
-        at = (value - self._base) * _GAMMA_INV & _MASK64  # outputs from the block's start
-        skip = at - self._size + length_hint(self._block)
-        if skip < 0 or at > self._size:
-            self._drop(value)
-        elif skip:
-            next(islice(self._block, skip, skip), None)
-
-    def _drop(self, state: int) -> None:
-        """Start over at `state`: the next draw computes a block of 4."""
-        self._base = state & _MASK64
+        """Start over at `value`: the next draw computes a block of 4."""
+        self._base = value & _MASK64
         self._block = _EXHAUSTED
         self._size = 0
         self._next_size = 4

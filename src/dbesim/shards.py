@@ -11,11 +11,14 @@ nothing is forked, sent or collected. Failures, the phases after the steps,
 metrics and output stay in the main process, which keeps the whole run
 state and stays its one writer:
 
+- Each worker owns its shard's streams for the whole run: it draws on the
+  copies it inherited, migration's draws included, and the main process
+  neither draws on them nor sets them until `collect`.
 - Per epoch, the main process sends each worker one message: the ids of
-  its habitats still present, their stream states (migration draws from
-  them in the main process), and the pool members added since the last
-  message, in pool order, with their provenance. The worker adds them
-  through `Habitat.receive`, so its pool version follows.
+  its habitats still present, the epoch's migration probability (None when
+  a single habitat is left, with no neighbor), and the pool members added
+  since the last message, in pool order, with their provenance. The worker
+  adds them through `Habitat.receive`, so its pool version follows.
 - Epoch e + 1's message depends only on what epoch e's migration leaves, so
   it goes out (`dispatch`) right after that migration, and the workers step
   while the main process decays the weights, records the transactions and
@@ -23,13 +26,16 @@ state and stays its one writer:
   epoch of a run, and an epoch with a scheduled failure, get their message
   only when they start: a failure must remove its victims before the
   message names the habitats still present.
-- A worker answers (new stream state, `habitat_step` record) per habitat.
-  The main process sets the stream state and replays the record's feedback
-  on its own copies of the chain's counters (migration copies them). One
-  loop then emits every step, local or not, in habitat-id order.
-- When its input ends, a worker sends back the evolution state
+- A worker answers with the `habitat_step` record of each habitat. The
+  main process replays the record's feedback on its own copies of the
+  chain's counters (migration copies them). One loop then emits every step,
+  local or not, in habitat-id order. Migration's destinations and copies
+  are made in the main process, from the draws the records carry.
+- When its input ends, a worker sends back the state of every stream of
+  its shard, failure victims' included, then the evolution state
   (`Habitat.active`) of each habitat its last message named (its shard
-  before any), one message per habitat; `collect` ends its input for this.
+  before any), one message per habitat. `collect` ends its input for this
+  and sets the stream states on the main process's `Stream` objects.
 
 Workers are forked, not spawned: a worker inherits the built run state
 instead of receiving it pickled, and the program starts no threads that a
@@ -153,14 +159,17 @@ class Shards:
     the workers.
 
     `params` and `execute` are those of `ecosystem.habitat_step`, fixed for
-    the run; `n` counts the processes, the main one included.
+    the run, and `p_mig` the migration probability it gets while two or more
+    habitats are present; `n` counts the processes, the main one included.
     """
 
-    def __init__(self, eco, streams: dict, params, execute, n: int):
+    def __init__(self, eco, streams: dict, params, execute, p_mig: float, n: int):
         self.eco = eco
         self.streams = streams
         self.params = params
         self.execute = execute
+        self.p_mig = p_mig
+        self.epoch_p_mig = None  # `habitat_step`'s `p_mig` this epoch, set by `dispatch`
         ids = eco.habitat_ids()
         self.local = ids[0::n]
         self.pool_sizes = {hid: len(eco.habitats[hid].pool) for hid in ids}
@@ -183,29 +192,29 @@ class Shards:
         self.close(kill=exc_type is not None)
         return False
 
-    def _serve(self, ids: list, recv, send) -> None:
+    def _serve(self, shard: list, recv, send) -> None:
         """The worker's loop: step the habitats each message names; at EOF, send
-        the evolution states of the last message's `ids` (at first, the shard)."""
+        the shard's stream states, then the evolution states of the last
+        message's habitats (at first, the shard)."""
         import pickle
 
         habitats = self.eco.habitats
+        streams = self.streams
+        live = shard
         while True:
             try:
-                ids, states, added = pickle.load(recv)
+                live, p_mig, added = pickle.load(recv)
             except EOFError:
                 break
             for hid, services in added:
                 for s, src in services:
                     habitats[hid].receive(s, src)
-            records = []
-            for hid, state in zip(ids, states):
-                rng = self.streams[hid]
-                rng.state = state
-                record = habitat_step(habitats[hid], rng, self.params, self.execute)
-                records.append((rng.state, record))
+            records = [habitat_step(habitats[hid], streams[hid], self.params, self.execute, p_mig)
+                       for hid in live]
             pickle.dump(records, send, pickle.HIGHEST_PROTOCOL)
             send.flush()
-        for hid in ids:
+        pickle.dump([streams[hid].state for hid in shard], send, pickle.HIGHEST_PROTOCOL)
+        for hid in live:
             pickle.dump(habitats[hid].active, send, pickle.HIGHEST_PROTOCOL)
 
     def _added(self, habitats: dict, ids: list) -> list:
@@ -224,9 +233,9 @@ class Shards:
 
     def dispatch(self) -> None:
         """Send each worker the message of the next `habitat_epochs` call: its
-        present habitats, their stream states and the pool members added
-        since its last message, unless that message is out already. With one
-        process there is no worker, so it sends nothing.
+        present habitats, the epoch's migration probability and the pool
+        members added since its last message, unless that message is out
+        already. With one process there is no worker, so it sends nothing.
 
         `run_epoch` calls it as soon as the next epoch's inputs are final,
         so the workers step while the main process finishes the epoch;
@@ -235,10 +244,11 @@ class Shards:
         if self.sent:
             return
         habitats = self.eco.habitats
-        streams = self.streams
+        # The graph is connected, so a habitat has a neighbor when two or more are present.
+        self.epoch_p_mig = self.p_mig if len(habitats) > 1 else None
         self.live = [[hid for hid in ids if hid in habitats] for ids in self.shards]
         for w, live in zip(self.workers, self.live):
-            w.put((live, [streams[hid].state for hid in live], self._added(habitats, live)))
+            w.put((live, self.epoch_p_mig, self._added(habitats, live)))
         self.sent = True
 
     def habitat_epochs(self, emit) -> list:
@@ -249,11 +259,11 @@ class Shards:
         streams = self.streams
         self.dispatch()
         self.sent = False
-        steps = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute)
+        p_mig = self.epoch_p_mig
+        steps = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute, p_mig)
                  for hid in self.local if hid in habitats}
         for w, live in zip(self.workers, self.live):
-            for hid, (state, record) in zip(live, w.get()):
-                streams[hid].state = state
+            for hid, record in zip(live, w.get()):
                 if len(record) > 1:
                     # Replay the feedback on the main process's copies and take the ids
                     # from them: the log keeps each chain, and unpickled ids are new strings.
@@ -272,11 +282,14 @@ class Shards:
         return deployments
 
     def collect(self) -> None:
-        """Take back each present habitat's evolution state: closing a
-        worker's input makes it send them."""
+        """Take back the final state of every worker's streams and each present
+        habitat's evolution state: closing a worker's input makes it send
+        them."""
         for w in self.workers:
             w.send.close()
-        for w, live in zip(self.workers, self.live):
+        for w, shard, live in zip(self.workers, self.shards, self.live):
+            for hid, state in zip(shard, w.get()):
+                self.streams[hid].state = state
             for hid in live:
                 self.eco.habitats[hid].active = w.get()
 

@@ -201,6 +201,17 @@ def test_clustering_matches_scipy_pearson():
 
 # --- migration ---
 
+def fired(genome, p_mig, rng):
+    """The migration draws `habitat_step` makes on `rng` for a deployed
+    `genome`: per member, a coin against `p_mig` and, if it fires, the
+    destination draw."""
+    draws = []
+    for i in range(len(genome)):
+        if rng.random() < p_mig:
+            draws.append((i, rng.random()))
+    return draws
+
+
 def _migration_eco():
     center = make_habitat("mid", services=[svc("payload", {"a"}, usage=4, success=3)])
     left = make_habitat("aleft")
@@ -211,12 +222,13 @@ def _migration_eco():
 
 def test_migrate_zero_probability_no_events():
     eco, center = _migration_eco()
-    assert migrate(center, ("payload",), eco, 0.0, derive_substream(1, "mig")) == []
+    assert migrate(center, ("payload",), fired(("payload",), 0.0, derive_substream(1, "mig")),
+                   eco) == []
 
 
 def test_migrate_copies_manifest_with_counters_and_provenance():
     eco, center = _migration_eco()
-    events = migrate(center, ("payload",), eco, 1.0, derive_substream(2, "mig"))
+    events = migrate(center, ("payload",), fired(("payload",), 1.0, derive_substream(2, "mig")), eco)
     assert len(events) == 1
     service_id, destination = events[0]
     assert service_id == "payload"
@@ -233,14 +245,15 @@ def test_migrate_skips_existing_id_but_consumes_draws():
     eco, center = _migration_eco()
     for target in ("aleft", "zright"):
         eco.habitats[target].pool["payload"] = svc("payload", {"a"})
-    assert migrate(center, ("payload",), eco, 1.0, derive_substream(3, "mig")) == []
+    assert migrate(center, ("payload",), fired(("payload",), 1.0, derive_substream(3, "mig")),
+                   eco) == []
 
 
 def test_migrate_single_neighbor_always_chosen():
     a = make_habitat("a", services=[svc("x", {"a"})])
     b = make_habitat("b")
     eco = build_ecosystem([a, b], ("ring",), derive_substream(0, "b"))
-    events = migrate(a, ("x",), eco, 1.0, derive_substream(4, "mig"))
+    events = migrate(a, ("x",), fired(("x",), 1.0, derive_substream(4, "mig")), eco)
     assert [destination for _, destination in events] == ["b"]
 
 
@@ -257,7 +270,7 @@ def test_migrate_destination_frequency_tracks_weights():
     rng = derive_substream(5, "mig-freq")
     counts = {"n1": 0, "n2": 0}
     for i in range(10000):
-        for _, destination in migrate(hub, (f"m{i:05d}",), eco, 1.0, rng):
+        for _, destination in migrate(hub, (f"m{i:05d}",), fired((f"m{i:05d}",), 1.0, rng), eco):
             counts[destination] += 1
     total = counts["n1"] + counts["n2"]
     assert total == 10000
@@ -377,8 +390,9 @@ def _always_succeed(chain, rng):
 def _run_epoch(eco, streams, emit):
     """One epoch with every habitat step in this process."""
     params = EvolutionParams(population_size=8, generation_budget_per_epoch=5)
-    with Shards(eco, streams, params, _always_succeed, 1) as shards:
-        return run_epoch(eco, EcosystemParams(), streams, emit, shards)
+    eco_params = EcosystemParams()
+    with Shards(eco, streams, params, _always_succeed, eco_params.p_mig, 1) as shards:
+        return run_epoch(eco, eco_params, emit, shards)
 
 
 def test_run_epoch_increments_and_decays_once():

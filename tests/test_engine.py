@@ -445,9 +445,15 @@ def _flow(row):
                  "state.connections[0]: connection references unknown habitat: ('ghost', 'h0')",
                  id="connection-unknown-habitat"),
     pytest.param(lambda st: st["habitats"].append(st["habitats"][0]),
-                 "state.habitats: duplicate habitat id: 'h0'", id="habitat-duplicate-id"),
+                 "state.habitats[2]: duplicate habitat id: 'h0'", id="habitat-duplicate-id"),
+    pytest.param(lambda st: st["habitats"].insert(1, st["habitats"][0]),
+                 "state.habitats[1]: duplicate habitat id: 'h0'", id="habitat-duplicate-id-inside"),
     pytest.param(lambda st: st["habitats"][0]["pool"].append(dict(st["habitats"][0]["pool"][0])),
-                 "state.habitats[0].pool: duplicate service id: 'h0_svc'", id="pool-duplicate-id"),
+                 "state.habitats[0].pool[1]: duplicate service id: 'h0_svc'",
+                 id="pool-duplicate-id"),
+    pytest.param(_set(["connections"], []),
+                 "state.connections: not connected: no path joins 'h0' and 'h1'",
+                 id="connections-disconnected"),
     # what the run core relies on unchecked
     pytest.param(_set(["habitats"], []), "state.habitats: expected a non-empty array",
                  id="habitats-empty"),

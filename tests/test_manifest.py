@@ -1,5 +1,7 @@
 """Descriptor algebra, fitness, and the JSON interchange schemas."""
 
+import dataclasses
+
 import pytest
 
 from conftest import req, svc
@@ -213,6 +215,24 @@ def test_validate_manifest_negative_price():
     m = svc("s", {"a"})
     m.price = -1.0
     assert "negative price" in POOL_SERVICE.violations(m)
+
+
+# --- copy ---
+
+def test_copy_carries_every_field_and_owns_its_counters():
+    """`copy` names the fields one by one: every field reaches the copy (each
+    is set off its default here, so a field added later must be set too),
+    and bumping the copy's counters leaves the original alone."""
+    original = ServiceManifest("s", frozenset({"a"}), "x", "y", price=2.5, reliability=0.75,
+                               usage_count=4, success_count=3)
+    copied = original.copy()
+    assert copied is not original
+    for f in dataclasses.fields(ServiceManifest):
+        assert getattr(original, f.name) != f.default, f.name
+        assert getattr(copied, f.name) == getattr(original, f.name), f.name
+    copied.usage_count += 1
+    copied.success_count += 1
+    assert (original.usage_count, original.success_count) == (4, 3)
 
 
 # --- price ---

@@ -172,39 +172,6 @@ def test_setting_the_state_near_the_position_matches_the_scalar_recurrence():
             assert [s.next_u64() for _ in range(70)] == outputs[j:j + 70], (k, offset)
 
 
-def test_a_state_set_inside_the_block_computes_no_new_block(monkeypatch):
-    """A set ahead within the block skips forward and keeps the block and its
-    size; a set behind the position or past the block computes a new one."""
-    refills = []
-    refill = Stream._refill
-
-    def counting_refill(self):
-        refills.append(1)
-        return refill(self)
-
-    monkeypatch.setattr(Stream, "_refill", counting_refill)
-    start = 0x0123456789ABCDEF
-    outputs = reference_splitmix64(start, 100)
-    at = lambda k: (start + k * GAMMA) & MASK  # noqa: E731
-    s = Stream(start)
-    draws = [s.next_u64() for _ in range(5)]  # the block of 4, then one of 8 (outputs 4..11)
-    assert len(refills) == 2
-    s.state = at(5)  # where it is
-    s.state = at(9)  # ahead in the block
-    draws += [s.next_u64() for _ in range(3)]  # outputs 9..11: the rest of the block
-    assert len(refills) == 2
-    s.state = at(12)  # the block's end
-    draws += [s.next_u64() for _ in range(16)]  # outputs 12..27: one block of 16, as without sets
-    assert len(refills) == 3
-    assert draws == outputs[:5] + outputs[9:28]
-    s.state = at(27)  # behind the position
-    assert s.next_u64() == outputs[27]
-    assert len(refills) == 4
-    s.state = at(40)  # past the new block of 4 (outputs 27..30)
-    assert s.next_u64() == outputs[40]
-    assert len(refills) == 5
-
-
 def reference_weighted_index(weights, u):
     total = 0.0
     for w in weights:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import asset_path, load_asset_obj
-from dbesim import cli, ecosystem, engine, shards
+from dbesim import cli, ecosystem, engine, rng, shards
 from dbesim.config import config_from_obj, serialize_snapshot
 from test_engine import _evolving_scenario_obj
 from test_golden import GOLDEN, bridged24_obj
@@ -183,6 +183,76 @@ def test_the_next_epochs_message_goes_out_before_this_epochs_decay(monkeypatch, 
     head = calls[:calls.index("collect") + 1]
     assert head == expected
     assert head.count("put") == head.count("get")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_own_their_streams_until_collect(monkeypatch, workers):
+    """Between the fork and `collect`, the main process neither draws on nor
+    sets a worker-owned stream; `collect` sets each one, failure victims'
+    included, to the one-process run's state."""
+    victims = [1, 5]  # worker-owned on 2 processes (odd ids) and on 3 (shards 1 and 2)
+    cfg = config_from_obj(_two_communities_with_failures(6, {3: victims}))
+    single = engine.run(cfg)
+    main_pid = os.getpid()
+    seen = {"owned": {}, "collecting": False, "touched": []}
+
+    def watch(self, what):
+        if (os.getpid() == main_pid and not seen["collecting"]
+                and id(self) in seen["owned"]):
+            seen["touched"].append((seen["owned"][id(self)], what))
+
+    init = shards.Shards.__init__
+
+    def watched_init(self, *args):
+        init(self, *args)  # the workers are forked by now
+        seen["owned"] = {id(self.streams[hid]): hid for shard in self.shards for hid in shard}
+
+    collect = shards.Shards.collect
+
+    def watched_collect(self):
+        seen["collecting"] = True
+        return collect(self)
+
+    next_u64 = rng.Stream.next_u64
+    state = rng.Stream.state
+
+    def watched_next_u64(self):
+        watch(self, "next_u64")
+        return next_u64(self)
+
+    def watched_set(self, value):
+        watch(self, "state set")
+        state.fset(self, value)
+
+    monkeypatch.setattr(shards.Shards, "__init__", watched_init)
+    monkeypatch.setattr(shards.Shards, "collect", watched_collect)
+    monkeypatch.setattr(rng.Stream, "next_u64", watched_next_u64)
+    monkeypatch.setattr(rng.Stream, "state", property(state.fget, watched_set))
+    sharded = engine.run(cfg, workers=workers)
+    assert seen["collecting"] and len(seen["owned"]) > len(victims)
+    assert seen["touched"] == []
+    ids = sorted(single.streams)
+    assert {ids[i] for i in victims} <= set(seen["owned"].values())
+    assert stream_states(sharded) == stream_states(single)
+    assert outputs(cfg, sharded) == outputs(cfg, single)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sole_habitat_draws_no_migration(workers):
+    """A habitat draws migration only while it has a neighbor: once a failure
+    leaves one habitat, its draws, and so the whole run, do not depend on
+    `p_mig`. The survivor is worker-owned on 2 and 3 processes."""
+    n = len(load_asset_obj("two_communities.json")["scenario"]["habitats"])
+    runs = []
+    for p_mig in (0.0, 1.0):
+        obj = _two_communities_with_failures(4, {1: [i for i in range(n) if i != 1]})
+        obj["ecosystem"] = dict(obj.get("ecosystem", {}), p_mig=p_mig)
+        cfg = config_from_obj(obj)
+        result = engine.run(cfg, workers=workers)
+        assert [row.habitat_count for row in result.metrics] == [1] * 4
+        runs.append((engine.serialize_events(result.events),
+                     engine.serialize_metrics(result.metrics), stream_states(result)))
+    assert runs[0] == runs[1]
 
 
 def test_resume_with_no_epoch_left_collects_at_end_of_input(monkeypatch):
