@@ -35,17 +35,6 @@ EXIT_RUNTIME = 2
 
 LOCK_NAME = ".dbesim.lock"
 
-# `run` uses a process for each this many habitats, at most one per CPU. On
-# a 2-CPU host, with each epoch's worker message sent before the last
-# epoch's decay, `dbesim run` of the benchmark's `wide` ecosystem (seed 5)
-# cut to 64, 128, 256, 512 and 1024 habitats ran 1.08x, 1.12x, 1.29x,
-# 1.31x and 1.40x as fast on two processes as on one (medians of 9 runs
-# each). Two processes already won at 64 habitats, but only this one
-# ecosystem shape was read (the 16-habitat, GA-bound `communities` gained
-# nothing on two), so the constant stays until a benchmark covers the
-# smaller sizes.
-HABITATS_PER_WORKER = 256
-
 # Events or lines per chunk of a file written in chunks, so that no large
 # output is built as one string beside the data it is made from.
 CHUNK = 1024
@@ -129,8 +118,20 @@ def cmd_run(cfg, state, out: OutputDir, quiet: bool) -> int:
 
 
 def worker_count(n_habitats: int, cpus: int) -> int:
-    """Processes for the habitat steps of a run of `n_habitats` habitats."""
-    return max(1, min(cpus, n_habitats // HABITATS_PER_WORKER))
+    """Processes for the habitat steps of a run of `n_habitats` habitats:
+    one per CPU, at most one per habitat.
+
+    Read on a 2-CPU host only. `dbesim run`, timed in process, of the first
+    2, 3, 4, 8 and 16 habitats of `two_communities.json` took 0.028 -> 0.034 s, 0.038 -> 0.040
+    s, 0.073 -> 0.069 s, 0.128 -> 0.108 s and 0.154 -> 0.122 s on one
+    process -> two (medians of 15 alternating runs, same output bytes).
+    Below 4 habitats the forks, the `pickle` import and the per-epoch
+    messages cost a few ms more than the split saves; the rule takes that
+    loss rather than a threshold tuned on one shape of input. The
+    benchmark's `wide` ecosystem (seed 5) cut to 64 to 1024 habitats ran
+    1.08x to 1.40x as fast on two.
+    """
+    return max(1, min(cpus, n_habitats))
 
 
 def _batches(items):
@@ -189,9 +190,9 @@ def _run_and_write(cfg, state, out: OutputDir) -> tuple:
     writer writes the logs.
     """
     workers = worker_count(len(cfg.scenario.habitats), len(os.sched_getaffinity(0)))
-    result = engine.run(cfg, state=state, workers=workers)
+    result = engine.run(cfg, state=state, workers=workers)  # fewer if a state holds fewer habitats
     n_events = len(result.events)
-    with _logs_written(cfg, result, out, fork=workers > 1):
+    with _logs_written(cfg, result, out, fork=result.workers > 1):
         result.events.clear()
         out.write("snapshot.json", snapshot_chunks(cfg, result.final_state()))
         out.write("ecosystem.dot", result.eco.to_dot())

@@ -101,6 +101,7 @@ class RunResult:
     eco: Ecosystem
     ledger: FlowLedger
     streams: dict
+    workers: int  # the processes that stepped the habitats, the main one included
 
     def final_state(self) -> dict:
         return state_to_obj(self.eco, self.streams, self.ledger)
@@ -126,11 +127,12 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
     accumulated in habitat-id order.
 
     The habitats' steps of each epoch run through `shards.Shards` on
-    `workers` processes, the main one included; the outputs are the same for
-    every count. The default, one, forks nothing, so every draw is made
-    where the caller's `Stream` objects live. With more, each worker draws
-    on its own copies of its shard's streams, and their final states are set
-    on the caller's objects when the run ends.
+    `workers` processes, the main one included, but at most one per habitat
+    present (`RunResult.workers`); the outputs are the same for every count.
+    The default, one, forks nothing, so every draw is made where the
+    caller's `Stream` objects live. With more, each worker draws on its own
+    copies of its shard's streams, and their final states are set on the
+    caller's objects when the run ends.
 
     Precondition: a config that `parse_config` returned, or one that
     `validate_config` returned `[]` for. The run core does not check it
@@ -146,7 +148,8 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
                 workers) as shards:
         events, metrics = _epochs(config, eco, ledger, shards)
         shards.collect()
-    return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams)
+    return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams,
+                     workers=1 + len(shards.shards))
 
 
 def _epochs(config: SimConfig, eco: Ecosystem, ledger: FlowLedger, shards) -> tuple:

@@ -161,6 +161,8 @@ class Shards:
     `params` and `execute` are those of `ecosystem.habitat_step`, fixed for
     the run, and `p_mig` the migration probability it gets while two or more
     habitats are present; `n` counts the processes, the main one included.
+    It is cut to the habitats present (a resumed state may hold fewer than
+    its scenario lists), so no worker is forked with none.
     """
 
     def __init__(self, eco, streams: dict, params, execute, p_mig: float, n: int):
@@ -171,6 +173,7 @@ class Shards:
         self.p_mig = p_mig
         self.epoch_p_mig = None  # `habitat_step`'s `p_mig` this epoch, set by `dispatch`
         ids = eco.habitat_ids()
+        n = min(n, len(ids))
         self.local = ids[0::n]
         self.pool_sizes = {hid: len(eco.habitats[hid].pool) for hid in ids}
         self.shards = [ids[k::n] for k in range(1, n)]  # each worker's, in id order

@@ -700,23 +700,31 @@ def cyclic_garbage(fn):
 
 
 @pytest.mark.parametrize("scenario", ["two_communities", "bridged24"])
-def test_cmd_run_makes_no_cyclic_garbage(tmp_path, scenario):
+def test_cmd_run_makes_no_cyclic_garbage(tmp_path, monkeypatch, scenario):
     """The premise of pausing the collector during `run`: the run leaves no
     reference cycle for it to free, and its outputs leave only the constant
     few of one `indent=2` JSON encoding (`json`'s pure-Python encoder makes
-    its recursive closures into one cycle per call)."""
+    its recursive closures into one cycle per call). On two processes the
+    forked log writer makes that encoding, so the main process leaves none."""
+    # The first `import pickle` in a process leaves cyclic garbage once: the
+    # pure-Python exception classes that `_pickle`'s replace. Pay it up front.
+    import pickle  # noqa: F401
+
     if scenario == "bridged24":
         path = write_config(tmp_path, bridged24_obj())
     else:
         path = asset_path("two_communities.json")
     cfg, state = parse_config(path)
-    assert cyclic_garbage(lambda: engine_run(cfg, state=state)) == Counter()
+    for workers in (1, 2):
+        assert cyclic_garbage(lambda: engine_run(cfg, state=state, workers=workers)) == Counter()
+        monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: workers)
 
-    def run_and_write():
-        with cli.OutputDir(str(tmp_path / "out")) as out:
-            assert cli.cmd_run(cfg, state, out, quiet=True) == cli.EXIT_OK
+        def run_and_write():
+            with cli.OutputDir(str(tmp_path / f"out{workers}")) as out:
+                assert cli.cmd_run(cfg, state, out, quiet=True) == cli.EXIT_OK
 
-    assert cyclic_garbage(run_and_write) == cyclic_garbage(lambda: serialize_config(cfg))
+        encoding = cyclic_garbage(lambda: serialize_config(cfg)) if workers == 1 else Counter()
+        assert cyclic_garbage(run_and_write) == encoding, workers
 
 
 def test_output_write_is_atomic(tmp_path):

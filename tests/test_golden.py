@@ -153,6 +153,7 @@ from dbesim import cli
 forks, fork = [], os.fork
 os.fork = lambda: (forks.append(1), fork())[1]
 argv = ["run", "--config", sys.argv[1], "--quiet", "--out"]
+cli.worker_count = lambda n_habitats, cpus: 1
 assert cli.main(argv + [sys.argv[2]]) == 0
 cli.worker_count = lambda n_habitats, cpus: 2
 assert cli.main(argv + [sys.argv[3]]) == 0

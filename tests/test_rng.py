@@ -158,7 +158,7 @@ def test_setting_the_state_near_the_position_matches_the_scalar_recurrence():
     """From each position of the first blocks, a set to an offset of -1, 0,
     1, ... up to past the largest block's end: the state reads back and the
     draws after it are those of the scalar recurrence, whether the set
-    skips forward in the block or drops it."""
+    lands inside the block it drops or past it."""
     start = MASK - 5 * GAMMA  # the state wraps around 2**64 within the first block
     outputs = reference_splitmix64(start & MASK, FIRST_BLOCKS + 2 * 70)
     for k in range(FIRST_BLOCKS):

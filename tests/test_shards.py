@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import asset_path, load_asset_obj
 from dbesim import cli, ecosystem, engine, rng, shards
 from dbesim.config import config_from_obj, serialize_snapshot
+from test_config_cli import minimal_obj
 from test_engine import _evolving_scenario_obj
 from test_golden import GOLDEN, bridged24_obj
 
@@ -271,12 +272,41 @@ def test_resume_with_no_epoch_left_collects_at_end_of_input(monkeypatch):
 
 
 def test_worker_count_rule():
-    assert [cli.worker_count(n, 2) for n in (0, 2, 16, 256, 511)] == [1] * 5
-    assert [cli.worker_count(n, 1) for n in (2, 512, 1024, 10**6)] == [1] * 4
-    assert cli.worker_count(512, 2) == 2
-    assert cli.worker_count(1024, 2) == 2
-    assert cli.worker_count(1024, 8) == 4
-    assert cli.worker_count(10**6, 8) == 8
+    """One process per CPU, at most one per habitat, and never none."""
+    habitats = (0, 1, 2, 16)
+    table = {cpus: [cli.worker_count(n, cpus) for n in habitats] for cpus in (1, 2, 8)}
+    assert table == {1: [1, 1, 1, 1],
+                     2: [1, 1, 2, 2],
+                     8: [1, 1, 2, 8]}
+
+
+def one_habitat_snapshot(tmp_path) -> str:
+    """Path of a snapshot after epoch 1 of 4 of `minimal_obj`'s two-habitat
+    scenario, whose failure at epoch 1 left one habitat."""
+    obj = dict(minimal_obj(), epochs=4, failures=[{"epoch": 1, "victims": ["h0"]}])
+    head = engine.run(config_from_obj(dict(obj, epochs=1)))
+    path = tmp_path / "snapshot.json"
+    path.write_text(serialize_snapshot(config_from_obj(obj), head.final_state()),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_resumed_state_with_one_habitat_forks_nothing(tmp_path, monkeypatch):
+    """A snapshot can hold fewer habitats than its scenario lists. Resumed
+    with one habitat left and `worker_count` at 2, `dbesim run` forks no
+    idle worker and no writer, and writes the one-process bytes."""
+    snapshot = one_habitat_snapshot(tmp_path)
+    argv = ["run", "--config", snapshot, "--quiet", "--out"]
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 1)
+    assert cli.main(argv + [str(tmp_path / "one")]) == cli.EXIT_OK
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 2)
+    assert cli.main(argv + [str(tmp_path / "two")]) == cli.EXIT_OK
+    assert forked == []
+    names = sorted(os.listdir(tmp_path / "one"))
+    assert len(names) == 7 and sorted(os.listdir(tmp_path / "two")) == names
+    for name in names:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def many_habitats_obj(n):
@@ -294,18 +324,40 @@ def many_habitats_obj(n):
 
 def test_library_and_small_cli_runs_never_fork(tmp_path, monkeypatch):
     """`engine.run` stays in one process at any size, so a caller counting
-    draws through a `Stream` subclass sees them all; `dbesim run` forks only
-    for large ecosystems."""
+    draws through a `Stream` subclass sees them all; `dbesim run` of a
+    one-habitat input, or on a one-CPU affinity, forks nothing."""
+    snapshot = one_habitat_snapshot(tmp_path)
+
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    result = engine.run(config_from_obj(many_habitats_obj(2 * cli.HABITATS_PER_WORKER)))
+    result = engine.run(config_from_obj(many_habitats_obj(512)))
     assert len(result.metrics) == 1
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(load_asset_obj("two_communities.json")), encoding="utf-8")
-    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
-    assert cli.main(argv) == cli.EXIT_OK
+    argv = ["run", "--quiet", "--config"]
+    assert cli.main(argv + [snapshot, "--out", str(tmp_path / "resumed")]) == cli.EXIT_OK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli.main(argv + [asset_path("two_communities.json"),
+                            "--out", str(tmp_path / "one_cpu")]) == cli.EXIT_OK
+
+
+def test_cli_run_on_two_cpus_forks_one_worker_and_one_writer(tmp_path, monkeypatch):
+    """On a 2-CPU affinity, `dbesim run` of the 16-habitat
+    `two_communities.json` forks one shard worker, then one log writer,
+    and reaps both."""
+    forked = record_forks(monkeypatch)
+    workers = []
+    shards_init = shards.Shards.__init__
+
+    def recording_init(self, *args):
+        shards_init(self, *args)
+        workers.append(len(self.workers))
+
+    monkeypatch.setattr(shards.Shards, "__init__", recording_init)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run_cli(tmp_path / "out") == cli.EXIT_OK
+    assert workers == [1] and len(forked) == 2
+    assert_reaped(forked)
 
 
 def test_commands_other_than_run_never_import_the_shard_machinery(tmp_path):
@@ -332,8 +384,9 @@ def test_commands_other_than_run_never_import_the_shard_machinery(tmp_path):
 
 
 def test_one_process_run_never_imports_pickle(tmp_path):
-    """A `dbesim run` that forks no worker loads neither `pickle` nor
-    `signal`: `Shards` imports them only where it forks or reaps a worker."""
+    """A `dbesim run` that forks no worker, here of a one-habitat input,
+    loads neither `pickle` nor `signal`: `Shards` imports them only where it
+    forks or reaps a worker."""
     code = ("import sys\n"
             "from dbesim import cli\n"
             "argv = ['run', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']\n"
@@ -341,7 +394,7 @@ def test_one_process_run_never_imports_pickle(tmp_path):
             "print(sorted(m for m in ('dbesim.shards', 'pickle', 'signal') if m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(engine.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [asset_path("two_communities.json"), str(tmp_path / "out")]
+    argv = [one_habitat_snapshot(tmp_path), str(tmp_path / "out")]
     done = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
