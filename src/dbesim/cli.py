@@ -122,14 +122,18 @@ def worker_count(n_habitats: int, cpus: int) -> int:
     one per CPU, at most one per habitat.
 
     Read on a 2-CPU host only. `dbesim run`, timed in process, of the first
-    2, 3, 4, 8 and 16 habitats of `two_communities.json` took 0.028 -> 0.034 s, 0.038 -> 0.040
-    s, 0.073 -> 0.069 s, 0.128 -> 0.108 s and 0.154 -> 0.122 s on one
-    process -> two (medians of 15 alternating runs, same output bytes).
-    Below 4 habitats the forks, the `pickle` import and the per-epoch
-    messages cost a few ms more than the split saves; the rule takes that
-    loss rather than a threshold tuned on one shape of input. The
-    benchmark's `wide` ecosystem (seed 5) cut to 64 to 1024 habitats ran
-    1.08x to 1.40x as fast on two.
+    2, 3, 4, 8 and 16 habitats of `two_communities.json` took
+    0.028 -> 0.034 s, 0.038 -> 0.040 s, 0.073 -> 0.069 s, 0.128 -> 0.108 s
+    and 0.154 -> 0.122 s on one process -> two (medians of 15 alternating
+    runs, same output bytes). The benchmark's `wide` ecosystem (seed 5) cut
+    to 64 to 1024 habitats ran 1.08x to 1.40x as fast on two.
+
+    The cap of one process per habitat is not a measured bound. Inputs of
+    2 and 3 habitats, in shards of one or two, lost: the forks, the
+    `pickle` import and the per-epoch messages cost a few ms more than the
+    split saved. Four habitats in shards of two won by only 5%. Splits over
+    more than 2 CPUs were never timed; on 8 or more, a 16-habitat input
+    gets shards of one or two habitats, whose gain is unverified.
     """
     return max(1, min(cpus, n_habitats))
 

@@ -449,6 +449,7 @@ def test_sharded_cli_run_writes_the_pinned_bytes(tmp_path, monkeypatch):
     """`dbesim run` on two processes forks a shard worker and then a log
     writer, reaps both, and writes every file with the bytes of a one-process
     run: those of the golden digests where they are pinned."""
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 1)
     assert run_cli(tmp_path / "one") == cli.EXIT_OK
     forked = record_forks(monkeypatch)
     monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: 2)
