@@ -463,8 +463,7 @@ def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> 
     })
 
 
-def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards,
-              dispatch_next: bool = False) -> tuple:
+def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tuple:
     """Advance the ecosystem by one epoch.
 
     `shards` (the `shards.Shards` of `eco`) takes every habitat's
@@ -473,12 +472,10 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards,
     order. Then three single-writer phases follow in id order: reinforcement
     of provenance edges used by successful deployments, migration of the
     deployed chains' fired members, and one decay pass over all weights.
-    None of them draws: the steps drew the migrations.
-
-    `dispatch_next` says that the next epoch starts on the ecosystem as
-    migration leaves it (no failure comes first): its message then goes to
-    the shard workers before the decay pass, which touches no pool, so they
-    step while this process finishes.
+    None of them draws: the steps drew the migrations. Migration leaves the
+    next epoch's pools final, so the next epoch's message goes to the shard
+    workers (`Shards.dispatch`) before the decay pass, and they step while
+    this process finishes.
 
     `emit(kind, payload)` receives the epoch's events. Returns (deployments
     in habitat id order, number of services migrated).
@@ -503,8 +500,7 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards,
             migrations += 1
             emit("migration", {"service": sid, "source": h.id, "destination": dest_id})
 
-    if dispatch_next:
-        shards.dispatch()
+    shards.dispatch()
     decay_all(eco, eco_params.decay_lambda)
     eco.epoch += 1
     return deployments, migrations

@@ -144,8 +144,12 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
         eco, streams, ledger = build_run_state(config)
     else:
         eco, streams, ledger = state_from_obj(config, state)
+    leaving = {e: set() for e in range(eco.epoch + 1, config.epochs + 1)}
+    for f in config.failures:
+        if f.epoch in leaving:
+            leaving[f.epoch].update(f.victims)
     with Shards(eco, streams, config.evolution, simulate_execution, config.ecosystem.p_mig,
-                workers) as shards:
+                workers, leaving.values()) as shards:
         events, metrics = _epochs(config, eco, ledger, shards)
         shards.collect()
     return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams,
@@ -175,10 +179,7 @@ def _epochs(config: SimConfig, eco: Ecosystem, ledger: FlowLedger, shards) -> tu
             if created:
                 emit("heal", {"created": [[a, b, w] for a, b, w in created]})
 
-        # The workers may start the next epoch's steps once this epoch's migration
-        # is done, unless that epoch's failures must remove habitats first.
-        dispatch_next = epoch_now < config.epochs and epoch_now + 1 not in failures_by_epoch
-        deployments, migrations = run_epoch(eco, config.ecosystem, emit, shards, dispatch_next)
+        deployments, migrations = run_epoch(eco, config.ecosystem, emit, shards)
 
         total = 0.0
         successes = 0

@@ -19,13 +19,12 @@ state and stays its one writer:
   a single habitat is left, with no neighbor), and the pool members added
   since the last message, in pool order, with their provenance. The worker
   adds them through `Habitat.receive`, so its pool version follows.
-- Epoch e + 1's message depends only on what epoch e's migration leaves, so
-  it goes out (`dispatch`) right after that migration, and the workers step
-  while the main process decays the weights, records the transactions and
-  builds the metrics row, none of which draws or touches a pool. The first
-  epoch of a run, and an epoch with a scheduled failure, get their message
-  only when they start: a failure must remove its victims before the
-  message names the habitats still present.
+- The first epoch's message goes out (`dispatch`) once the workers are
+  forked, and epoch e + 1's right after epoch e's migration, so the workers
+  step while the main process decays the weights, records the transactions
+  and builds the metrics row, none of which draws or touches a pool. A
+  failure schedule is part of the config, so each message already leaves
+  out the habitats its epoch's failures will remove.
 - A worker answers with the `habitat_step` record of each habitat. The
   main process replays the record's feedback on its own copies of the
   chain's counters (migration copies them). One loop then emits every step,
@@ -75,14 +74,15 @@ class Child:
 
         self.name = name
         self.status = None  # the wait status, once reaped
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
+        fds = os.pipe()
         try:
+            fds += os.pipe()
             self.pid = os.fork()
         except BaseException:
-            for fd in (down_r, down_w, up_r, up_w):
+            for fd in fds:
                 os.close(fd)
             raise
+        down_r, down_w, up_r, up_w = fds
         if self.pid == 0:  # the child: it never returns from this branch
             status = 1
             try:
@@ -162,28 +162,30 @@ class Shards:
     the run, and `p_mig` the migration probability it gets while two or more
     habitats are present; `n` counts the processes, the main one included.
     It is cut to the habitats present (a resumed state may hold fewer than
-    its scenario lists), so no worker is forked with none.
+    its scenario lists), so no worker is forked with none. `leaving` holds,
+    for each epoch still to run, the set of habitat ids its failures remove.
     """
 
-    def __init__(self, eco, streams: dict, params, execute, p_mig: float, n: int):
+    def __init__(self, eco, streams: dict, params, execute, p_mig: float, n: int, leaving):
         self.eco = eco
         self.streams = streams
         self.params = params
         self.execute = execute
         self.p_mig = p_mig
+        self.leaving = iter(leaving)
         self.epoch_p_mig = None  # `habitat_step`'s `p_mig` this epoch, set by `dispatch`
         ids = eco.habitat_ids()
         n = min(n, len(ids))
         self.local = ids[0::n]
-        self.pool_sizes = {hid: len(eco.habitats[hid].pool) for hid in ids}
         self.shards = [ids[k::n] for k in range(1, n)]  # each worker's, in id order
+        self.pool_sizes = {hid: len(eco.habitats[hid].pool) for s in self.shards for hid in s}
         self.live = self.shards  # what each worker's last message named, or its shard
-        self.sent = False  # whether the next epoch's message is out
         self.workers: list = []
         try:
             for shard in self.shards:
                 inherited = [f for w in self.workers for f in (w.send, w.recv)]
                 self.workers.append(Child("worker", partial(self._serve, shard), inherited))
+            self.dispatch()
         except BaseException:
             self.close(kill=True)
             raise
@@ -236,32 +238,31 @@ class Shards:
 
     def dispatch(self) -> None:
         """Send each worker the message of the next `habitat_epochs` call: its
-        present habitats, the epoch's migration probability and the pool
-        members added since its last message, unless that message is out
-        already. With one process there is no worker, so it sends nothing.
+        habitats present once the epoch's failures are done, the epoch's
+        migration probability and the pool members added since its last
+        message. After the last epoch it sends nothing.
 
-        `run_epoch` calls it as soon as the next epoch's inputs are final,
-        so the workers step while the main process finishes the epoch;
-        `habitat_epochs` calls it otherwise.
+        `__init__` calls it for the first epoch, and `run_epoch` right after
+        each epoch's migration, which leaves the next epoch's pools final, so
+        the workers step while the main process finishes the epoch.
         """
-        if self.sent:
+        gone = next(self.leaving, None)
+        if gone is None:
             return
         habitats = self.eco.habitats
+        present = habitats.keys() - gone if gone else habitats  # most epochs lose none
         # The graph is connected, so a habitat has a neighbor when two or more are present.
-        self.epoch_p_mig = self.p_mig if len(habitats) > 1 else None
-        self.live = [[hid for hid in ids if hid in habitats] for ids in self.shards]
+        self.epoch_p_mig = self.p_mig if len(present) > 1 else None
+        self.live = [[hid for hid in ids if hid in present] for ids in self.shards]
         for w, live in zip(self.workers, self.live):
             w.put((live, self.epoch_p_mig, self._added(habitats, live)))
-        self.sent = True
 
     def habitat_epochs(self, emit) -> list:
         """Every present habitat's step of this epoch, each reported by
         `emit_step` in habitat id order; returns the deployments in that
-        order."""
+        order. The last `dispatch` must have named this epoch's habitats."""
         habitats = self.eco.habitats
         streams = self.streams
-        self.dispatch()
-        self.sent = False
         p_mig = self.epoch_p_mig
         steps = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute, p_mig)
                  for hid in self.local if hid in habitats}

@@ -387,11 +387,11 @@ def _always_succeed(chain, rng):
     return True
 
 
-def _run_epoch(eco, streams, emit):
-    """One epoch with every habitat step in this process."""
+def _run_epoch(eco, streams, emit, **eco_params):
+    """One epoch, with no failure, and every habitat step in this process."""
     params = EvolutionParams(population_size=8, generation_budget_per_epoch=5)
-    eco_params = EcosystemParams()
-    with Shards(eco, streams, params, _always_succeed, eco_params.p_mig, 1) as shards:
+    eco_params = EcosystemParams(**eco_params)
+    with Shards(eco, streams, params, _always_succeed, eco_params.p_mig, 1, [set()]) as shards:
         return run_epoch(eco, eco_params, emit, shards)
 
 
@@ -405,6 +405,16 @@ def test_run_epoch_increments_and_decays_once():
     kinds = [k for k, _ in events]
     assert kinds.count("request_sampled") == 2
     assert kinds.count("deployment") == 2
+
+
+def test_run_epoch_draws_migration():
+    """With `p_mig` 1, every deployed service of a habitat with a neighbor migrates."""
+    eco, streams = _epoch_fixture()
+    events = []
+    _, migrations = _run_epoch(eco, streams, lambda k, p: events.append((k, p)), p_mig=1.0)
+    moved = sorted((p["service"], p["source"], p["destination"])
+                   for k, p in events if k == "migration")
+    assert migrations == 2 and moved == [("h0_svc", "h0", "h1"), ("h1_svc", "h1", "h0")]
 
 
 def test_run_epoch_empty_pool_warns_and_skips():

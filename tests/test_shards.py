@@ -141,11 +141,14 @@ def _two_communities_with_failures(epochs, schedule) -> dict:
     {1: [1, 6]},  # before the first message
     {3: [2, 4], 4: [3, 9]},  # two epochs in a row
     {8: [5, 10]},  # at the last epoch
-], ids=["first-epoch", "consecutive-epochs", "last-epoch"])
+    {4: [i for i in range(16) if i != 1]},  # leaves one habitat, worker-owned
+    {3: [1, 5], 5: [1, 2]},  # names a habitat already gone beside a present one
+], ids=["first-epoch", "consecutive-epochs", "last-epoch", "one-left", "already-gone"])
 def test_failures_around_the_early_message_give_the_one_process_run(schedule):
-    """An epoch with a failure gets its message only after the failure, and
-    every other one before the last epoch's decay: either way a run on 2 or
-    3 processes gives the events, metrics, snapshot and streams of one."""
+    """Every epoch's message goes out before the previous epoch's decay (the
+    first one's at fork) and leaves out the habitats that the epoch's
+    failures remove: a run on 2 or 3 processes gives the events, metrics,
+    snapshot and streams of one."""
     cfg = config_from_obj(_two_communities_with_failures(8, schedule))
     single = engine.run(cfg)
     for workers in (2, 3):
@@ -154,17 +157,16 @@ def test_failures_around_the_early_message_give_the_one_process_run(schedule):
         assert stream_states(sharded) == stream_states(single), workers
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_the_next_epochs_message_goes_out_before_this_epochs_decay(monkeypatch, workers):
-    """Epoch e + 1's message is put before epoch e's decay pass, except when
-    a failure comes first in epoch e + 1; every message put has been
-    answered when `collect` runs."""
-    cfg = config_from_obj(_two_communities_with_failures(6, {3: [1], 6: [2]}))
-    calls = []
+def record_calls(monkeypatch) -> tuple:
+    """Patch the puts, gets, decay passes and `collect` of a run to record
+    their order; returns that list and the list of the messages put."""
+    calls, messages = [], []
 
     def recording(name, fn):
         def wrapper(*args):
             calls.append(name)
+            if name == "put":
+                messages.append(args[1])
             return fn(*args)
         return wrapper
 
@@ -172,18 +174,57 @@ def test_the_next_epochs_message_goes_out_before_this_epochs_decay(monkeypatch, 
     monkeypatch.setattr(shards.Child, "get", recording("get", shards.Child.get))
     monkeypatch.setattr(ecosystem, "decay_all", recording("decay", ecosystem.decay_all))
     monkeypatch.setattr(shards.Shards, "collect", recording("collect", shards.Shards.collect))
+    return calls, messages
+
+
+def by_epoch(messages, workers) -> dict:
+    """The messages put, by the epoch they are for: one per worker each."""
+    n = workers - 1
+    return {1 + i // n: messages[i:i + n] for i in range(0, len(messages), n)}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_next_epochs_message_goes_out_before_this_epochs_decay(monkeypatch, workers):
+    """The first epoch's message is put when the workers are forked, and
+    epoch e + 1's before epoch e's decay pass, failure epochs included; the
+    message sent before a failure leaves out its victim. Every message put
+    has been answered when `collect` runs."""
+    cfg = config_from_obj(_two_communities_with_failures(6, {3: [1], 6: [2]}))
+    calls, messages = record_calls(monkeypatch)
     engine.run(cfg, workers=workers)
-    one_worker = ("put get put decay "  # epoch 1: its message, then epoch 2's
-                  "get decay "  # epoch 2: epoch 3 has a failure
-                  "put get put decay "  # epoch 3: after its failure, then epoch 4's
-                  "get put decay "  # epoch 4
-                  "get decay "  # epoch 5: epoch 6 has a failure
-                  "put get decay "  # epoch 6: the last
-                  "collect").split()
+    one_worker = ("put "  # epoch 1's message, at fork
+                  + "get put decay " * 5  # epochs 1 to 5, each sending the next one's
+                  + "get decay "  # epoch 6: the last
+                  + "collect").split()
     expected = [c for c in one_worker for _ in range(workers - 1 if c in ("put", "get") else 1)]
     head = calls[:calls.index("collect") + 1]
     assert head == expected
     assert head.count("put") == head.count("get")
+    # Put in epoch 2, epoch 3's messages name every worker-owned habitat but the victim.
+    ids = sorted(h.id for h in cfg.scenario.habitats)
+    named = [[hid for live, _, _ in by_epoch(messages, workers)[e] for hid in live]
+             for e in (2, 3)]
+    assert named[0] == [hid for k in range(1, workers) for hid in ids[k::workers]]
+    assert named[1] == [hid for hid in named[0] if hid != ids[1]]
+    if workers == 2:
+        assert [len(n) for n in named] == [8, 7]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_message_before_a_failure_that_leaves_one_habitat_draws_no_migration(
+        monkeypatch, workers):
+    """Epoch 4's message, put in epoch 3 before epoch 4's failure leaves one
+    worker-owned habitat, names only that habitat and carries `p_mig` None,
+    as every later one does: a sole habitat has no neighbor to migrate to."""
+    cfg = config_from_obj(_two_communities_with_failures(6, {4: [i for i in range(16) if i != 1]}))
+    _, messages = record_calls(monkeypatch)
+    engine.run(cfg, workers=workers)
+    survivor = sorted(h.id for h in cfg.scenario.habitats)[1]
+    sent = by_epoch(messages, workers)
+    p_mig = cfg.ecosystem.p_mig
+    assert {e: {m[1] for m in sent[e]} for e in sent} == {
+        1: {p_mig}, 2: {p_mig}, 3: {p_mig}, 4: {None}, 5: {None}, 6: {None}}
+    assert [live for live, _, _ in sent[4] if live] == [[survivor]]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -599,6 +640,35 @@ def test_a_refused_fork_leaks_nothing(tmp_path, monkeypatch, capsys, workers):
     assert run_cli(tmp_path / "out") == cli.EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: {refused}\n"
     assert len(forked) == 1
+    assert_reaped(forked)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert [name for name in os.listdir(tmp_path / "out") if name.startswith(".")] == []
+
+
+@pytest.mark.parametrize("workers, refused_call", [(3, 2), (3, 4), (2, 4)],
+                         ids=["first-worker", "second-worker", "writer"])
+def test_a_refused_pipe_leaks_nothing(tmp_path, monkeypatch, capsys, workers, refused_call):
+    """A refused `os.pipe`, the second of a child's two, ends `dbesim run`
+    with the error as its one line and exit status 2: every child forked
+    before it is reaped, and no file descriptor or dot-file is left."""
+    refused = OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+    calls = []
+    pipe = os.pipe
+
+    def refusing_pipe():
+        calls.append(None)
+        if len(calls) == refused_call:
+            raise refused
+        return pipe()
+
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(os, "pipe", refusing_pipe)
+    monkeypatch.setattr(cli, "worker_count", lambda n_habitats, cpus: workers)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    capsys.readouterr()
+    assert run_cli(tmp_path / "out") == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {refused}\n"
+    assert len(calls) == refused_call and len(forked) == refused_call // 2 - 1
     assert_reaped(forked)
     assert sorted(os.listdir("/proc/self/fd")) == fds
     assert [name for name in os.listdir(tmp_path / "out") if name.startswith(".")] == []
