@@ -447,38 +447,23 @@ def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute,
     return idx, best.genome, best.fitness, success, fired
 
 
-def emit_step(h: Habitat, req: Request, deployment: Deployment | None, emit) -> None:
-    """The events of one habitat's step: the sampled request, then its
-    deployment, or a warning when the pool was empty."""
-    emit("request_sampled", {"habitat": h.id, "request": req.id})
-    if deployment is None:
-        emit("warning", {"habitat": h.id, "message": "empty pool, epoch skipped"})
-        return
-    emit("deployment", {
-        "habitat": h.id,
-        "request": req.id,
-        "chain": list(deployment.genome),
-        "fitness": deployment.fitness,
-        "success": deployment.success,
-    })
-
-
 def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tuple:
     """Advance the ecosystem by one epoch.
 
     `shards` (the `shards.Shards` of `eco`) takes every habitat's
     `habitat_step`, local or on a worker, turns each record into a
-    `Deployment` and reports the step through `emit_step`, in habitat id
-    order. Then three single-writer phases follow in id order: reinforcement
-    of provenance edges used by successful deployments, migration of the
+    `Deployment` and emits the step's events, in habitat id order. Then
+    three single-writer phases follow in id order: reinforcement of
+    provenance edges used by successful deployments, migration of the
     deployed chains' fired members, and one decay pass over all weights.
     None of them draws: the steps drew the migrations. Migration leaves the
     next epoch's pools final, so the next epoch's message goes to the shard
     workers (`Shards.dispatch`) before the decay pass, and they step while
     this process finishes.
 
-    `emit(kind, payload)` receives the epoch's events. Returns (deployments
-    in habitat id order, number of services migrated).
+    `emit(kind, *values)` receives the epoch's events, their values in the
+    order of the kind's `engine.EVENT_KEYS`. Returns (deployments in
+    habitat id order, number of services migrated).
     """
     deployments = shards.habitat_epochs(emit)
 
@@ -490,7 +475,7 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tupl
             if src is not None and src in eco.habitats:
                 w = reinforce(eco, h.id, src, eco_params.reinforce_delta)
                 a, b = edge_key(h.id, src)
-                emit("reinforcement", {"a": a, "b": b, "service": sid, "weight": w})
+                emit("reinforcement", a, b, sid, w)
 
     migrations = 0
     for h, genome, _, _, fired in deployments:
@@ -498,7 +483,7 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tupl
             continue
         for sid, dest_id in migrate(h, genome, fired, eco):
             migrations += 1
-            emit("migration", {"service": sid, "source": h.id, "destination": dest_id})
+            emit("migration", sid, h.id, dest_id)
 
     shards.dispatch()
     decay_all(eco, eco_params.decay_lambda)

@@ -51,10 +51,18 @@ def simulate_execution(chain, rng: Stream) -> bool:
 # --- Event log and metrics ---
 
 
-class EventRecord(NamedTuple):
-    epoch: int
-    kind: str
-    payload: dict
+# The payload keys of each event kind, in the order of the values that follow
+# an event's (epoch, kind). A warning's habitat is optional, so it comes last:
+# a shorter event leaves off trailing keys.
+EVENT_KEYS = {
+    "request_sampled": ("habitat", "request"),
+    "deployment": ("habitat", "request", "chain", "fitness", "success"),
+    "reinforcement": ("a", "b", "service", "weight"),
+    "migration": ("service", "source", "destination"),
+    "failure": ("victims",),
+    "heal": ("created",),
+    "warning": ("message", "habitat"),
+}
 
 
 class MetricsRow(NamedTuple):
@@ -70,18 +78,21 @@ class MetricsRow(NamedTuple):
 
 
 def serialize_events(events) -> str:
-    """Event log as JSON Lines (UTF-8, LF); events are (epoch, kind, payload) triples.
+    """Event log as JSON Lines (UTF-8, LF); an event is an (epoch, kind, *values) tuple.
 
-    Each line is the compact, key-sorted JSON of {"epoch", "kind", "payload"}.
-    The wrapper is written out by hand around the one shared encoder's
-    payload text (`config.COMPACT`, whose C encoder is built once): its keys
-    are already in sorted order, an epoch is an int and a kind is a code
+    Each line is the compact, key-sorted JSON of {"epoch", "kind", "payload"},
+    where the payload pairs the kind's `EVENT_KEYS` with the values. The
+    wrapper is written out by hand around the one shared encoder's payload
+    text (`config.COMPACT`, whose C encoder is built once): its keys are
+    already in sorted order, an epoch is an int and a kind is a code
     constant token that needs no escaping, so the bytes are those of
-    `json.dumps(record, sort_keys=True, separators=(",", ":"))`.
+    `json.dumps(record, sort_keys=True, separators=(",", ":"))`. Tuples
+    encode as arrays, so a value is written as the run made it.
     """
     encode = COMPACT.encode
-    return "".join([f'{{"epoch":{epoch},"kind":"{kind}","payload":{encode(payload)}}}\n'
-                    for epoch, kind, payload in events])
+    keys = EVENT_KEYS
+    return "".join([f'{{"epoch":{ev[0]},"kind":"{ev[1]}","payload":'
+                    f'{encode(dict(zip(keys[ev[1]], ev[2:])))}}}\n' for ev in events])
 
 
 def serialize_metrics(rows) -> str:
@@ -144,40 +155,38 @@ def run(config: SimConfig, state: dict | None = None, workers: int = 1) -> RunRe
         eco, streams, ledger = build_run_state(config)
     else:
         eco, streams, ledger = state_from_obj(config, state)
-    leaving = {e: set() for e in range(eco.epoch + 1, config.epochs + 1)}
+    schedule = {e: [] for e in range(eco.epoch + 1, config.epochs + 1)}  # epoch -> failures
     for f in config.failures:
-        if f.epoch in leaving:
-            leaving[f.epoch].update(f.victims)
+        if f.epoch in schedule:
+            schedule[f.epoch].append(f)
+    leaving = [{v for f in failures for v in f.victims} for failures in schedule.values()]
     with Shards(eco, streams, config.evolution, simulate_execution, config.ecosystem.p_mig,
-                workers, leaving.values()) as shards:
-        events, metrics = _epochs(config, eco, ledger, shards)
+                workers, leaving) as shards:
+        events, metrics = _epochs(config, eco, ledger, shards, schedule)
         shards.collect()
     return RunResult(events=events, metrics=metrics, eco=eco, ledger=ledger, streams=streams,
                      workers=1 + len(shards.shards))
 
 
-def _epochs(config: SimConfig, eco: Ecosystem, ledger: FlowLedger, shards) -> tuple:
-    """The epoch loop of `run`; returns (events, metrics rows)."""
-    events: list[EventRecord] = []
+def _epochs(config: SimConfig, eco: Ecosystem, ledger: FlowLedger, shards, schedule: dict) -> tuple:
+    """The epoch loop of `run` over `schedule`, each epoch still to run and
+    its failures; returns (events, metrics rows)."""
+    events: list[tuple] = []
     metrics: list[MetricsRow] = []
-    failures_by_epoch: dict[int, list] = {}
-    for f in config.failures:
-        failures_by_epoch.setdefault(f.epoch, []).append(f)
+    for epoch_now, failures in schedule.items():
+        def emit(kind, *values, _epoch=epoch_now):
+            events.append((_epoch, kind, *values))
 
-    for epoch_now in range(eco.epoch + 1, config.epochs + 1):
-        def emit(kind, payload, _epoch=epoch_now):
-            events.append(EventRecord(_epoch, kind, payload))
-
-        for f in failures_by_epoch.get(epoch_now, ()):
+        for f in failures:
             victims = [v for v in f.victims if v in eco.habitats]
             for gone in sorted(set(f.victims) - set(victims)):
-                emit("warning", {"message": f"failure victim {gone} already removed"})
+                emit("warning", f"failure victim {gone} already removed")
             if not victims:
                 continue
             removed, created = failure_inject(eco, victims)
-            emit("failure", {"victims": removed})
+            emit("failure", removed)
             if created:
-                emit("heal", {"created": [[a, b, w] for a, b, w in created]})
+                emit("heal", created)
 
         deployments, migrations = run_epoch(eco, config.ecosystem, emit, shards)
 

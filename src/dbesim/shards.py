@@ -52,7 +52,7 @@ import os
 from functools import partial
 from itertools import islice
 
-from .ecosystem import Deployment, emit_step, habitat_step
+from .ecosystem import Deployment, habitat_step
 from .evolution import record_deployment
 
 
@@ -258,9 +258,11 @@ class Shards:
             w.put((live, self.epoch_p_mig, self._added(habitats, live)))
 
     def habitat_epochs(self, emit) -> list:
-        """Every present habitat's step of this epoch, each reported by
-        `emit_step` in habitat id order; returns the deployments in that
-        order. The last `dispatch` must have named this epoch's habitats."""
+        """Every present habitat's step of this epoch, in habitat id order;
+        returns the deployments in that order. Each step emits its sampled
+        request (`request_sampled`), then its deployment, or a `warning` for
+        an empty pool. The last `dispatch` must have named this epoch's
+        habitats."""
         habitats = self.eco.habitats
         streams = self.streams
         p_mig = self.epoch_p_mig
@@ -279,10 +281,14 @@ class Shards:
         for hid in self.eco.habitat_ids():
             h = habitats[hid]
             idx, *deployed = steps[hid]
-            d = Deployment(h, *deployed) if deployed else None
-            emit_step(h, h.profile[idx].request, d, emit)
-            if d is not None:
-                deployments.append(d)
+            request = h.profile[idx].request.id
+            emit("request_sampled", hid, request)
+            if not deployed:
+                emit("warning", "empty pool, epoch skipped", hid)
+                continue
+            d = Deployment(h, *deployed)
+            emit("deployment", hid, request, d.genome, d.fitness, d.success)
+            deployments.append(d)
         return deployments
 
     def collect(self) -> None:

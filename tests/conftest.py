@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from dbesim.config import config_from_obj
 from dbesim.ecosystem import Habitat, RequestTemplate, evolve_request
+from dbesim.engine import EVENT_KEYS
 from dbesim.manifest import Request, ServiceManifest
 from dbesim.rng import Stream
 
@@ -31,6 +32,40 @@ def load_asset_config(name):
 
 def asset_path(name):
     return os.path.join(ASSETS, name)
+
+
+def payload(event):
+    """An event's payload: its kind's `EVENT_KEYS` paired with its values."""
+    return dict(zip(EVENT_KEYS[event[1]], event[2:]))
+
+
+def as_tuples(value):
+    """`value` with every list or tuple in it a tuple, at any depth: JSON has
+    one array type, so an event read back compares with one made this way."""
+    if isinstance(value, (list, tuple)):
+        return tuple(as_tuples(v) for v in value)
+    return value
+
+
+def read_events(path):
+    """The events of an `events.jsonl`, read strictly by `EVENT_KEYS`.
+
+    Each line's keys are exactly epoch, kind and payload, and its payload's
+    are exactly its kind's keys, or a warning's message alone. Each event is
+    rebuilt as the tuple (epoch, kind, *values), with every array a tuple.
+    """
+    events = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            record = json.loads(line)
+            assert sorted(record) == ["epoch", "kind", "payload"], line
+            kind, values = record["kind"], record["payload"]
+            keys = EVENT_KEYS[kind]
+            if kind == "warning" and len(values) == 1:  # no habitat
+                keys = keys[:1]
+            assert sorted(values) == sorted(keys), line
+            events.append((record["epoch"], kind, *(as_tuples(values[k]) for k in keys)))
+    return events
 
 
 def svc(sid, attrs, in_port="src", out_port="dst", price=1.0, reliability=1.0,

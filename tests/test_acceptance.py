@@ -14,7 +14,7 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import evolve, load_asset_obj, pool_of, random_catalog, random_request
+from conftest import evolve, load_asset_obj, payload, pool_of, random_catalog, random_request
 from dbesim import cli, engine
 from dbesim.config import config_from_obj
 from dbesim.evolution import (
@@ -162,8 +162,8 @@ def test_criterion_5_resilience_self_healing():
             holds += 1
         assert result.eco.connected()
         # surviving habitats keep serving their profiles at high fitness
-        assert any(ev.payload["fitness"] >= 0.9 for ev in result.events
-                   if ev.kind == "deployment" and ev.epoch > 100)
+        assert any(payload(ev)["fitness"] >= 0.9 for ev in result.events
+                   if ev[1] == "deployment" and ev[0] > 100)
     ok = holds >= 8
     verdict(5, "resilience-self-healing", ok,
             f"connectivity 16/16 victims, success ratio held in {holds}/10 seeds, "

@@ -398,7 +398,7 @@ def _run_epoch(eco, streams, emit, **eco_params):
 def test_run_epoch_increments_and_decays_once():
     eco, streams = _epoch_fixture()
     events = []
-    deployments, _ = _run_epoch(eco, streams, lambda k, p: events.append((k, p)))
+    deployments, _ = _run_epoch(eco, streams, lambda k, *v: events.append((k, v)))
     assert eco.epoch == 1
     assert [d.habitat.id for d in deployments] == ["h0", "h1"]
     assert all(w == pytest.approx(0.99) for w in eco.connections.values())
@@ -411,9 +411,8 @@ def test_run_epoch_draws_migration():
     """With `p_mig` 1, every deployed service of a habitat with a neighbor migrates."""
     eco, streams = _epoch_fixture()
     events = []
-    _, migrations = _run_epoch(eco, streams, lambda k, p: events.append((k, p)), p_mig=1.0)
-    moved = sorted((p["service"], p["source"], p["destination"])
-                   for k, p in events if k == "migration")
+    _, migrations = _run_epoch(eco, streams, lambda k, *v: events.append((k, v)), p_mig=1.0)
+    moved = sorted(v for k, v in events if k == "migration")  # (service, source, destination)
     assert migrations == 2 and moved == [("h0_svc", "h0", "h1"), ("h1_svc", "h1", "h0")]
 
 
@@ -421,16 +420,16 @@ def test_run_epoch_empty_pool_warns_and_skips():
     eco, streams = _epoch_fixture()
     eco.habitats["h0"].pool = {}
     events = []
-    deployments, _ = _run_epoch(eco, streams, lambda k, p: events.append((k, p)))
+    deployments, _ = _run_epoch(eco, streams, lambda k, *v: events.append((k, v)))
     kinds = [k for k, _ in events]
     assert kinds.count("warning") == 1
     assert [d.habitat.id for d in deployments] == ["h1"]
-    assert not any(k == "migration" and p["source"] == "h0" for k, p in events)
+    assert not any(k == "migration" and v[1] == "h0" for k, v in events)  # v[1]: the source
 
 
 def test_run_epoch_feedback_reaches_counters():
     eco, streams = _epoch_fixture()
-    _run_epoch(eco, streams, lambda k, p: None)
+    _run_epoch(eco, streams, lambda k, *v: None)
     s = eco.habitats["h0"].pool["h0_svc"]
     assert s.usage_count == 1 and s.success_count == 1
 
@@ -441,7 +440,7 @@ def test_run_epoch_reinforces_provenance_on_success():
     migrant = svc("imported", {"t0"}, in_port="src", out_port="dst")
     eco.habitats["h0"].pool = pool_of([migrant])
     eco.habitats["h0"].provenance["imported"] = "h1"
-    _run_epoch(eco, streams, lambda k, p: None)
+    _run_epoch(eco, streams, lambda k, *v: None)
     assert eco.connections[("h0", "h1")] == pytest.approx((1.0 + 0.1) * 0.99)
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_asset_config, svc
+from conftest import load_asset_config, payload, svc
 from dbesim import engine
 from dbesim.config import (
     ConfigError,
@@ -131,7 +131,7 @@ def test_run_one_epoch_two_habitats():
     cfg = config_from_obj(scenario_obj())
     cfg.epochs = 1
     result = engine.run(cfg)
-    kinds = [e.kind for e in result.events]
+    kinds = [e[1] for e in result.events]
     assert kinds.count("request_sampled") == 2
     assert len(result.metrics) == 1
     assert result.metrics[0].epoch == 1
@@ -156,15 +156,15 @@ def test_metrics_success_rate_recountable_from_events():
     result = engine.run(cfg)
     by_epoch = {}
     for ev in result.events:
-        if ev.kind == "deployment":
-            dep, ok = by_epoch.get(ev.epoch, (0, 0))
-            by_epoch[ev.epoch] = (dep + 1, ok + (1 if ev.payload["success"] else 0))
+        if ev[1] == "deployment":
+            dep, ok = by_epoch.get(ev[0], (0, 0))
+            by_epoch[ev[0]] = (dep + 1, ok + (1 if payload(ev)["success"] else 0))
     for row in result.metrics:
         dep, ok = by_epoch.get(row.epoch, (0, 0))
         expected = ok / dep if dep else 0.0
         assert row.deployment_success_rate == expected
         migs = sum(1 for ev in result.events
-                   if ev.kind == "migration" and ev.epoch == row.epoch)
+                   if ev[1] == "migration" and ev[0] == row.epoch)
         assert row.total_migrations == migs
 
 
@@ -172,7 +172,7 @@ def test_event_epochs_nondecreasing():
     cfg = config_from_obj(scenario_obj(n=3, reliability=0.9))
     cfg.epochs = 15
     result = engine.run(cfg)
-    epochs = [e.epoch for e in result.events]
+    epochs = [e[0] for e in result.events]
     assert epochs == sorted(epochs)
 
 
@@ -211,21 +211,21 @@ def test_migrated_service_enters_destination_deployments_next_epoch():
     result = engine.run(config_from_obj(_migration_scenario_obj()))
     migration_epoch = None
     for ev in result.events:
-        if (ev.kind == "migration" and ev.payload["service"] == "stage1"
-                and ev.payload["destination"] == "h1"):
-            migration_epoch = ev.epoch
+        if (ev[1] == "migration" and payload(ev)["service"] == "stage1"
+                and payload(ev)["destination"] == "h1"):
+            migration_epoch = ev[0]
             break
     assert migration_epoch is not None
-    uses = [ev.epoch for ev in result.events
-            if ev.kind == "deployment" and ev.payload["habitat"] == "h1"
-            and "stage1" in ev.payload["chain"]]
+    uses = [ev[0] for ev in result.events
+            if ev[1] == "deployment" and payload(ev)["habitat"] == "h1"
+            and "stage1" in payload(ev)["chain"]]
     assert uses, "migrated service never deployed by destination"
     assert min(uses) == migration_epoch + 1
     # once the migrant lands, h1 reaches a perfect chain
     last = [ev for ev in result.events
-            if ev.kind == "deployment" and ev.payload["habitat"] == "h1"][-1]
-    assert last.payload["fitness"] == 1.0
-    assert last.payload["chain"] == ["stage1", "stage2"]
+            if ev[1] == "deployment" and payload(ev)["habitat"] == "h1"][-1]
+    assert payload(last)["fitness"] == 1.0
+    assert payload(last)["chain"] == ("stage1", "stage2")
 
 
 def test_transactions_pair_and_match_deployments():
@@ -240,8 +240,8 @@ def test_transactions_pair_and_match_deployments():
     # every transaction corresponds to a successful deployment whose first
     # service is a migrant: here, h1 deploying h0's stage1
     expected = sum(1 for ev in result.events
-                   if ev.kind == "deployment" and ev.payload["habitat"] == "h1"
-                   and ev.payload["success"] and ev.payload["chain"][0] == "stage1")
+                   if ev[1] == "deployment" and payload(ev)["habitat"] == "h1"
+                   and payload(ev)["success"] and payload(ev)["chain"][0] == "stage1")
     assert len(services) == expected
     assert all(s.src == "h0" and s.dst == "h1" for s in services)
     assert all(s.value == 3.0 for s in services)  # stage1 + stage2 price
@@ -249,9 +249,9 @@ def test_transactions_pair_and_match_deployments():
 
 def test_reinforcement_strengthens_provenance_edge():
     result = engine.run(config_from_obj(_migration_scenario_obj()))
-    reinforcements = [ev for ev in result.events if ev.kind == "reinforcement"]
+    reinforcements = [ev for ev in result.events if ev[1] == "reinforcement"]
     assert reinforcements
-    assert all(ev.payload["a"] == "h0" and ev.payload["b"] == "h1"
+    assert all(payload(ev)["a"] == "h0" and payload(ev)["b"] == "h1"
                for ev in reinforcements)
     assert result.eco.connections[("h0", "h1")] > 1.0
 
@@ -263,11 +263,11 @@ def test_scheduled_failure_emits_events_and_prunes():
                        extra={"failures": [{"epoch": 2, "victims": ["h1"]}]})
     obj["epochs"] = 4
     result = engine.run(config_from_obj(obj))
-    failures = [ev for ev in result.events if ev.kind == "failure"]
-    assert len(failures) == 1 and failures[0].epoch == 2
-    assert failures[0].payload["victims"] == ["h1"]
-    heals = [ev for ev in result.events if ev.kind == "heal"]
-    assert heals and heals[0].epoch == 2
+    failures = [ev for ev in result.events if ev[1] == "failure"]
+    assert len(failures) == 1 and failures[0][0] == 2
+    assert payload(failures[0])["victims"] == ["h1"]
+    heals = [ev for ev in result.events if ev[1] == "heal"]
+    assert heals and heals[0][0] == 2
     assert result.metrics[0].habitat_count == 4
     assert all(row.habitat_count == 3 for row in result.metrics[1:])
     assert "h1" not in result.eco.habitats
@@ -281,8 +281,8 @@ def test_repeated_victim_warns():
     ]})
     obj["epochs"] = 3
     result = engine.run(config_from_obj(obj))
-    warnings = [ev for ev in result.events if ev.kind == "warning"]
-    assert any("already removed" in ev.payload["message"] for ev in warnings)
+    warnings = [ev for ev in result.events if ev[1] == "warning"]
+    assert any("already removed" in payload(ev)["message"] for ev in warnings)
 
 
 # --- snapshots and resumption ---
@@ -300,7 +300,7 @@ def test_snapshot_resume_reproduces_unbroken_run():
     state = head.final_state()
 
     resumed = engine.run(cfg_full, state=state)
-    tail_events = [e for e in full.events if e.epoch > 8]
+    tail_events = [e for e in full.events if e[0] > 8]
     assert serialize_events(resumed.events) == serialize_events(tail_events)
     assert serialize_metrics(resumed.metrics) == serialize_metrics(full.metrics[8:])
     assert resumed.final_state() == full.final_state()
@@ -317,7 +317,7 @@ def test_snapshot_resume_across_failure():
     head_obj["epochs"] = 6  # snapshot taken after the failure
     head = engine.run(config_from_obj(head_obj))
     resumed = engine.run(cfg_full, state=head.final_state())
-    tail_events = [e for e in full.events if e.epoch > 6]
+    tail_events = [e for e in full.events if e[0] > 6]
     assert serialize_events(resumed.events) == serialize_events(tail_events)
     assert resumed.final_state() == full.final_state()
 
@@ -370,7 +370,7 @@ def test_snapshot_resume_at_every_epoch(seed, failure_epoch):
             state = engine.run(cfg_head).final_state()
         state = json.loads(serialize_snapshot(cfg_head, state))["state"]
         resumed = engine.run(cfg_full, state=state)
-        tail = [e for e in full.events if e.epoch > k]
+        tail = [e for e in full.events if e[0] > k]
         assert serialize_events(resumed.events) == serialize_events(tail), k
         assert serialize_metrics(resumed.metrics) == serialize_metrics(full.metrics[k:]), k
         assert serialize_snapshot(cfg_full, resumed.final_state()) == final, k

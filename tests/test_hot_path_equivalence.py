@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_asset_obj, pool_of, req, svc
+from conftest import as_tuples, load_asset_obj, payload, pool_of, read_events, req, svc
 from dbesim import cli, engine, evolution
 from dbesim.config import COMPACT, config_from_obj
 from dbesim.ecosystem import (
@@ -57,6 +57,8 @@ from dbesim.topology import (
     inject_and_track,
     seed_business_graph,
 )
+from test_engine import _evolving_scenario_obj
+from test_golden import bridged24_obj
 
 MASK = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -431,38 +433,34 @@ def test_clustering_after_snapshot_restore():
 # --- event log ---
 
 
-def reference_events(records):
-    return "".join(json.dumps({"epoch": e, "kind": k, "payload": p},
+def reference_events(events):
+    return "".join(json.dumps({"epoch": ev[0], "kind": ev[1], "payload": payload(ev)},
                               sort_keys=True, separators=(",", ":")) + "\n"
-                   for e, k, p in records)
+                   for ev in events)
 
 
 def test_serialize_events_equals_json_dumps_for_every_kind():
-    records = [engine.EventRecord(*ev) for ev in [
-        (1, "request_sampled", {"habitat": "h0", "request": "r0"}),
-        (1, "warning", {"habitat": "h0", "message": "empty pool, epoch skipped"}),
-        (1, "deployment", {"habitat": "h0", "request": "r0", "chain": ["s1", "s0"],
-                           "fitness": 0.1 + 0.2, "success": True}),
-        (1, "deployment", {"habitat": "h1", "request": "r1", "chain": ["s9"],
-                           "fitness": 5e-324, "success": False}),
-        (2, "reinforcement", {"a": "h0", "b": "h1", "service": "s1", "weight": 1.0000000000000002}),
-        (2, "migration", {"service": "s1", "source": "h0", "destination": "h1"}),
-        (10, "failure", {"victims": ["h1", "h2"]}),
-        (10, "heal", {"created": [["h0", "h3", 0.01], ["h3", "h4", 1e-17]]}),
-        (123456, "warning", {"message": 'quote " backslash \\ newline \n tab \t '
-                                        "caf\u00e9 \u2603 \U0001F600 nul \x00"}),
-        (7, "deployment", {"habitat": "h2", "request": "r2", "chain": [], "fitness": -0.0,
-                           "success": False, "extra": {}, "big": 2**64 - 1}),
-    ]]
-    assert {r.kind for r in records} == {"request_sampled", "warning", "deployment",
-                                         "reinforcement", "migration", "failure", "heal"}
-    assert engine.serialize_events(records) == reference_events(records)
+    events = [
+        (1, "request_sampled", "h0", "r0"),
+        (1, "warning", "empty pool, epoch skipped", "h0"),
+        (1, "deployment", "h0", "r0", ("s1", "s0"), 0.1 + 0.2, True),
+        (1, "deployment", "h1", "r1", ("s9",), 5e-324, False),
+        (7, "deployment", "h2", "r2", (), -0.0, False),
+        (2, "reinforcement", "h0", "h1", "s1", 1.0000000000000002),
+        (2, "migration", "s1", "h0", "h1"),
+        (10, "failure", ["h1", "h2"]),
+        (10, "heal", [("h0", "h3", 0.01), ("h3", "h4", 1e-17)]),
+        (123456, "warning", 'quote " backslash \\ newline \n tab \t '
+                            "caf\u00e9 \u2603 \U0001F600 nul \x00"),
+    ]
+    assert {ev[1] for ev in events} == engine.EVENT_KEYS.keys()
+    assert engine.serialize_events(events) == reference_events(events)
     assert engine.serialize_events([]) == ""
     # a top-level string, as `config._pieces` encodes every key
     for text in ("state", 'k"\\\u2603\x00', ""):
         assert COMPACT.encode(text) == json.dumps(text)
     # an unserializable value raises the stdlib's error
-    bad = [engine.EventRecord(3, "migration", {"service": {"s1"}})]
+    bad = [(3, "migration", {"s1"}, "h0", "h1")]
     with pytest.raises(TypeError) as expected:
         reference_events(bad)
     with pytest.raises(TypeError) as got:
@@ -481,11 +479,61 @@ def test_events_jsonl_equals_serialized_event_records(tmp_path):
     with open(os.path.join(out, "events.jsonl"), "rb") as f:
         written = f.read()
     result = engine.run(config_from_obj(obj))
-    records = result.events
-    assert all(isinstance(ev, engine.EventRecord) for ev in records)
-    assert {ev.kind for ev in records} >= {"deployment", "failure", "heal", "migration"}
-    assert written == engine.serialize_events(records).encode("utf-8")
-    assert written == reference_events(records).encode("utf-8")
+    events = result.events
+    assert all(type(ev) is tuple for ev in events)
+    assert {ev[1] for ev in events} >= {"deployment", "failure", "heal", "migration"}
+    assert written == engine.serialize_events(events).encode("utf-8")
+    assert written == reference_events(events).encode("utf-8")
+
+
+def run_cli_on(tmp_path, obj, cpus):
+    """Run `dbesim run` of `obj` on an affinity of `cpus`; returns its events.jsonl path."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus):
+        assert cli.main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    return out / "events.jsonl"
+
+
+def with_odd_ids(value):
+    """A config object with a space, a quote, a backslash and non-ASCII
+    characters added to every id and failure victim."""
+    def odd(name):
+        return f'{name} "q" \\ caf\u00e9 \u2603'
+
+    if isinstance(value, list):
+        return [with_odd_ids(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    return {k: odd(v) if k == "id" else [odd(x) for x in v] if k == "victims"
+            else with_odd_ids(v) for k, v in value.items()}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_ids_that_are_not_tokens_are_escaped_in_the_event_log(tmp_path, cpus):
+    """Habitat, service and request ids are any non-empty string. Written on
+    one process or two, each line of `events.jsonl` is `json.dumps` of its
+    event, and it reads back into the event."""
+    obj = with_odd_ids(_evolving_scenario_obj(7, 3))
+    obj["failures"].append(dict(obj["failures"][0], epoch=4))  # a warning naming the victim
+    events_jsonl = run_cli_on(tmp_path, obj, cpus)
+    result = engine.run(config_from_obj(obj))
+    assert {ev[1] for ev in result.events} == engine.EVENT_KEYS.keys()
+    written = events_jsonl.read_text(encoding="utf-8")
+    assert written.split("\n") == reference_events(result.events).split("\n")
+    assert read_events(events_jsonl) == [as_tuples(ev) for ev in result.events]
+
+
+def test_events_jsonl_reads_back_by_the_key_table(tmp_path):
+    """A sharded `bridged24` run's log, read strictly by `EVENT_KEYS`, rebuilds
+    the run's events, and no event in memory holds a dict."""
+    obj = bridged24_obj()
+    events_jsonl = run_cli_on(tmp_path, obj, {0, 1})
+    result = engine.run(config_from_obj(obj), workers=2)
+    assert result.workers == 2
+    assert not any(type(v) is dict for ev in result.events for v in ev)
+    assert read_events(events_jsonl) == [as_tuples(ev) for ev in result.events]
 
 
 class ReferenceGraph:

@@ -8,7 +8,7 @@ such a relation: each habitat's stream is derived from its id
 
 from collections import Counter
 
-from conftest import load_asset_obj
+from conftest import load_asset_obj, payload
 from dbesim import engine
 from dbesim.config import config_from_obj
 
@@ -31,7 +31,7 @@ def test_without_migration_weights_decay_in_closed_form():
     each weight is 1.0 decayed once per epoch at the floor: iterated
     max(w * lambda, w_min), float for float."""
     cfg, result = two_communities({"p_mig": 0.0})
-    kinds = Counter(e.kind for e in result.events)
+    kinds = Counter(e[1] for e in result.events)
     assert kinds["migration"] == kinds["reinforcement"] == 0
     assert kinds["deployment"] > 0
     eco = cfg.ecosystem
@@ -50,7 +50,7 @@ def test_without_migration_or_decay_weights_stay_one():
 
 def test_every_deployment_of_reliable_services_succeeds():
     cfg, result = two_communities(reliability=1.0)
-    deployments = [e.payload for e in result.events if e.kind == "deployment"]
+    deployments = [payload(e) for e in result.events if e[1] == "deployment"]
     assert len(deployments) == cfg.epochs * len(cfg.scenario.habitats)
     assert all(d["success"] for d in deployments)
     assert {row.deployment_success_rate for row in result.metrics} == {1.0}

@@ -21,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import load_asset_obj
+from conftest import load_asset_obj, payload
 from dbesim import engine
 from dbesim.config import config_from_obj, serialize_snapshot
 from dbesim.ecosystem import edge_key
@@ -36,11 +36,12 @@ def replay(cfg, start, events):
     eco_params = cfg.ecosystem
     habitats, conns = eco.habitats, dict(eco.connections)
     requested = {}
-    epochs = sorted({e.epoch for e in events})
+    epochs = sorted({e[0] for e in events})
     assert epochs == list(range(eco.epoch + 1, cfg.epochs + 1))
-    by_epoch = {k: [e for e in events if e.epoch == k] for k in epochs}
+    by_epoch = {k: [e for e in events if e[0] == k] for k in epochs}
     for k in epochs:
-        for _, kind, p in by_epoch[k]:
+        for e in by_epoch[k]:
+            kind, p = e[1], payload(e)
             if kind == "failure":
                 for victim in p["victims"]:
                     del habitats[victim]
@@ -90,7 +91,7 @@ def check_replay(cfg, start, result):
             == {hid: h.provenance for hid, h in result.eco.habitats.items()})
     # the snapshot's pool version, derived from the provenance, counts the
     # migrations into the habitat, the ones before the start included
-    arrived = Counter(e.payload["destination"] for e in result.events if e.kind == "migration")
+    arrived = Counter(payload(e)["destination"] for e in result.events if e[1] == "migration")
     for h in result.final_state()["habitats"]:
         assert h["pool_version"] == before[h["id"]] + arrived[h["id"]], h["id"]
 
@@ -106,7 +107,7 @@ SCENARIOS = {
 def test_replay_rebuilds_the_final_state(scenario, workers):
     cfg = config_from_obj(SCENARIOS[scenario]())
     result = engine.run(cfg, workers=workers)
-    kinds = {e.kind for e in result.events}
+    kinds = {e[1] for e in result.events}
     assert {"deployment", "reinforcement", "migration"} <= kinds
     if scenario == "bridged24":
         assert {"failure", "heal"} <= kinds
