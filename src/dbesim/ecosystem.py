@@ -26,6 +26,7 @@ from .evolution import (
 )
 from .manifest import Request
 from .rng import Stream
+from .topology import dot_escape
 
 W_MIN_DEFAULT = 0.01
 BUILD_RETRIES = 100
@@ -169,12 +170,12 @@ class Ecosystem:
         return comps
 
     def to_dot(self) -> str:
+        name = {hid: dot_escape(hid) for hid in self.habitat_ids()}
         lines = ["graph ecosystem {"]
-        for hid in self.habitat_ids():
-            lines.append(f'  "{hid}";')
+        lines.extend(f'  "{q}";' for q in name.values())
         for (a, b) in sorted(self.connections):
             w = self.connections[(a, b)]
-            lines.append(f'  "{a}" -- "{b}" [label="{w:.4f}"];')
+            lines.append(f'  "{name[a]}" -- "{name[b]}" [label="{w:.4f}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -450,22 +451,34 @@ def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute,
 def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tuple:
     """Advance the ecosystem by one epoch.
 
-    `shards` (the `shards.Shards` of `eco`) takes every habitat's
-    `habitat_step`, local or on a worker, turns each record into a
-    `Deployment` and emits the step's events, in habitat id order. Then
-    three single-writer phases follow in id order: reinforcement of
-    provenance edges used by successful deployments, migration of the
-    deployed chains' fired members, and one decay pass over all weights.
-    None of them draws: the steps drew the migrations. Migration leaves the
-    next epoch's pools final, so the next epoch's message goes to the shard
-    workers (`Shards.dispatch`) before the decay pass, and they step while
-    this process finishes.
+    `shards` (the `shards.Shards` of `eco`) returns every habitat's
+    `habitat_step` record, local or a worker's. In habitat id order, each
+    becomes a `Deployment` and emits its `request_sampled`, then its
+    `deployment` or, for an empty pool, a `warning`. Then three
+    single-writer phases follow in id order: reinforcement of provenance
+    edges used by successful deployments, migration of the deployed chains'
+    fired members, and one decay pass over all weights. None of them draws:
+    the steps drew the migrations. Migration leaves the next epoch's pools
+    final, so the next epoch's message, with the copies migration made,
+    goes to the shard workers (`Shards.dispatch`) before the decay pass,
+    and they step while this process finishes.
 
     `emit(kind, *values)` receives the epoch's events, their values in the
     order of the kind's `engine.EVENT_KEYS`. Returns (deployments in
     habitat id order, number of services migrated).
     """
-    deployments = shards.habitat_epochs(emit)
+    steps = shards.habitat_epochs()
+    deployments = []
+    for hid, (idx, *deployed) in sorted(steps.items()):
+        h = eco.habitats[hid]
+        request = h.profile[idx].request.id
+        emit("request_sampled", hid, request)
+        if not deployed:
+            emit("warning", "empty pool, epoch skipped", hid)
+            continue
+        d = Deployment(h, *deployed)
+        emit("deployment", hid, request, d.genome, d.fitness, d.success)
+        deployments.append(d)
 
     for h, genome, _, success, _ in deployments:
         if not success:
@@ -477,15 +490,15 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tupl
                 a, b = edge_key(h.id, src)
                 emit("reinforcement", a, b, sid, w)
 
-    migrations = 0
+    added: dict = {}  # destination id -> [(copy, source id)], in the order made
     for h, genome, _, _, fired in deployments:
         if not fired:
             continue
         for sid, dest_id in migrate(h, genome, fired, eco):
-            migrations += 1
             emit("migration", sid, h.id, dest_id)
+            added.setdefault(dest_id, []).append((eco.habitats[dest_id].pool[sid], h.id))
 
-    shards.dispatch()
+    shards.dispatch(added)
     decay_all(eco, eco_params.decay_lambda)
     eco.epoch += 1
-    return deployments, migrations
+    return deployments, sum(map(len, added.values()))

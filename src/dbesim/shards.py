@@ -16,9 +16,9 @@ state and stays its one writer:
   neither draws on them nor sets them until `collect`.
 - Per epoch, the main process sends each worker one message: the ids of
   its habitats still present, the epoch's migration probability (None when
-  a single habitat is left, with no neighbor), and the pool members added
-  since the last message, in pool order, with their provenance. The worker
-  adds them through `Habitat.receive`, so its pool version follows.
+  a single habitat is left, with no neighbor), and the copies migration
+  made into them, in pool order, with their sources. The worker adds them
+  through `Habitat.receive`, so its pool version follows.
 - The first epoch's message goes out (`dispatch`) once the workers are
   forked, and epoch e + 1's right after epoch e's migration, so the workers
   step while the main process decays the weights, records the transactions
@@ -27,9 +27,9 @@ state and stays its one writer:
   out the habitats its epoch's failures will remove.
 - A worker answers with the `habitat_step` record of each habitat. The
   main process replays the record's feedback on its own copies of the
-  chain's counters (migration copies them). One loop then emits every step,
-  local or not, in habitat-id order. Migration's destinations and copies
-  are made in the main process, from the draws the records carry.
+  chain's counters (migration copies them). `ecosystem.run_epoch` then
+  emits every step's events, local or not, in habitat-id order, and makes
+  migration's destinations and copies from the draws the records carry.
 - When its input ends, a worker sends back the state of every stream of
   its shard, failure victims' included, then the evolution state
   (`Habitat.active`) of each habitat its last message named (its shard
@@ -50,9 +50,8 @@ from __future__ import annotations
 import contextlib
 import os
 from functools import partial
-from itertools import islice
 
-from .ecosystem import Deployment, habitat_step
+from .ecosystem import habitat_step
 from .evolution import record_deployment
 
 
@@ -178,14 +177,13 @@ class Shards:
         n = min(n, len(ids))
         self.local = ids[0::n]
         self.shards = [ids[k::n] for k in range(1, n)]  # each worker's, in id order
-        self.pool_sizes = {hid: len(eco.habitats[hid].pool) for s in self.shards for hid in s}
         self.live = self.shards  # what each worker's last message named, or its shard
         self.workers: list = []
         try:
             for shard in self.shards:
                 inherited = [f for w in self.workers for f in (w.send, w.recv)]
                 self.workers.append(Child("worker", partial(self._serve, shard), inherited))
-            self.dispatch()
+            self.dispatch({})
         except BaseException:
             self.close(kill=True)
             raise
@@ -222,29 +220,19 @@ class Shards:
         for hid in live:
             pickle.dump(habitats[hid].active, send, pickle.HIGHEST_PROTOCOL)
 
-    def _added(self, habitats: dict, ids: list) -> list:
-        """(id, [(service, provenance)]) of each habitat whose pool grew
-        since the last message, new members in pool order."""
-        added = []
-        sizes = self.pool_sizes
-        for hid in ids:
-            h = habitats[hid]
-            n = len(h.pool)
-            if n != sizes[hid]:
-                new = [(s, h.provenance[s.id]) for s in islice(h.pool.values(), sizes[hid], None)]
-                added.append((hid, new))
-                sizes[hid] = n
-        return added
-
-    def dispatch(self) -> None:
+    def dispatch(self, added: dict) -> None:
         """Send each worker the message of the next `habitat_epochs` call: its
         habitats present once the epoch's failures are done, the epoch's
-        migration probability and the pool members added since its last
-        message. After the last epoch it sends nothing.
+        migration probability and the copies into them from `added`
+        (destination id -> [(copy, source id)], in the order made). After
+        the last epoch it sends nothing.
 
         `__init__` calls it for the first epoch, and `run_epoch` right after
         each epoch's migration, which leaves the next epoch's pools final, so
-        the workers step while the main process finishes the epoch.
+        the workers step while the main process finishes the epoch. Pools
+        grow only through `Habitat.receive` in migration, so these copies are
+        all that the workers' pools lack. No copy into the main process's
+        shard, or into a habitat that the failures remove, is sent.
         """
         gone = next(self.leaving, None)
         if gone is None:
@@ -255,19 +243,16 @@ class Shards:
         self.epoch_p_mig = self.p_mig if len(present) > 1 else None
         self.live = [[hid for hid in ids if hid in present] for ids in self.shards]
         for w, live in zip(self.workers, self.live):
-            w.put((live, self.epoch_p_mig, self._added(habitats, live)))
+            w.put((live, self.epoch_p_mig, [(hid, added[hid]) for hid in live if hid in added]))
 
-    def habitat_epochs(self, emit) -> list:
-        """Every present habitat's step of this epoch, in habitat id order;
-        returns the deployments in that order. Each step emits its sampled
-        request (`request_sampled`), then its deployment, or a `warning` for
-        an empty pool. The last `dispatch` must have named this epoch's
-        habitats."""
+    def habitat_epochs(self) -> dict:
+        """Every present habitat's step of this epoch: its `habitat_step`
+        record, keyed by habitat id. A worker's record comes back with its
+        feedback replayed and its ids taken from the main process's pool.
+        The last `dispatch` must have named this epoch's habitats."""
         habitats = self.eco.habitats
-        streams = self.streams
-        p_mig = self.epoch_p_mig
-        steps = {hid: habitat_step(habitats[hid], streams[hid], self.params, self.execute, p_mig)
-                 for hid in self.local if hid in habitats}
+        steps = {hid: habitat_step(habitats[hid], self.streams[hid], self.params, self.execute,
+                                   self.epoch_p_mig) for hid in self.local if hid in habitats}
         for w, live in zip(self.workers, self.live):
             for hid, record in zip(live, w.get()):
                 if len(record) > 1:
@@ -277,19 +262,7 @@ class Shards:
                     record_deployment(chain, record[3])
                     record = (record[0], tuple(s.id for s in chain), *record[2:])
                 steps[hid] = record
-        deployments = []
-        for hid in self.eco.habitat_ids():
-            h = habitats[hid]
-            idx, *deployed = steps[hid]
-            request = h.profile[idx].request.id
-            emit("request_sampled", hid, request)
-            if not deployed:
-                emit("warning", "empty pool, epoch skipped", hid)
-                continue
-            d = Deployment(h, *deployed)
-            emit("deployment", hid, request, d.genome, d.fitness, d.success)
-            deployments.append(d)
-        return deployments
+        return steps
 
     def collect(self) -> None:
         """Take back the final state of every worker's streams and each present

@@ -148,14 +148,28 @@ class FlowLedger:
         }
 
     def to_dot(self) -> str:
-        vertices = [f'  "{vid}" [label="{vid} eta=1.0000 k=0"];' for vid in self.ids]
+        vertices = [f'  "{q}" [label="{q} eta=1.0000 k=0"];' for q in map(dot_escape, self.ids)]
         return "\n".join(["graph business {", *vertices, "}"]) + "\n"
 
     def flows_csv(self) -> str:
+        name = {vid: csv_field(vid) for vid in self.ids}  # every flow edge joins two of them
         lines = ["from,to,kind,value,step"]
         for e in self.flow_edges:
-            lines.append(f"{e.src},{e.dst},{e.kind},{e.value!r},{e.step}")
+            lines.append(f"{name[e.src]},{name[e.dst]},{e.kind},{e.value!r},{e.step}")
         return "\n".join(lines) + "\n"
+
+
+def dot_escape(s: str) -> str:
+    """`s` inside a quoted DOT string: a backslash before each `\\` and `"`, so
+    the string ends at its closing quote even if `s` ends in a backslash.
+    Graphviz draws such a label as `s`, but keeps `\\\\` in a vertex name."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def csv_field(s: str) -> str:
+    """`s` as an RFC 4180 field: in double quotes with each `"` doubled if it
+    holds a `,`, `"`, CR or LF, else as it is."""
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
 
 def seed_business_graph(count: int, eta_dist: EtaDist, rng: Stream) -> BusinessGraph:

@@ -114,7 +114,8 @@ def test_criterion_4_clustering_emergence():
         result = engine.run(config_from_obj(obj))
         slowest = max(slowest, time.perf_counter() - start)
         first = result.metrics[0].clustering_statistic
-        # epoch-0 state has every weight at 1.0: zero variance, statistic 0
+        # metrics[0] is epoch 1's row: no reinforcement yet, so every weight is 1.0
+        # decayed once: zero variance, statistic 0 up to rounding
         final = result.metrics[-1].clustering_statistic
         finals.append(final)
         if final > 0.2 and final > 0.0 and final > min(first, 0.0):

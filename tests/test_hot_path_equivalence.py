@@ -14,6 +14,7 @@ formatted line per vertex and edge. Equality is exact: the fast paths keep
 the draw order and the float arithmetic.
 """
 
+import csv
 import json
 import math
 import os
@@ -496,18 +497,18 @@ def run_cli_on(tmp_path, obj, cpus):
     return out / "events.jsonl"
 
 
-def with_odd_ids(value):
-    """A config object with a space, a quote, a backslash and non-ASCII
-    characters added to every id and failure victim."""
+def with_odd_ids(value, tail=""):
+    """A config object with a space, a quote, a backslash, non-ASCII
+    characters and then `tail` added to every id and failure victim."""
     def odd(name):
-        return f'{name} "q" \\ caf\u00e9 \u2603'
+        return f'{name} "q" \\ caf\u00e9 \u2603{tail}'
 
     if isinstance(value, list):
-        return [with_odd_ids(v) for v in value]
+        return [with_odd_ids(v, tail) for v in value]
     if not isinstance(value, dict):
         return value
     return {k: odd(v) if k == "id" else [odd(x) for x in v] if k == "victims"
-            else with_odd_ids(v) for k, v in value.items()}
+            else with_odd_ids(v, tail) for k, v in value.items()}
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
@@ -523,6 +524,57 @@ def test_ids_that_are_not_tokens_are_escaped_in_the_event_log(tmp_path, cpus):
     written = events_jsonl.read_text(encoding="utf-8")
     assert written.split("\n") == reference_events(result.events).split("\n")
     assert read_events(events_jsonl) == [as_tuples(ev) for ev in result.events]
+
+
+def dot_tokens(text):
+    """The tokens of a DOT text: each quoted string as a 1-tuple of its
+    characters with each escaping backslash dropped (a backslash takes the
+    next character as it is), and each run of other non-blank characters."""
+    tokens, i = [], 0
+    while i < len(text):
+        if text[i] == '"':
+            chars, i = [], i + 1
+            while text[i] != '"':
+                if text[i] == "\\":
+                    i += 1
+                chars.append(text[i])
+                i += 1
+            tokens.append(("".join(chars),))
+            i += 1
+        elif text[i].isspace():
+            i += 1
+        else:
+            start = i
+            while i < len(text) and not text[i].isspace() and text[i] != '"':
+                i += 1
+            tokens.append(text[start:i])
+    return tokens
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_ids_that_are_not_tokens_come_back_from_the_dot_and_csv_outputs(tmp_path, cpus):
+    """Ids with a comma, a line feed, a quote and a trailing backslash, among
+    others: `ecosystem.dot` and `business.dot` read back by a reader of quoted
+    DOT strings, and `flows.csv` by `csv.reader`, give every id back."""
+    obj = with_odd_ids(_evolving_scenario_obj(7, 3), tail=",\n\\")
+    out = run_cli_on(tmp_path, obj, cpus).parent
+    result = engine.run(config_from_obj(obj))
+    eco, ledger = result.eco, result.ledger
+    expected = ["graph", "ecosystem", "{"]
+    for hid in sorted(eco.habitats):
+        expected += [(hid,), ";"]
+    for (a, b), w in sorted(eco.connections.items()):
+        expected += [(a,), "--", (b,), "[label=", (f"{w:.4f}",), "];"]
+    assert dot_tokens((out / "ecosystem.dot").read_text(encoding="utf-8")) == expected + ["}"]
+    expected = ["graph", "business", "{"]
+    for vid in sorted(h["id"] for h in obj["scenario"]["habitats"]):
+        assert vid.endswith(",\n\\")
+        expected += [(vid,), "[label=", (f"{vid} eta=1.0000 k=0",), "];"]
+    assert dot_tokens((out / "business.dot").read_text(encoding="utf-8")) == expected + ["}"]
+    with open(out / "flows.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) > 1 and rows == [["from", "to", "kind", "value", "step"]] + [
+        [e.src, e.dst, e.kind, repr(e.value), str(e.step)] for e in ledger.flow_edges]
 
 
 def test_events_jsonl_reads_back_by_the_key_table(tmp_path):

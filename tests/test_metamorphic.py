@@ -1,5 +1,6 @@
 """Relations with closed forms: what a run must do when a parameter takes
-an extreme value, checked on the shipped `two_communities.json`.
+an extreme value, checked on the shipped `two_communities.json`, and the
+closed form of one connection's weight under reinforcement and decay.
 
 These test the model's semantics, not its bytes. Renaming habitats is not
 such a relation: each habitat's stream is derived from its id
@@ -8,9 +9,12 @@ such a relation: each habitat's stream is derived from its id
 
 from collections import Counter
 
+import pytest
+
 from conftest import load_asset_obj, payload
 from dbesim import engine
 from dbesim.config import config_from_obj
+from dbesim.ecosystem import Ecosystem, Habitat, decay_all, reinforce
 
 
 def two_communities(ecosystem=None, reliability=None):
@@ -54,3 +58,27 @@ def test_every_deployment_of_reliable_services_succeeds():
     assert len(deployments) == cfg.epochs * len(cfg.scenario.habitats)
     assert all(d["success"] for d in deployments)
     assert {row.deployment_success_rate for row in result.metrics} == {1.0}
+
+
+@pytest.mark.parametrize("decay_lambda, delta, w_min, w0", [
+    (0.99, 0.1, 0.01, 1.0),  # the defaults: rises from 1.0 toward 9.9
+    (0.9, 0.5, 0.01, 20.0),  # falls from above its fixed point 4.5
+    (0.5, 0.002, 0.01, 0.01),  # its fixed point 0.002 is below the floor
+])
+def test_an_edge_reinforced_every_epoch_approaches_the_fixed_point(decay_lambda, delta, w_min, w0):
+    """An edge reinforced once per epoch, then decayed (`reinforce`, then
+    `decay_all`), follows w <- max(lambda * (w + delta), w_min) float for
+    float. Its weight moves monotonically toward the fixed point
+    lambda * delta / (1 - lambda) of w = lambda * (w + delta), or toward the
+    floor when that point lies below it, and reaches it within 1e-12."""
+    eco = Ecosystem([Habitat(hid, {}, []) for hid in ("a", "b")], w_min=w_min)
+    eco.add_connection("a", "b", w0)
+    limit = max(decay_lambda * delta / (1 - decay_lambda), w_min)
+    w = w0
+    for _ in range(4000):
+        reinforce(eco, "b", "a", delta)
+        decay_all(eco, decay_lambda)
+        last, w = w, max(decay_lambda * (w + delta), w_min)
+        assert eco.connections[("a", "b")] == w
+        assert abs(w - limit) <= abs(last - limit)
+    assert w == pytest.approx(limit, rel=1e-12, abs=0)

@@ -228,6 +228,56 @@ def test_the_message_before_a_failure_that_leaves_one_habitat_draws_no_migration
 
 
 @pytest.mark.parametrize("workers", [2, 3])
+def test_each_message_carries_the_copies_of_the_previous_epochs_migration(monkeypatch, workers):
+    """For each habitat a message names, in that order, it carries the copies
+    that the previous epoch's migration made into it, in the order of their
+    `migration` events, each with its source. Each is the destination's own
+    copy, with the source's id and counters. No copy into the main process's
+    shard, or into a habitat the message's epoch's failures remove, is sent."""
+    victims = {3: [5, 11], 5: [7]}  # worker-owned habitats that migration copied into
+    cfg = config_from_obj(_two_communities_with_failures(10, victims))
+    _, messages = record_calls(monkeypatch)
+    run = {}
+    init = shards.Shards.__init__
+
+    def watched_init(self, eco, *args):
+        run["eco"] = eco  # before the first message, put at fork
+        init(self, eco, *args)
+
+    put = shards.Child.put
+
+    def checking_put(self, message):
+        habitats = run["eco"].habitats
+        for hid, services in message[2]:
+            for s, src in services:
+                dest, source = habitats[hid], habitats[src].pool[s.id]
+                assert dest.pool[s.id] is s and dest.provenance[s.id] == src
+                assert s is not source and s == source  # a fresh copy, counters included
+        return put(self, message)
+
+    monkeypatch.setattr(shards.Shards, "__init__", watched_init)
+    monkeypatch.setattr(shards.Child, "put", checking_put)
+    result = engine.run(cfg, workers=workers)
+    migrations = {}  # epoch -> [(service, source, destination)]
+    for event in result.events:
+        if event[1] == "migration":
+            migrations.setdefault(event[0], []).append(event[2:])
+    sent = 0
+    for e, epoch_messages in by_epoch(messages, workers).items():
+        for live, _, added in epoch_messages:
+            expected = [(hid, [(sid, src) for sid, src, dest in migrations.get(e - 1, ())
+                               if dest == hid]) for hid in live]
+            assert [(hid, [(s.id, src) for s, src in services]) for hid, services in added] \
+                == [(hid, copies) for hid, copies in expected if copies], e
+            sent += sum(len(services) for _, services in added)
+    ids = sorted(h.id for h in cfg.scenario.habitats)
+    dests = {(e, dest) for e, moved in migrations.items() for _, _, dest in moved}
+    assert 0 < sent < sum(map(len, migrations.values()))
+    assert {(e - 1, ids[i]) for e, removed in victims.items() for i in removed} <= dests
+    assert any(dest in ids[0::workers] for _, dest in dests)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
 def test_workers_own_their_streams_until_collect(monkeypatch, workers):
     """Between the fork and `collect`, the main process neither draws on nor
     sets a worker-owned stream; `collect` sets each one, failure victims'
