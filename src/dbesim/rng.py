@@ -8,13 +8,15 @@ recurrences with published constants, so any implementation that follows
 the same definitions produces the same streams.
 
 Splitmix64's state is a counter: its k-th output after state s depends only
-on s + k * GAMMA. A stream therefore computes its outputs ahead, a block at
-a time, with a few big-integer operations on one packed `int` (one 128-bit
-lane per output, so no product carries into the next lane), and hands them
-out one per draw. The outputs are exactly those of the scalar recurrence,
-and `Stream.state` is always the logical position: the state after the
-draws taken so far, as if each had advanced it once. Setting the state
-drops the block.
+on s + k * GAMMA. A stream therefore computes its outputs ahead, a block of
+64 at a time, with a few big-integer operations on one packed `int` (one
+128-bit lane per output, so no product carries into the next lane), and
+hands them out one per draw. The outputs are exactly those of the scalar
+recurrence, and `Stream.state` is always the logical position: the state
+after the draws taken so far, as if each had advanced it once. Setting the
+state drops the block. A run sets each stream's state before its first
+draw and never after it, so a stream computes at most one block whose tail
+it never reads, its last, and one block size serves every stream.
 """
 
 from __future__ import annotations
@@ -42,23 +44,16 @@ def fnv1a64(label: str) -> int:
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+_BLOCK = 64  # outputs per block
+_STRIDE = _BLOCK * _GAMMA & _MASK64  # the state advance over one block
+# One 128-bit lane per output: 1 in every lane, k * GAMMA mod 2**64 in lane
+# k - 1 for k = 1..64, and the low 64 bits of every lane set.
+_ONES = sum(1 << 128 * k for k in range(_BLOCK))
+_GAMMAS = sum(((k + 1) * _GAMMA & _MASK64) << 128 * k for k in range(_BLOCK))
+_LOW = _ONES * _MASK64
 _EXHAUSTED = iter(())  # no block: the next draw computes one
 # the low 64-bit word of each 128-bit lane of `int.to_bytes(..., sys.byteorder)`
 _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
-
-
-def _block_constants(n: int) -> tuple:
-    """For a block of n outputs, one per 128-bit lane: (1 in every lane,
-    k * GAMMA mod 2**64 in lane k - 1 for k = 1..n, the low 64 bits of every
-    lane set, the size of the next block)."""
-    ones = sum(1 << 128 * k for k in range(n))
-    gammas = sum(((k + 1) * _GAMMA & _MASK64) << 128 * k for k in range(n))
-    return ones, gammas, ones * _MASK64, min(2 * n, 64)
-
-
-# Blocks start at 4 outputs whenever the state is set, and double up to 64:
-# a stream that makes few draws computes few outputs it never reads.
-_BLOCKS = {n: _block_constants(n) for n in (4, 8, 16, 32, 64)}
 
 
 class Stream:
@@ -73,7 +68,7 @@ class Stream:
     block.
     """
 
-    __slots__ = ("_base", "_block", "_size", "_next_size")
+    __slots__ = ("_base", "_block")
 
     def __init__(self, state: int):
         self.state = state
@@ -81,16 +76,14 @@ class Stream:
     @property
     def state(self) -> int:
         """The state after every draw so far (what the scalar recurrence holds)."""
-        taken = self._size - length_hint(self._block)  # exact on a list iterator
+        taken = _BLOCK - length_hint(self._block)  # exact on a list iterator
         return (self._base + taken * _GAMMA) & _MASK64
 
     @state.setter
     def state(self, value: int) -> None:
-        """Start over at `value`: the next draw computes a block of 4."""
-        self._base = value & _MASK64
+        """Start over at `value`, as the end of a block already spent."""
+        self._base = (value - _STRIDE) & _MASK64
         self._block = _EXHAUSTED
-        self._size = 0
-        self._next_size = 4
 
     def next_u64(self) -> int:
         """Advance the state and return the next 64-bit output."""
@@ -100,14 +93,12 @@ class Stream:
 
     def _refill(self) -> int:
         """Compute the next block of outputs and return its first."""
-        self._base = base = (self._base + self._size * _GAMMA) & _MASK64
-        n = self._size = self._next_size
-        ones, gammas, low, self._next_size = _BLOCKS[n]
-        z = (base * ones + gammas) & low
-        z = ((z ^ z >> 30) & low) * _MUL1 & low
-        z = ((z ^ z >> 27) & low) * _MUL2 & low
+        self._base = base = (self._base + _STRIDE) & _MASK64
+        z = (base * _ONES + _GAMMAS) & _LOW
+        z = ((z ^ z >> 30) & _LOW) * _MUL1 & _LOW
+        z = ((z ^ z >> 27) & _LOW) * _MUL2 & _LOW
         z ^= z >> 31  # the high words hold leftovers, which are not read
-        words = memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")
+        words = memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")
         self._block = block = iter(words[_LOW_WORDS].tolist())
         return next(block)
 

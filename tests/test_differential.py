@@ -24,9 +24,14 @@ built from scratch by a Hypothesis strategy (after Claessen & Hughes,
   single habitat. One drawn habitat survives every schedule.
 
 Each example is run on 1, 2 and 3 processes, and resumed on 2 from the
-snapshot text of a drawn epoch k in [0, epochs). Forks are the cost: each
-example forks the workers of 3 runs, and the 100 examples take about 5 s
-on a 2-vCPU host.
+snapshot text of a drawn epoch k in [0, epochs). The one-process run is
+also checked against itself: four `metrics.csv` columns follow from its
+`events.jsonl` alone, and its final `snapshot.json` text reads back
+through `engine.state_from_obj`, which holds the state to the model's
+invariants (a connected graph, weights at or above the floor, provenance
+and pool versions that agree, cached fitness that is the genome's score).
+Forks are the cost: each example forks the workers of 3 runs, and the 100
+examples take about 5 s on a 2-vCPU host.
 """
 
 import json
@@ -132,15 +137,48 @@ def outputs(cfg, result) -> tuple:
             {hid: s.state for hid, s in result.streams.items()})
 
 
+def metrics_from_log(events: str, habitats: int, epochs: int) -> list:
+    """Per epoch, (epoch, mean_best_fitness, deployment_success_rate,
+    total_migrations, habitat_count) from the `events.jsonl` text alone: the
+    mean of the `deployment` fitnesses summed in log order, their share that
+    succeeded, the `migration` events, and the `habitats` of the scenario less
+    every `failure` event's removed ids so far."""
+    by_epoch = {epoch: [] for epoch in range(1, epochs + 1)}
+    for line in events.splitlines():
+        event = json.loads(line)
+        by_epoch[event["epoch"]].append((event["kind"], event["payload"]))
+    rows = []
+    for epoch, logged in by_epoch.items():
+        total, successes, deployed, migrations = 0.0, 0, 0, 0
+        for kind, payload in logged:
+            if kind == "deployment":
+                total += payload["fitness"]
+                successes += payload["success"]
+                deployed += 1
+            elif kind == "migration":
+                migrations += 1
+            elif kind == "failure":
+                habitats -= len(payload["victims"])
+        rows.append((epoch, total / deployed if deployed else 0.0,
+                     successes / deployed if deployed else 0.0, migrations, habitats))
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
 @given(obj=configs(), data=st.data())
 def test_process_counts_and_resumes_give_the_same_bytes(obj, data):
     """1, 2 and 3 processes give the same outputs and stream states, and a
     run resumed on 2 processes from the snapshot text of epoch k gives the
-    tail of the events and metrics, the final snapshot and the streams."""
+    tail of the events and metrics, the final snapshot and the streams. The
+    one-process run's metrics follow from its log, and its final snapshot
+    reads back."""
     cfg = config_from_obj(obj)
     full = engine.run(cfg)
     events, metrics, snapshot, streams = outputs(cfg, full)
+    assert metrics_from_log(events, len(obj["scenario"]["habitats"]), obj["epochs"]) == [
+        (row.epoch, row.mean_best_fitness, row.deployment_success_rate, row.total_migrations,
+         row.habitat_count) for row in full.metrics]
+    engine.state_from_obj(cfg, json.loads(snapshot)["state"])
     for workers in (2, 3):
         assert outputs(cfg, engine.run(cfg, workers=workers)) == (
             events, metrics, snapshot, streams), workers

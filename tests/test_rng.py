@@ -123,10 +123,9 @@ def test_state_roundtrip():
     assert [resumed.next_u64() for _ in range(50)] == tail
 
 
-# Streams compute their outputs ahead in blocks of 4, 8, 16, 32 and then 64
-# outputs; 4 + 8 + 16 + 32 + 64 + 64 = 188 draws reach into the second
-# 64-block, so the checks below run past 188 to cover every block size and
-# every position in each.
+# Streams compute their outputs ahead in blocks of 64; the checks below run
+# past four blocks' ends, so they cover every position in a block and the
+# refills after the first.
 PAST_EVERY_BLOCK_SIZE = 260
 
 
@@ -150,13 +149,13 @@ def test_setting_the_state_mid_block_restarts_from_it():
         assert [s.next_u64() for _ in range(70)] == outputs[k:k + 70], k
 
 
-# The first blocks: 4 + 8 + 16 + 32 + 64 = 124 outputs, and into the next.
+# The first two blocks, 128 outputs, and into the third.
 FIRST_BLOCKS = 130
 
 
 def test_setting_the_state_near_the_position_matches_the_scalar_recurrence():
     """From each position of the first blocks, a set to an offset of -1, 0,
-    1, ... up to past the largest block's end: the state reads back and the
+    1, ... up to past a block's end: the state reads back and the
     draws after it are those of the scalar recurrence, whether the set
     lands inside the block it drops or past it."""
     start = MASK - 5 * GAMMA  # the state wraps around 2**64 within the first block

@@ -277,6 +277,44 @@ def test_each_message_carries_the_copies_of_the_previous_epochs_migration(monkey
     assert any(dest in ids[0::workers] for _, dest in dests)
 
 
+def watch_streams(monkeypatch, watch) -> dict:
+    """Patch `rng.Stream` so that, in this process, each `next_u64` call and
+    each `state` set calls `watch(stream, what)` first, `what` being
+    "next_u64" or "state set". The returned dict follows `shards.Shards`:
+    `owned` maps the id of each worker-owned stream to its habitat once the
+    workers are forked, and `collecting` is True from `collect` on."""
+    seen = {"owned": {}, "collecting": False}
+    main_pid = os.getpid()
+    next_u64 = rng.Stream.next_u64
+    state = rng.Stream.state
+    init = shards.Shards.__init__
+    collect = shards.Shards.collect
+
+    def watched_next_u64(self):
+        if os.getpid() == main_pid:
+            watch(self, "next_u64")
+        return next_u64(self)
+
+    def watched_set(self, value):
+        if os.getpid() == main_pid:
+            watch(self, "state set")
+        state.fset(self, value)
+
+    def watched_init(self, *args):
+        init(self, *args)  # the workers are forked by now
+        seen["owned"] = {id(self.streams[hid]): hid for shard in self.shards for hid in shard}
+
+    def watched_collect(self):
+        seen["collecting"] = True
+        return collect(self)
+
+    monkeypatch.setattr(rng.Stream, "next_u64", watched_next_u64)
+    monkeypatch.setattr(rng.Stream, "state", property(state.fget, watched_set))
+    monkeypatch.setattr(shards.Shards, "__init__", watched_init)
+    monkeypatch.setattr(shards.Shards, "collect", watched_collect)
+    return seen
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_workers_own_their_streams_until_collect(monkeypatch, workers):
     """Between the fork and `collect`, the main process neither draws on nor
@@ -285,48 +323,49 @@ def test_workers_own_their_streams_until_collect(monkeypatch, workers):
     victims = [1, 5]  # worker-owned on 2 processes (odd ids) and on 3 (shards 1 and 2)
     cfg = config_from_obj(_two_communities_with_failures(6, {3: victims}))
     single = engine.run(cfg)
-    main_pid = os.getpid()
-    seen = {"owned": {}, "collecting": False, "touched": []}
+    touched = []
 
     def watch(self, what):
-        if (os.getpid() == main_pid and not seen["collecting"]
-                and id(self) in seen["owned"]):
-            seen["touched"].append((seen["owned"][id(self)], what))
+        if not seen["collecting"] and id(self) in seen["owned"]:
+            touched.append((seen["owned"][id(self)], what))
 
-    init = shards.Shards.__init__
-
-    def watched_init(self, *args):
-        init(self, *args)  # the workers are forked by now
-        seen["owned"] = {id(self.streams[hid]): hid for shard in self.shards for hid in shard}
-
-    collect = shards.Shards.collect
-
-    def watched_collect(self):
-        seen["collecting"] = True
-        return collect(self)
-
-    next_u64 = rng.Stream.next_u64
-    state = rng.Stream.state
-
-    def watched_next_u64(self):
-        watch(self, "next_u64")
-        return next_u64(self)
-
-    def watched_set(self, value):
-        watch(self, "state set")
-        state.fset(self, value)
-
-    monkeypatch.setattr(shards.Shards, "__init__", watched_init)
-    monkeypatch.setattr(shards.Shards, "collect", watched_collect)
-    monkeypatch.setattr(rng.Stream, "next_u64", watched_next_u64)
-    monkeypatch.setattr(rng.Stream, "state", property(state.fget, watched_set))
+    seen = watch_streams(monkeypatch, watch)
     sharded = engine.run(cfg, workers=workers)
     assert seen["collecting"] and len(seen["owned"]) > len(victims)
-    assert seen["touched"] == []
+    assert touched == []
     ids = sorted(single.streams)
     assert {ids[i] for i in victims} <= set(seen["owned"].values())
     assert stream_states(sharded) == stream_states(single)
     assert outputs(cfg, sharded) == outputs(cfg, single)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_stream_is_set_after_it_draws(monkeypatch, workers):
+    """`rng.Stream` computes every block at one size, and that wastes no
+    more than each stream's last block because a run sets a stream's state
+    only before its first draw. In the main process, every stream is set
+    once, when it is made, and on 2 processes each worker-owned stream once
+    more, by `collect`; no set lands on a stream that has drawn."""
+    victims = [1, 5]  # worker-owned on 2 processes (odd ids)
+    cfg = config_from_obj(_two_communities_with_failures(6, {3: victims}))
+    streams = {}  # id -> [stream, draws, [(by collect, draws before) of each set]]
+
+    def watch(stream, what):
+        # the stream stays referenced here, so its id is not reused
+        entry = streams.setdefault(id(stream), [stream, 0, []])
+        if what == "next_u64":
+            entry[1] += 1
+        else:
+            entry[2].append((seen["collecting"], entry[1]))
+
+    seen = watch_streams(monkeypatch, watch)
+    result = engine.run(cfg, workers=workers)
+    sets = {key: entry[2] for key, entry in streams.items()}
+    assert sets == {key: [(False, 0)] + [(True, 0)] * (key in seen["owned"]) for key in sets}
+    assert {id(s) for s in result.streams.values()} <= set(sets)
+    assert sum(entry[1] for entry in streams.values()) > 1000
+    ids = sorted(result.streams)
+    assert ({ids[i] for i in victims} <= set(seen["owned"].values())) == (workers == 2)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
