@@ -119,23 +119,22 @@ def cmd_run(cfg, state, out: OutputDir, quiet: bool) -> int:
 
 def worker_count(n_habitats: int, cpus: int) -> int:
     """Processes for the habitat steps of a run of `n_habitats` habitats:
-    one per CPU, at most one per habitat.
+    one per CPU, but each with at least two habitats, and never none.
 
     Read on a 2-CPU host only. `dbesim run`, timed in process, of the first
     2, 3, 4, 8 and 16 habitats of `two_communities.json` took
     0.028 -> 0.034 s, 0.038 -> 0.040 s, 0.073 -> 0.069 s, 0.128 -> 0.108 s
     and 0.154 -> 0.122 s on one process -> two (medians of 15 alternating
-    runs, same output bytes). The benchmark's `wide` ecosystem (seed 5) cut
-    to 64 to 1024 habitats ran 1.08x to 1.40x as fast on two.
-
-    The cap of one process per habitat is not a measured bound. Inputs of
-    2 and 3 habitats, in shards of one or two, lost: the forks, the
-    `pickle` import and the per-epoch messages cost a few ms more than the
-    split saved. Four habitats in shards of two won by only 5%. Splits over
-    more than 2 CPUs were never timed; on 8 or more, a 16-habitat input
-    gets shards of one or two habitats, whose gain is unverified.
+    runs, same output bytes). So inputs of 2 and 3 habitats, which two
+    processes would split into shards of one or two, run on one: the forks,
+    the `pickle` import and the per-epoch messages cost a few ms more than
+    the split saved, and two processes were faster in 0 of 15 runs. Four
+    habitats in shards of two won by 5%. The benchmark's `wide` ecosystem
+    (seed 5) cut to 64 to 1024 habitats ran 1.08x to 1.40x as fast on two.
+    Splits over more than 2 CPUs were never timed; on 8 or more, a
+    16-habitat input gets shards of two habitats, whose gain is unverified.
     """
-    return max(1, min(cpus, n_habitats))
+    return max(1, min(cpus, n_habitats // 2))
 
 
 def _batches(items):
@@ -186,12 +185,12 @@ def _run_and_write(cfg, state, out: OutputDir) -> tuple:
 
     The logs are written first and the event log is then emptied, so the
     final state object is built in the memory the log held rather than
-    beside it. Its text is then encoded and written a piece at a time, one
-    per member of each array: a habitat, a connection and so on
-    (`snapshot_chunks`), so the text is never whole in memory. A run on more
-    than one process forks a writer for the logs instead, empties its own
-    copy of the event log at once and writes the final state while the
-    writer writes the logs.
+    beside it. Its text is then encoded and written a piece at a time: a
+    habitat, a slice of connection rows and so on (`snapshot_chunks`), so
+    the text is never whole in memory. A run on more than one process
+    forks a writer for the logs instead, empties its own copy of the event
+    log at once and writes the final state while the writer writes the
+    logs.
     """
     workers = worker_count(len(cfg.scenario.habitats), len(os.sched_getaffinity(0)))
     result = engine.run(cfg, state=state, workers=workers)  # fewer if a state holds fewer habitats

@@ -906,12 +906,19 @@ def snapshot_to_obj(cfg: SimConfig, state: dict) -> dict:
     return {"format": SNAPSHOT_FORMAT, "config": config_to_obj(cfg), "state": state}
 
 
+# Members of an array of rows (an array whose members are not objects) per
+# piece of `_pieces`: one encoder call per slice instead of one per row.
+SLICE_ROWS = 128
+
+
 def _pieces(value):
     """`COMPACT.encode(value)` in pieces, for JSON values whose object keys are
     strings. An object is written out by hand, keys in sorted order, around
-    its members' pieces; an array around its members' text, one member per
-    piece. So no piece holds more than one member of an array, and the
-    encoder's working set is one member's, not the whole value's."""
+    its members' pieces; an array around its members' text. An array with
+    an object among its members takes one member per piece; any other, such
+    as the rows of connections and flow edges, one slice of `SLICE_ROWS`
+    members per piece. So the encoder's working set is one member's or one
+    slice's, not the whole value's."""
     encode = COMPACT.encode
     if type(value) is dict:
         sep = "{"
@@ -922,9 +929,14 @@ def _pieces(value):
         yield "}" if sep == "," else "{}"
     elif type(value) is list:
         sep = "["
-        for item in value:
-            yield sep + encode(item)
-            sep = ","
+        if dict in set(map(type, value)):
+            for item in value:
+                yield sep + encode(item)
+                sep = ","
+        else:
+            for i in range(0, len(value), SLICE_ROWS):
+                yield sep + encode(value[i:i + SLICE_ROWS])[1:-1]
+                sep = ","
         yield "]" if sep == "," else "[]"
     else:
         yield encode(value)
@@ -932,11 +944,13 @@ def _pieces(value):
 
 def snapshot_chunks(cfg: SimConfig, state: dict):
     """The snapshot text of a state object (`state_to_obj`'s form), in pieces
-    made as they are asked for: one per habitat, per connection and per
-    scenario habitat of the config, and so on for every array. The joined
-    pieces are `json.dumps(snapshot_to_obj(cfg, state), sort_keys=True,
-    separators=(",", ":")) + "\\n"`, and no more than one habitat's text is
-    in memory at a time."""
+    made as they are asked for (`_pieces`): one per habitat, per scenario
+    habitat of the config and per member of every other array of objects,
+    and one per slice of `SLICE_ROWS` rows of the connections, the flow
+    edges and every other array. The joined pieces are
+    `json.dumps(snapshot_to_obj(cfg, state), sort_keys=True,
+    separators=(",", ":")) + "\\n"`, and no more than one habitat's or one
+    slice's text is in memory at a time."""
     yield from _pieces(snapshot_to_obj(cfg, state))
     yield "\n"
 

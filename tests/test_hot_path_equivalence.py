@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import as_tuples, load_asset_obj, payload, pool_of, read_events, req, svc
 from dbesim import cli, engine, evolution
@@ -467,6 +467,50 @@ def test_serialize_events_equals_json_dumps_for_every_kind():
     with pytest.raises(TypeError) as got:
         engine.serialize_events(bad)
     assert str(got.value) == str(expected.value) == "Object of type set is not JSON serializable"
+
+
+# Ids that need escaping (a quote, a backslash, control, non-ASCII and astral
+# characters), and ids that are not strings: True, 1 and 1.0 are equal keys
+# of a dict, and a list is no key at all.
+string_ids = st.sampled_from(["h0", "s1", 'h"0', "h\\1", "h\x00\n\x1f", "café",
+                              "☃\U0001F600", ""]) | st.text(max_size=4)
+event_ids = string_ids | string_ids | st.sampled_from([True, 1, 1.0, None, ["h0"]])
+numbers = st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0, 1, -7,
+                           True]) | st.floats()
+chains = (st.tuples() | st.lists(string_ids, max_size=3).map(tuple)
+          | st.lists(event_ids, max_size=3))
+
+
+@st.composite
+def events_of_every_kind(draw):
+    values = {
+        "request_sampled": st.tuples(event_ids, event_ids),
+        "deployment": st.tuples(event_ids, event_ids, chains, numbers,
+                                st.sampled_from([True, False, 0, 1])),
+        "reinforcement": st.tuples(event_ids, event_ids, event_ids, numbers),
+        "migration": st.tuples(event_ids, event_ids, event_ids),
+        "failure": st.tuples(st.lists(event_ids, max_size=3)),
+        "heal": st.tuples(st.lists(st.tuples(event_ids, event_ids, numbers), max_size=2)),
+        "warning": st.tuples(st.text(max_size=6)) | st.tuples(st.text(max_size=6), event_ids),
+    }
+    kinds = st.sampled_from(sorted(values))
+    return [(draw(st.integers(0, 10**6)), kind, *draw(values[kind]))
+            for kind in draw(st.lists(kinds, min_size=20, max_size=60))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(events_of_every_kind())
+@example([(1, "deployment", "h0", "r0", ("s0",), math.inf, True),
+          (1, "deployment", "h0", "r0", ("s0",), 0.5, 1),
+          (2, "reinforcement", "h0", "h1", "s0", math.nan),
+          (2, "migration", 1, True, 1.0),
+          (3, "deployment", True, 1, (1.0, 1, True), 1, 0)])
+def test_serialize_events_equals_json_dumps_on_generated_events(events):
+    """Every kind, with ids that need escaping or are not strings, floats that
+    are not finite or not floats, successes that are not bools and chains
+    that are lists: the log is `json.dumps` of each event's record, also
+    when equal values of different types share one call."""
+    assert engine.serialize_events(events) == reference_events(events)
 
 
 def test_events_jsonl_equals_serialized_event_records(tmp_path):

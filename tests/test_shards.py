@@ -402,12 +402,12 @@ def test_resume_with_no_epoch_left_collects_at_end_of_input(monkeypatch):
 
 
 def test_worker_count_rule():
-    """One process per CPU, at most one per habitat, and never none."""
-    habitats = (0, 1, 2, 16)
+    """One process per CPU, each with at least two habitats, and never none."""
+    habitats = (0, 1, 2, 3, 4, 5, 16)
     table = {cpus: [cli.worker_count(n, cpus) for n in habitats] for cpus in (1, 2, 8)}
-    assert table == {1: [1, 1, 1, 1],
-                     2: [1, 1, 2, 2],
-                     8: [1, 1, 2, 8]}
+    assert table == {1: [1, 1, 1, 1, 1, 1, 1],
+                     2: [1, 1, 1, 1, 2, 2, 2],
+                     8: [1, 1, 1, 1, 2, 2, 8]}
 
 
 def one_habitat_snapshot(tmp_path) -> str:

@@ -168,3 +168,21 @@ def test_streamed_snapshot_peaks_below_half_the_joined_text():
     streamed = peak(consume)
     whole = peak(lambda: serialize_snapshot(cfg, state))
     assert streamed < whole / 2, (streamed, whole)
+
+
+@pytest.mark.parametrize("rows", [0, 1, config.SLICE_ROWS, config.SLICE_ROWS + 1])
+def test_row_arrays_are_written_one_slice_per_piece(rows):
+    """`connections` and `flow_edges` of `rows` rows each join to the one-shot
+    text, and each piece holds at most one slice of `SLICE_ROWS` rows: the
+    rows of a slice share one piece, so a slice costs one encoder call."""
+    cfg = config_from_obj(_evolving_scenario_obj(7, 3))
+    state = engine.run(cfg).final_state()
+    state["connections"] = [[f'conn:{i}"é', "h\\1", 0.1 * i] for i in range(rows)]
+    state["business"]["flow_edges"] = [[f"flow:{i}\n", "h0", "payment", i / 3, i]
+                                       for i in range(rows)]
+    chunks = list(snapshot_chunks(cfg, state))
+    assert "".join(chunks) == one_shot(cfg, state)
+    size = config.SLICE_ROWS
+    expected = [min(size, rows - i) for i in range(0, rows, size)]  # rows per slice
+    for marker in ('["conn:', '["flow:'):
+        assert [piece.count(marker) for piece in chunks if marker in piece] == expected
