@@ -79,33 +79,6 @@ class MetricsRow(NamedTuple):
     connection_count: int
 
 
-class _Ids(dict):
-    """Per-call memo: a string id -> its JSON text. Any other key raises
-    `TypeError`, as an unhashable one does, so no int, bool or float is
-    ever an entry and the event holding it takes the generic line."""
-
-    def __missing__(self, key):
-        if type(key) is not str:
-            raise TypeError(key)
-        text = self[key] = encode_basestring_ascii(key)
-        return text
-
-
-class _Chains(dict):
-    """Per-call memo: a chain, a tuple of string ids -> its JSON array text.
-    Any other key raises `TypeError` (a list does as an unhashable key)."""
-
-    def __init__(self, ids: _Ids):
-        self.ids = ids
-
-    def __missing__(self, key):
-        if type(key) is not tuple:
-            raise TypeError(key)
-        ids = self.ids
-        text = self[key] = f"[{','.join([ids[s] for s in key])}]"
-        return text
-
-
 def serialize_events(events) -> str:
     """Event log as JSON Lines (UTF-8, LF); an event is an (epoch, kind, *values) tuple.
 
@@ -117,21 +90,21 @@ def serialize_events(events) -> str:
 
     The four kinds that make up nearly every log (`request_sampled`,
     `deployment`, `reinforcement`, `migration`) are each written with one
-    f-string whose payload keys are spelled out in sorted order. Each
-    distinct id and chain is escaped once per call (`_Ids`, `_Chains`), a
-    float is written by `float.__repr__` and a bool as `true`/`false`, as
-    the JSON encoder writes them. An event whose values could come out
-    otherwise takes the generic line: the one shared encoder's text of the
-    payload dict (`config.COMPACT`). Those are a fitness or weight that is
-    not a finite `float`, a success that is not `True` or `False`, a chain
-    that is not a tuple of strings and an id that is not a string, as well
-    as every `failure`, `heal` and `warning` event. So an unserializable
-    value raises the stdlib's `TypeError`.
+    f-string whose payload keys are spelled out in sorted order. Each id is
+    escaped where it is written (`encode_basestring_ascii`), a chain is the
+    array of its escaped ids, a float is written by `float.__repr__` and a
+    bool as `true`/`false`, as the JSON encoder writes them. An event whose
+    values could come out otherwise takes the generic line: the one shared
+    encoder's text of the payload dict (`config.COMPACT`). Those are a
+    fitness or weight that is not a finite `float`, a success that is not
+    `True` or `False` and a chain that is not a tuple, as well as every
+    `failure`, `heal` and `warning` event. An id that is not a string, in a
+    chain or not, gets there through the escaper's `TypeError`. So an
+    unserializable value raises the stdlib's `TypeError`.
     """
     encode = COMPACT.encode
     keys = EVENT_KEYS
-    ids = _Ids()
-    chains = _Chains(ids)
+    esc = encode_basestring_ascii
     lines = []
     append = lines.append
     for ev in events:
@@ -139,28 +112,28 @@ def serialize_events(events) -> str:
         try:
             if kind == "request_sampled":
                 append(f'{{"epoch":{ev[0]},"kind":"request_sampled","payload":'
-                       f'{{"habitat":{ids[ev[2]]},"request":{ids[ev[3]]}}}}}\n')
+                       f'{{"habitat":{esc(ev[2])},"request":{esc(ev[3])}}}}}\n')
                 continue
             elif kind == "deployment":
                 epoch, _, habitat, request, chain, fitness, success = ev
-                if type(fitness) is float and -inf < fitness < inf and (
-                        success is True or success is False):
+                if (type(chain) is tuple and type(fitness) is float
+                        and -inf < fitness < inf and (success is True or success is False)):
                     append(f'{{"epoch":{epoch},"kind":"deployment","payload":'
-                           f'{{"chain":{chains[chain]},"fitness":{fitness!r},'
-                           f'"habitat":{ids[habitat]},"request":{ids[request]},'
+                           f'{{"chain":[{",".join(map(esc, chain))}],"fitness":{fitness!r},'
+                           f'"habitat":{esc(habitat)},"request":{esc(request)},'
                            f'"success":{"true" if success else "false"}}}}}\n')
                     continue
             elif kind == "reinforcement":
                 epoch, _, a, b, service, weight = ev
                 if type(weight) is float and -inf < weight < inf:
                     append(f'{{"epoch":{epoch},"kind":"reinforcement","payload":'
-                           f'{{"a":{ids[a]},"b":{ids[b]},"service":{ids[service]},'
+                           f'{{"a":{esc(a)},"b":{esc(b)},"service":{esc(service)},'
                            f'"weight":{weight!r}}}}}\n')
                     continue
             elif kind == "migration":
                 append(f'{{"epoch":{ev[0]},"kind":"migration","payload":'
-                       f'{{"destination":{ids[ev[4]]},"service":{ids[ev[2]]},'
-                       f'"source":{ids[ev[3]]}}}}}\n')
+                       f'{{"destination":{esc(ev[4])},"service":{esc(ev[2])},'
+                       f'"source":{esc(ev[3])}}}}}\n')
                 continue
         except TypeError:  # a value the generic line is to write
             pass

@@ -5,7 +5,7 @@ built from scratch by a Hypothesis strategy (after Claessen & Hughes,
 
 `configs()` draws, within these bounds:
 
-- 2 to 8 habitats. Their services and requests share one vocabulary of 4
+- 2 to 10 habitats. Their services and requests share one vocabulary of 4
   attributes and 3 ports, so chains compose across habitats and migrated
   services matter. A habitat offers 0 to 3 services (a pool may be empty),
   priced 0, 1 or 2.5, with reliability 0, 0.8 or 1.
@@ -17,7 +17,7 @@ built from scratch by a Hypothesis strategy (after Claessen & Hughes,
   population - 1; crossover and mutation rates 0, 0.5 or 1; 1 to 3
   generations per epoch and 1 to 4 in all.
 - `p_mig` 0, 0.5 or 1.
-- 1 to 6 epochs.
+- 1 to 8 epochs.
 - A failure schedule of one of five shapes: none; one to three failures at
   drawn epochs; failures in consecutive epochs; a failure that names a
   habitat already gone beside a present one; a failure that leaves a
@@ -31,7 +31,7 @@ through `engine.state_from_obj`, which holds the state to the model's
 invariants (a connected graph, weights at or above the floor, provenance
 and pool versions that agree, cached fitness that is the genome's score).
 Forks are the cost: each example forks the workers of 3 runs, and the 100
-examples take about 5 s on a 2-vCPU host.
+examples take about 6 s on a 2-vCPU host.
 """
 
 import json
@@ -103,9 +103,9 @@ def failure_schedules(draw, ids, epochs):
 
 @st.composite
 def configs(draw):
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 10))
     ids = [f"h{i}" for i in range(n)]
-    epochs = draw(st.integers(1, 6))
+    epochs = draw(st.integers(1, 8))
     population = draw(st.integers(2, 5))
     max_generations = draw(st.integers(1, 4))
     topology = draw(st.sampled_from(["ring", "random_m"]))

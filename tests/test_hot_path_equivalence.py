@@ -477,8 +477,11 @@ string_ids = st.sampled_from(["h0", "s1", 'h"0', "h\\1", "h\x00\n\x1f", "café",
 event_ids = string_ids | string_ids | st.sampled_from([True, 1, 1.0, None, ["h0"]])
 numbers = st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0, 1, -7,
                            True]) | st.floats()
+# Chains may also be bare strings, which must not be written as the array
+# of their characters, and tuples holding ids that are not strings.
 chains = (st.tuples() | st.lists(string_ids, max_size=3).map(tuple)
-          | st.lists(event_ids, max_size=3))
+          | st.lists(event_ids, max_size=3) | string_ids
+          | st.lists(event_ids, max_size=3).map(tuple))
 
 
 @st.composite
@@ -505,11 +508,14 @@ def events_of_every_kind(draw):
           (2, "reinforcement", "h0", "h1", "s0", math.nan),
           (2, "migration", 1, True, 1.0),
           (3, "deployment", True, 1, (1.0, 1, True), 1, 0)])
+@example([(1, "deployment", "h0", "r0", "s0", 0.5, True),
+          (1, "deployment", "h0", "r0", ("s0", ["h0"]), 0.5, False)])
 def test_serialize_events_equals_json_dumps_on_generated_events(events):
     """Every kind, with ids that need escaping or are not strings, floats that
     are not finite or not floats, successes that are not bools and chains
-    that are lists: the log is `json.dumps` of each event's record, also
-    when equal values of different types share one call."""
+    that are lists, bare strings or tuples of non-strings: the log is
+    `json.dumps` of each event's record, also when equal values of different
+    types share one call."""
     assert engine.serialize_events(events) == reference_events(events)
 
 
