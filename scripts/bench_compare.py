@@ -19,7 +19,8 @@ the median and q1-q3 of each side, the ratio change / base of the medians,
 the pairs the change won by the metric's `better`, and its `bound`. It also
 holds every run's `correct`, `failed`, `env`, `noise` and `samples` lines,
 names every run that read `correct` false at the top, and gives the sha256
-of both sides' `perfbench/` trees.
+of both sides' `perfbench/` trees and the line counts of both sides'
+`src/dbesim/*.py`, per module and in total; the two totals are printed.
 """
 
 from __future__ import annotations
@@ -96,6 +97,17 @@ def tree_digest(path: str) -> str:
     return h.hexdigest()
 
 
+def src_lines(tree: str) -> dict:
+    """Lines of each module of `src/dbesim/*.py` under `tree`, and their total."""
+    src = os.path.join(tree, "src", "dbesim")
+    modules = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                modules[name] = sum(1 for _ in f)
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` run in `tree`; its parsed output,
     with its exit status and stderr tail."""
@@ -156,9 +168,12 @@ def main(argv=None) -> int:
             "base": {"rev": args.base, "sha": base_sha, "perfbench_sha256": digests["base"]},
             "change": {"tree": "working tree", "perfbench_sha256": digests["change"]},
             "perfbench_differs": digests["base"] != digests["change"],
+            "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
             "seed": args.seed, "seconds": args.seconds,
             "incorrect": [], "workloads": {},
         }
+        print(f"src/dbesim lines: base {record['src_lines']['base']['total']}, "
+              f"change {record['src_lines']['change']['total']}", flush=True)
         for workload, n in plan.items():
             pairs, runs = [], []
             for i in range(n):

@@ -27,7 +27,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import isfinite
 from operator import attrgetter
 from sys import float_info
@@ -873,29 +872,10 @@ def state_from_obj(config: SimConfig, state: dict) -> tuple:
 # --- Files ---
 
 
-class _CompactEncoder(json.JSONEncoder):
-    """`JSONEncoder(sort_keys=True, separators=(",", ":"))` whose C encoder
-    is built once, not on every `encode` call. Its text and its errors are
-    the stdlib's: an unserializable value reaches `self.default`, which
-    raises the stdlib `TypeError`. It keeps no markers, so it does not
-    detect cycles; every value a run encodes is acyclic."""
-
-    def __init__(self):
-        super().__init__(sort_keys=True, separators=(",", ":"))
-        self._chunks = c_make_encoder(
-            None, self.default, encode_basestring_ascii, self.indent, self.key_separator,
-            self.item_separator, self.sort_keys, self.skipkeys, self.allow_nan)
-
-    def encode(self, o) -> str:
-        if isinstance(o, str):  # as `JSONEncoder.encode` does
-            return encode_basestring_ascii(o)
-        return "".join(self._chunks(o, 0))
-
-
-# The compact, key-sorted encoder of every JSON text written on one line.
-# Without the `_json` accelerator the stdlib's pure-Python encoder serves.
-COMPACT = (_CompactEncoder() if c_make_encoder is not None
-           else json.JSONEncoder(sort_keys=True, separators=(",", ":")))
+# The compact, key-sorted encoder of every JSON text written on one line. It
+# keeps no markers, so it does not detect cycles: every value a run encodes is
+# acyclic.
+COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def serialize_config(cfg: SimConfig) -> str:
@@ -979,7 +959,7 @@ def parse_config(path, seed_override: int | None = None) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, an int over the digit limit
         raise ConfigError(f"{path}: malformed JSON: {e}") from e
     except RecursionError as e:
         raise ConfigError(f"{path}: malformed JSON: nested too deeply") from e

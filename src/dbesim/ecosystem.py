@@ -271,21 +271,24 @@ def clustering_statistic(eco: Ecosystem) -> float:
     """Pearson correlation between edge weight and endpoint profile similarity.
 
     Needs at least 3 connections; zero variance in either series yields 0.
-    Edges are visited in sorted order so the float accumulation is
-    reproducible.
+    Edges are visited in sorted order, and the means are summed left to
+    right, not by `sum()`, which compensates floats from Python 3.12 on: so
+    the float accumulation is reproducible on every supported Python.
     """
     keys = sorted(eco.connections)
     xs = [eco.connections[k] for k in keys]
     memo = eco._similarity
     ys = []
-    for k in keys:
+    sx = sy = 0.0
+    for k, x in zip(keys, xs):
         y = memo.get(k)
         if y is None:
             y = memo[k] = profile_similarity(eco.habitats[k[0]], eco.habitats[k[1]])
         ys.append(y)
+        sx += x
+        sy += y
     n = len(keys)
-    mx = sum(xs) / n
-    my = sum(ys) / n
+    mx, my = sx / n, sy / n
     sxy = sxx = syy = 0.0
     for x, y in zip(xs, ys):
         dx = x - mx

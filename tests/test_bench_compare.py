@@ -80,3 +80,20 @@ def test_a_pair_with_a_side_that_gave_no_result_is_left_out():
         run_output(90.0, 40.0, correct=False)))
     assert (record["correct"], record["failed"]) == (False, 1)
     assert "digests" not in record
+
+
+def test_src_lines_per_module_and_in_total_on_two_trees(tmp_path):
+    """Only the `.py` files directly under `src/dbesim` count, line by line,
+    a last line without a newline included."""
+    trees = {}
+    for side, files in {"base": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+                        "change": {"a.py": "x = 1\n", "c.py": "\n\n# c\nw = 4"}}.items():
+        src = tmp_path / side / "src" / "dbesim"
+        (src / "assets").mkdir(parents=True)
+        (src / "assets" / "d.py").write_text("ignored\n")
+        (src / "notes.txt").write_text("ignored\n")
+        for name, text in files.items():
+            (src / name).write_text(text)
+        trees[side] = bench_compare.src_lines(str(tmp_path / side))
+    assert trees["base"] == {"modules": {"a.py": 2, "b.py": 1}, "total": 3}
+    assert trees["change"] == {"modules": {"a.py": 1, "c.py": 4}, "total": 5}

@@ -643,6 +643,35 @@ def test_cli_unreadable_json_is_malformed(tmp_path, capsys, content):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("document", ["config", "snapshot"])
+def test_cli_integer_over_the_digit_limit_is_malformed(tmp_path, capsys, document):
+    """An integer literal of 4301 digits, over CPython's int-string limit,
+    is malformed input: exit 1 with one line, and nothing is written. The
+    file is written as raw text, since `json.dumps` cannot write such an
+    int."""
+    if document == "config":
+        obj = dict(minimal_obj(), seed="BIG")
+    else:
+        path = write_config(tmp_path, minimal_obj())
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "first"),
+                         "--quiet"]) == 0
+        with open(tmp_path / "first" / "snapshot.json", "r", encoding="utf-8") as f:
+            obj = json.load(f)
+        obj["state"]["streams"]["h0"] = "BIG"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj).replace('"BIG"', "7" * 4301), encoding="utf-8")
+    before = sorted(os.listdir(tmp_path))
+    for sub in ("validate", "run"):
+        out = tmp_path / f"out-{sub}"
+        capsys.readouterr()
+        assert cli.main([sub, "--config", str(bad), "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config: {bad}: malformed JSON: "), err
+        assert len(err.strip().splitlines()) == 1, err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not out.exists()
+
+
 def test_cli_unexpected_exception_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
     def broken_run(cfg, state=None, workers=1):
         raise KeyError("h9")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import pool_of, random_catalog, random_request, req, svc
+from conftest import load_asset_obj, pool_of, random_catalog, random_request, req, svc
+from dbesim import ecosystem, engine
+from dbesim.config import config_from_obj
 from dbesim.ecosystem import (
     ActiveEvolution,
     EcosystemParams,
@@ -168,6 +170,30 @@ def test_profile_similarity_unions_across_templates():
 def test_clustering_zero_when_weights_equal():
     eco = make_eco(5)
     assert clustering_statistic(eco) == 0.0
+
+
+def neumaier_sum(values, start=0):
+    """`sum()` of floats as CPython 3.12 and later compute it: compensated."""
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_clustering_means_do_not_depend_on_the_sum_builtin(monkeypatch):
+    """The statistic's two means are added left to right, as `sum()` adds
+    floats up to Python 3.11, so `metrics.csv` reads the same bytes on every
+    supported interpreter. After one epoch of `two_communities` every weight
+    is equal but their mean is not exact: a compensated sum reads 0.0."""
+    obj = load_asset_obj("two_communities.json")
+    obj["epochs"] = 1
+    result = engine.run(config_from_obj(obj))
+    assert result.metrics[0].clustering_statistic == 3.0083219415020294e-16
+    assert neumaier_sum([0.1] * 10) == 1.0
+    monkeypatch.setattr(ecosystem, "sum", neumaier_sum, raising=False)
+    assert clustering_statistic(result.eco) == 3.0083219415020294e-16
 
 
 def test_clustering_one_when_weights_match_similarity():

@@ -400,9 +400,8 @@ def _flow(row):
     return damage
 
 
-# A row's id is taken from its message unless given. An explicit id keeps a
-# test's name when its message changes, and distinct when names are cut to
-# 100 characters.
+# Every row has an explicit id: it keeps a test's name when its message
+# changes, and distinct when names are cut to 100 characters.
 @pytest.mark.parametrize("damage, message", [
     pytest.param(lambda st: st.clear(), "state.habitats: missing", id="habitats-missing"),
     pytest.param(_set(["habitats", 1, "pool_version"], 1.5),
@@ -421,7 +420,8 @@ def _flow(row):
                  "state.streams: missing stream for habitat 'h1'", id="stream-missing"),
     pytest.param(_set(["business", "floor_active", "h0"], 1),
                  "state.business.floor_active.h0: expected true", id="floor-active-int"),
-    (_set(["business", "vertices", 0, "eta"], 2.0), "state.business.vertices[0].eta: expected 1.0"),
+    pytest.param(_set(["business", "vertices", 0, "eta"], 2.0),
+                 "state.business.vertices[0].eta: expected 1.0", id="business-vertex0-eta-wrong"),
     pytest.param(_set(["habitats", 0, "pool", 0, "success_count"], 99),
                  "state.habitats[0].pool[0]: success exceeds usage", id="success-above-usage"),
     pytest.param(_set(["connections", 0, 2], math.inf),
@@ -466,16 +466,22 @@ def _flow(row):
     pytest.param(_set(["habitats", 0, "provenance"], {"ghost": "h1"}),
                  "state.habitats[0].provenance.ghost: service 'ghost' not in the habitat's pool",
                  id="provenance-not-in-pool"),
-    (lambda st: st["business"]["vertices"].pop(),
-     "state.business.vertices: expected 2 elements, got 1"),
+    pytest.param(lambda st: st["business"]["vertices"].pop(),
+                 "state.business.vertices: expected 2 elements, got 1",
+                 id="business-vertices-short"),
     # the business fields other than flows are the ones a run writes, type for type
-    (_set(["business", "attachment_edges"], [["h0", "h1"]]),
-     "state.business.attachment_edges: expected 0 elements, got 1"),
-    (_set(["business", "next_index"], 1), "state.business.next_index: expected 0"),
-    (lambda st: st["business"]["pool"].reverse(), 'state.business.pool[0]: expected "h0"'),
-    (_set(["business", "vertices", 1, "eta"], 1), "state.business.vertices[1].eta: expected 1.0"),
-    (_set(["business", "floor_active", "h1"], False),
-     "state.business.floor_active.h1: expected true"),
+    pytest.param(_set(["business", "attachment_edges"], [["h0", "h1"]]),
+                 "state.business.attachment_edges: expected 0 elements, got 1",
+                 id="business-attachment-edges-extra"),
+    pytest.param(_set(["business", "next_index"], 1), "state.business.next_index: expected 0",
+                 id="business-next-index-wrong"),
+    pytest.param(lambda st: st["business"]["pool"].reverse(),
+                 'state.business.pool[0]: expected "h0"', id="business-pool-reversed"),
+    pytest.param(_set(["business", "vertices", 1, "eta"], 1),
+                 "state.business.vertices[1].eta: expected 1.0", id="business-vertex1-eta-int"),
+    pytest.param(_set(["business", "floor_active", "h1"], False),
+                 "state.business.floor_active.h1: expected true",
+                 id="business-floor-active-false"),
     pytest.param(_flow(["h0", "nowhere", "service_flow", 1.0, 3]),
                  "state.business.flow_edges[0][1]: unknown vertex 'nowhere'",
                  id="flow-unknown-vertex"),

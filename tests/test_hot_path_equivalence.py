@@ -18,6 +18,8 @@ import csv
 import json
 import math
 import os
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 from unittest import mock
 
@@ -368,7 +370,8 @@ def reference_clustering(eco):
     xs = [eco.connections[k] for k in keys]
     ys = [profile_similarity(eco.habitats[a], eco.habitats[b]) for a, b in keys]
     n = len(keys)
-    mx, my = sum(xs) / n, sum(ys) / n
+    # left to right, as `sum()` adds floats up to Python 3.11
+    mx, my = reduce(add, xs, 0.0) / n, reduce(add, ys, 0.0) / n
     sxy = sxx = syy = 0.0
     for x, y in zip(xs, ys):
         sxy += (x - mx) * (y - my)
@@ -517,6 +520,42 @@ def test_serialize_events_equals_json_dumps_on_generated_events(events):
     `json.dumps` of each event's record, also when equal values of different
     types share one call."""
     assert engine.serialize_events(events) == reference_events(events)
+
+
+# JSON values of every kind, nested: keys and strings that need escaping,
+# ints up to +-2**64, floats that are extreme or not finite, bools, None and
+# empty containers.
+json_scalars = (st.none() | st.booleans() | numbers | string_ids
+                | st.integers(-2**64, 2**64) | st.sampled_from([-2**64, 2**64, 2**63]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(string_ids, inner, max_size=4),
+    max_leaves=24)
+
+
+def dumps_compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example({"b": [None, True, False, [], {}], "a": {"\U0001F600": -0.0, "café": 5e-324},
+          'k"\\\x00': [1e308, math.nan, math.inf, -math.inf, 2**64, -2**64]})
+def test_compact_equals_json_dumps_on_generated_values(value):
+    """`config.COMPACT`, which writes the generic event lines and every
+    snapshot piece, is `json.dumps` with sorted keys and no spaces."""
+    assert COMPACT.encode(value) == dumps_compact(value)
+
+
+@pytest.mark.parametrize("value", [{"h0"}, b"h0", [1, {"k": {"h0"}}], {"k": [b"h0"]}],
+                         ids=["set", "bytes", "nested set", "nested bytes"])
+def test_compact_raises_the_stdlib_type_error(value):
+    with pytest.raises(TypeError) as expected:
+        dumps_compact(value)
+    with pytest.raises(TypeError) as got:
+        COMPACT.encode(value)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("Object of type ")
 
 
 def test_events_jsonl_equals_serialized_event_records(tmp_path):
