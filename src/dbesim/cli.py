@@ -122,17 +122,16 @@ def worker_count(n_habitats: int, cpus: int) -> int:
     one per CPU, but each with at least two habitats, and never none.
 
     Read on a 2-CPU host only. `dbesim run`, timed in process, of the first
-    2, 3, 4, 8 and 16 habitats of `two_communities.json` took
-    0.028 -> 0.034 s, 0.038 -> 0.040 s, 0.073 -> 0.069 s, 0.128 -> 0.108 s
-    and 0.154 -> 0.122 s on one process -> two (medians of 15 alternating
-    runs, same output bytes). So inputs of 2 and 3 habitats, which two
-    processes would split into shards of one or two, run on one: the forks,
-    the `pickle` import and the per-epoch messages cost a few ms more than
-    the split saved, and two processes were faster in 0 of 15 runs. Four
-    habitats in shards of two won by 5%. The benchmark's `wide` ecosystem
-    (seed 5) cut to 64 to 1024 habitats ran 1.08x to 1.40x as fast on two.
-    Splits over more than 2 CPUs were never timed; on 8 or more, a
-    16-habitat input gets shards of two habitats, whose gain is unverified.
+    2, 3, 4, 8 and 16 habitats of `two_communities.json` took 0.028 -> 0.034,
+    0.038 -> 0.040, 0.073 -> 0.069, 0.128 -> 0.108 and 0.154 -> 0.122 s on one
+    process -> two (medians of 15 alternating runs, same output bytes). So 2
+    and 3 habitats run on one: the forks, the `pickle` import and the
+    per-epoch messages cost more than the split saved (two won 0 of 15).
+    Four habitats in shards of two won by 5%, and the benchmark's `wide`
+    ecosystem (seed 5) cut to 64 to 1024 habitats ran 1.08x to 1.40x as fast
+    on two. More processes than CPUs were slower: the 22 `communities`
+    benchmark seeds took 2,206-2,316 ms on 3 or 4 processes against
+    2,014-2,037 ms on two. Splits over more than 2 CPUs were never timed.
     """
     return max(1, min(cpus, n_habitats // 2))
 

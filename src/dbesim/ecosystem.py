@@ -62,13 +62,15 @@ class ActiveEvolution:
     max_generations have been spent on the current pool. `pool_version` is
     the habitat's pool version at the last reset. Trace row k is the
     (best, mean) fitness of generation k, row 0 the initial population's:
-    `len(trace) - 1` generations have run in all.
+    `len(trace) - 1` generations have run in all. `best` caches the
+    population's first best individual; a snapshot does not hold it.
     """
 
     population: list
     gens_since_reset: int = 0
     pool_version: int = 0
     trace: list = field(default_factory=list)
+    best: Individual | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -401,6 +403,7 @@ def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Strea
     A resumed one whose pool changed since it last ran re-opens its
     generation budget. Then up to `budget` generations run, never more than
     max_generations since the last pool change, each appending a trace row.
+    A population at target or out of budget is returned unscanned (`ActiveEvolution.best`).
     """
     state = h.active.get(req.id)
     version = len(h.provenance)  # the pool version
@@ -408,15 +411,18 @@ def evolve_request(h: Habitat, req: Request, params: EvolutionParams, rng: Strea
         pop = init_population(h.pool, req, params, rng)
         best, mean = population_stats(pop)
         state = h.active[req.id] = ActiveEvolution(
-            pop, pool_version=version, trace=[(best.fitness, mean)])
+            pop, pool_version=version, trace=[(best.fitness, mean)], best=best)
     elif state.pool_version != version:
         state.gens_since_reset = 0
         state.pool_version = version
 
     steps = min(budget, params.max_generations - state.gens_since_reset)
-    state.population, best, stats = advance(state.population, h.pool, req, params, rng, steps)
-    state.trace += stats
-    state.gens_since_reset += len(stats)
+    best = state.best
+    if best is None or (steps > 0 and best.fitness < params.target_fitness):
+        state.population, best, stats = advance(state.population, h.pool, req, params, rng, steps)
+        state.best = best
+        state.trace += stats
+        state.gens_since_reset += len(stats)
     return best
 
 
@@ -451,7 +457,7 @@ def habitat_step(h: Habitat, rng: Stream, params: EvolutionParams, execute,
     return idx, best.genome, best.fitness, success, fired
 
 
-def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tuple:
+def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, events: list, shards) -> tuple:
     """Advance the ecosystem by one epoch.
 
     `shards` (the `shards.Shards` of `eco`) returns every habitat's
@@ -466,42 +472,46 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, emit, shards) -> tupl
     goes to the shard workers (`Shards.dispatch`) before the decay pass,
     and they step while this process finishes.
 
-    `emit(kind, *values)` receives the epoch's events, their values in the
-    order of the kind's `engine.EVENT_KEYS`. Returns (deployments in
-    habitat id order, number of services migrated).
+    Appends the epoch's events to `events` as `(epoch, kind, *values)`, with
+    epoch `eco.epoch + 1` and the values in the order of the kind's
+    `engine.EVENT_KEYS`. Returns (deployments in habitat id order, services migrated).
     """
+    epoch = eco.epoch + 1
+    emit = events.append
+    habitats = eco.habitats
     steps = shards.habitat_epochs()
     deployments = []
-    for hid, (idx, *deployed) in sorted(steps.items()):
-        h = eco.habitats[hid]
-        request = h.profile[idx].request.id
-        emit("request_sampled", hid, request)
-        if not deployed:
-            emit("warning", "empty pool, epoch skipped", hid)
+    for hid in sorted(steps):
+        record = steps[hid]
+        h = habitats[hid]
+        request = h.profile[record[0]].request.id
+        emit((epoch, "request_sampled", hid, request))
+        if len(record) == 1:
+            emit((epoch, "warning", "empty pool, epoch skipped", hid))
             continue
-        d = Deployment(h, *deployed)
-        emit("deployment", hid, request, d.genome, d.fitness, d.success)
-        deployments.append(d)
+        _, genome, fitness, success, fired = record
+        emit((epoch, "deployment", hid, request, genome, fitness, success))
+        deployments.append(Deployment(h, genome, fitness, success, fired))
 
     for h, genome, _, success, _ in deployments:
         if not success:
             continue
         for sid in genome:
             src = h.provenance.get(sid)
-            if src is not None and src in eco.habitats:
+            if src is not None and src in habitats:
                 w = reinforce(eco, h.id, src, eco_params.reinforce_delta)
                 a, b = edge_key(h.id, src)
-                emit("reinforcement", a, b, sid, w)
+                emit((epoch, "reinforcement", a, b, sid, w))
 
     added: dict = {}  # destination id -> [(copy, source id)], in the order made
     for h, genome, _, _, fired in deployments:
         if not fired:
             continue
         for sid, dest_id in migrate(h, genome, fired, eco):
-            emit("migration", sid, h.id, dest_id)
-            added.setdefault(dest_id, []).append((eco.habitats[dest_id].pool[sid], h.id))
+            emit((epoch, "migration", sid, h.id, dest_id))
+            added.setdefault(dest_id, []).append((habitats[dest_id].pool[sid], h.id))
 
     shards.dispatch(added)
     decay_all(eco, eco_params.decay_lambda)
-    eco.epoch += 1
+    eco.epoch = epoch
     return deployments, sum(map(len, added.values()))

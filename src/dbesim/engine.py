@@ -221,21 +221,18 @@ def _epochs(config: SimConfig, eco: Ecosystem, ledger: FlowLedger, shards, sched
     events: list[tuple] = []
     metrics: list[MetricsRow] = []
     for epoch_now, failures in schedule.items():
-        def emit(kind, *values, _epoch=epoch_now):
-            events.append((_epoch, kind, *values))
-
         for f in failures:
             victims = [v for v in f.victims if v in eco.habitats]
             for gone in sorted(set(f.victims) - set(victims)):
-                emit("warning", f"failure victim {gone} already removed")
+                events.append((epoch_now, "warning", f"failure victim {gone} already removed"))
             if not victims:
                 continue
             removed, created = failure_inject(eco, victims)
-            emit("failure", removed)
+            events.append((epoch_now, "failure", removed))
             if created:
-                emit("heal", created)
+                events.append((epoch_now, "heal", created))
 
-        deployments, migrations = run_epoch(eco, config.ecosystem, emit, shards)
+        deployments, migrations = run_epoch(eco, config.ecosystem, events, shards)
 
         total = 0.0
         successes = 0
@@ -247,21 +244,14 @@ def _epochs(config: SimConfig, eco: Ecosystem, ledger: FlowLedger, shards, sched
             provider = h.provenance.get(genome[0], h.id)
             if provider == h.id:
                 continue  # native first service: no inter-habitat transaction
-            chain = [h.pool[sid] for sid in genome]
-            record_transaction(ledger, provider, h.id, chain_price(chain), epoch_now)
+            price = chain_price([h.pool[sid] for sid in genome])
+            record_transaction(ledger, provider, h.id, price, epoch_now)
 
         n = len(deployments)
         mean_best = total / n if n else 0.0
         rate = successes / n if n else 0.0
         clustering = clustering_statistic(eco) if len(eco.connections) >= 3 else 0.0
-        metrics.append(MetricsRow(
-            epoch=epoch_now,
-            mean_best_fitness=mean_best,
-            deployment_success_rate=rate,
-            total_migrations=migrations,
-            clustering_statistic=clustering,
-            habitat_count=len(eco.habitats),
-            connection_count=len(eco.connections),
-        ))
+        metrics.append(MetricsRow(epoch_now, mean_best, rate, migrations, clustering,
+                                  len(eco.habitats), len(eco.connections)))
 
     return events, metrics

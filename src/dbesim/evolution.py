@@ -267,7 +267,7 @@ def advance(pop, catalog: dict, req: Request, params: EvolutionParams, rng: Stre
     holds at most population_size * (max_steps + 1) individuals and is
     dropped when the call returns; it never enters the evolution's state.
     """
-    best, _ = population_stats(pop)
+    best = max(pop, key=attrgetter("fitness"))  # the first best, as `population_stats` picks
     stats = []
     if best.fitness >= params.target_fitness or max_steps <= 0:
         return pop, best, stats

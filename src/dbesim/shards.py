@@ -258,9 +258,10 @@ class Shards:
                 if len(record) > 1:
                     # Replay the feedback on the main process's copies and take the ids
                     # from them: the log keeps each chain, and unpickled ids are new strings.
-                    chain = [habitats[hid].pool[sid] for sid in record[1]]
-                    record_deployment(chain, record[3])
-                    record = (record[0], tuple(s.id for s in chain), *record[2:])
+                    idx, genome, fitness, success, fired = record
+                    chain = [habitats[hid].pool[sid] for sid in genome]
+                    record_deployment(chain, success)
+                    record = (idx, tuple([s.id for s in chain]), fitness, success, fired)
                 steps[hid] = record
         return steps
 

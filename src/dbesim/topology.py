@@ -13,6 +13,7 @@ The growth functions trust their arguments, which `config.TOPOLOGY` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rng import Stream
 
@@ -30,8 +31,7 @@ class BusinessVertex:
     birth_step: int = 0
 
 
-@dataclass(frozen=True)
-class FlowEdge:
+class FlowEdge(NamedTuple):
     src: str
     dst: str
     kind: str

@@ -27,7 +27,7 @@ from dbesim.ecosystem import (
     run_epoch,
     self_heal,
 )
-from dbesim.evolution import EvolutionParams
+from dbesim.evolution import EvolutionParams, population_stats
 from dbesim.rng import derive_substream
 from dbesim.shards import Shards
 
@@ -413,18 +413,23 @@ def _always_succeed(chain, rng):
     return True
 
 
-def _run_epoch(eco, streams, emit, **eco_params):
-    """One epoch, with no failure, and every habitat step in this process."""
+def _run_epoch(eco, streams, **eco_params):
+    """One epoch, with no failure, and every habitat step in this process;
+    returns (deployments, migrations, the epoch's events as (kind, values))
+    after checking that each event is stamped with the epoch run."""
     params = EvolutionParams(population_size=8, generation_budget_per_epoch=5)
     eco_params = EcosystemParams(**eco_params)
+    events = []
+    epoch = eco.epoch + 1
     with Shards(eco, streams, params, _always_succeed, eco_params.p_mig, 1, [set()]) as shards:
-        return run_epoch(eco, eco_params, emit, shards)
+        deployments, migrations = run_epoch(eco, eco_params, events, shards)
+    assert eco.epoch == epoch and all(ev[0] == epoch for ev in events)
+    return deployments, migrations, [(ev[1], ev[2:]) for ev in events]
 
 
 def test_run_epoch_increments_and_decays_once():
     eco, streams = _epoch_fixture()
-    events = []
-    deployments, _ = _run_epoch(eco, streams, lambda k, *v: events.append((k, v)))
+    deployments, _, events = _run_epoch(eco, streams)
     assert eco.epoch == 1
     assert [d.habitat.id for d in deployments] == ["h0", "h1"]
     assert all(w == pytest.approx(0.99) for w in eco.connections.values())
@@ -433,11 +438,20 @@ def test_run_epoch_increments_and_decays_once():
     assert kinds.count("deployment") == 2
 
 
+def test_run_epoch_emits_each_habitats_request_before_its_deployment():
+    """Per habitat in id order: its `request_sampled`, then its `deployment`."""
+    eco, streams = _epoch_fixture()
+    eco.epoch = 6
+    _, _, events = _run_epoch(eco, streams)
+    steps = [(k, v[0]) for k, v in events if k in ("request_sampled", "deployment")]
+    assert steps == [("request_sampled", "h0"), ("deployment", "h0"),
+                     ("request_sampled", "h1"), ("deployment", "h1")]
+
+
 def test_run_epoch_draws_migration():
     """With `p_mig` 1, every deployed service of a habitat with a neighbor migrates."""
     eco, streams = _epoch_fixture()
-    events = []
-    _, migrations = _run_epoch(eco, streams, lambda k, *v: events.append((k, v)), p_mig=1.0)
+    _, migrations, events = _run_epoch(eco, streams, p_mig=1.0)
     moved = sorted(v for k, v in events if k == "migration")  # (service, source, destination)
     assert migrations == 2 and moved == [("h0_svc", "h0", "h1"), ("h1_svc", "h1", "h0")]
 
@@ -445,8 +459,7 @@ def test_run_epoch_draws_migration():
 def test_run_epoch_empty_pool_warns_and_skips():
     eco, streams = _epoch_fixture()
     eco.habitats["h0"].pool = {}
-    events = []
-    deployments, _ = _run_epoch(eco, streams, lambda k, *v: events.append((k, v)))
+    deployments, _, events = _run_epoch(eco, streams)
     kinds = [k for k, _ in events]
     assert kinds.count("warning") == 1
     assert [d.habitat.id for d in deployments] == ["h1"]
@@ -455,7 +468,7 @@ def test_run_epoch_empty_pool_warns_and_skips():
 
 def test_run_epoch_feedback_reaches_counters():
     eco, streams = _epoch_fixture()
-    _run_epoch(eco, streams, lambda k, *v: None)
+    _run_epoch(eco, streams)
     s = eco.habitats["h0"].pool["h0_svc"]
     assert s.usage_count == 1 and s.success_count == 1
 
@@ -466,7 +479,7 @@ def test_run_epoch_reinforces_provenance_on_success():
     migrant = svc("imported", {"t0"}, in_port="src", out_port="dst")
     eco.habitats["h0"].pool = pool_of([migrant])
     eco.habitats["h0"].provenance["imported"] = "h1"
-    _run_epoch(eco, streams, lambda k, *v: None)
+    _run_epoch(eco, streams)
     assert eco.connections[("h0", "h1")] == pytest.approx((1.0 + 0.1) * 0.99)
 
 
@@ -492,6 +505,44 @@ def test_sliced_budgets_leave_the_state_of_one_call(seed, budgets, max_generatio
         return best, h.active, rng.state
 
     assert evolved(budgets) == evolved([sum(budgets)])
+
+
+def test_a_population_at_target_is_deployed_without_advance(monkeypatch):
+    h = make_habitat("h", [svc("s", {"a"}), svc("t", {"a"})])
+    request = h.profile[0].request
+    params = EvolutionParams(population_size=4, target_fitness=0.0)  # every population is at it
+    monkeypatch.setattr(ecosystem, "advance", lambda *a: pytest.fail("advance called"))
+    rng = derive_substream(0, "cached")
+    best = evolve_request(h, request, params, rng, 5)
+    state = h.active[request.id]
+    assert best is state.best is population_stats(state.population)[0]
+    before = rng.state
+    assert evolve_request(h, request, params, rng, 5) is best and rng.state == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), budgets=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       target=st.sampled_from([0.5, 0.9, 1.0]))
+def test_the_cached_best_is_the_one_a_scan_finds(seed, budgets, target):
+    """Dropping `ActiveEvolution.best` before every call, as a state read from a
+    snapshot lacks it, changes no deployment, no state and no draw."""
+    catalog = random_catalog(derive_substream(seed, "cat"))
+    request = random_request(derive_substream(seed, "req"))
+    params = EvolutionParams(population_size=8, max_generations=6, target_fitness=target)
+
+    def evolved(drop):
+        h = Habitat("h", catalog, [RequestTemplate(request)])
+        rng = derive_substream(seed, "ga")
+        bests = []
+        for budget in budgets:
+            if drop and request.id in h.active:
+                h.active[request.id].best = None
+            best = evolve_request(h, request, params, rng, budget)
+            assert best is population_stats(h.active[request.id].population)[0]
+            bests.append(best)
+        return bests, h.active, rng.state
+
+    assert evolved(False) == evolved(True)
 
 
 def test_a_pool_change_reopens_the_generation_budget():

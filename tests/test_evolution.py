@@ -401,6 +401,20 @@ def test_population_stats_best_is_the_first_of_the_highest():
     assert mean == (0.5 + 0.9 + 0.9) / 3
 
 
+def test_advance_at_target_returns_the_first_tied_best_without_a_draw():
+    pop = [Individual(("a",), 0.5), Individual(("b",), 1.0), Individual(("c",), 1.0)]
+    got = advance(pop, {}, None, _params(), Scripted(), 5)  # an empty script fails any draw
+    assert got[0] is pop and got[1] is pop[1] and got[2] == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(fits=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(), min_size=1, max_size=12))
+def test_advance_returns_the_best_that_population_stats_picks(fits):
+    """Ties, infinities and NaN included: the first best, as `population_stats`."""
+    pop = [Individual((f"s{i}",), f) for i, f in enumerate(fits)]
+    assert advance(pop, {}, None, _params(), Scripted(), 0)[1] is population_stats(pop)[0]
+
+
 def _counting_evaluate_genome(monkeypatch):
     calls = []
     original = evolution.evaluate_genome

@@ -641,7 +641,7 @@ def dot_tokens(text):
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-def test_ids_that_are_not_tokens_come_back_from_the_dot_and_csv_outputs(tmp_path, cpus):
+def test_non_token_ids_come_back_from_dot_and_csv(tmp_path, cpus):
     """Ids with a comma, a line feed, a quote and a trailing backslash, among
     others: `ecosystem.dot` and `business.dot` read back by a reader of quoted
     DOT strings, and `flows.csv` by `csv.reader`, give every id back."""
