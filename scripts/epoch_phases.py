@@ -18,7 +18,7 @@ return of the epoch loop. Its phases, all in the main process:
 - `steps`: the main process's own habitat steps;
 - `wait`: waiting for and unpickling the workers' records (`Child.get`);
 - `replay`: replaying those records' feedback on the main process's pools;
-- `deploy`: the `Deployment`s, the step events and reinforcement, up to
+- `deploy`: the deployment tuples, the step events and reinforcement, up to
   the first `migrate` call (or to `dispatch` if no migration fired);
 - `migrate`: from there to `dispatch`;
 - `dispatch`: sending the next epoch's messages;

@@ -11,10 +11,8 @@ connected.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple
 
 from .evolution import (
     EvolutionParams,
@@ -25,7 +23,7 @@ from .evolution import (
     record_deployment,
 )
 from .manifest import Request
-from .rng import Stream
+from .rng import Stream, pick
 from .topology import dot_escape
 
 W_MIN_DEFAULT = 0.01
@@ -89,16 +87,6 @@ class Habitat:
         pool version."""
         self.pool[service.id] = service
         self.provenance[service.id] = source
-
-
-class Deployment(NamedTuple):
-    """What a habitat deployed this epoch, and its fired migration draws."""
-
-    habitat: Habitat
-    genome: tuple
-    fitness: float
-    success: bool
-    fired: list  # (chain index, destination draw) per fired migration, see `migrate`
 
 
 def edge_key(a: str, b: str) -> tuple:
@@ -256,17 +244,15 @@ def decay_all(eco: Ecosystem, decay_lambda: float) -> None:
 
 
 def profile_similarity(h1: Habitat, h2: Habitat) -> float:
-    """Jaccard similarity of the attribute unions of two request profiles."""
+    """Jaccard similarity of the attribute unions of two request profiles,
+    which the config schema keeps non-empty."""
     u1: frozenset = frozenset()
     u2: frozenset = frozenset()
     for t in h1.profile:
         u1 |= t.request.req_attrs
     for t in h2.profile:
         u2 |= t.request.req_attrs
-    union = u1 | u2
-    if not union:
-        return 0.0
-    return len(u1 & u2) / len(union)
+    return len(u1 & u2) / len(u1 | u2)
 
 
 def clustering_statistic(eco: Ecosystem) -> float:
@@ -314,18 +300,17 @@ def migrate(h: Habitat, genome: tuple, fired: list, eco: Ecosystem) -> list:
     has a neighbor: per chain member in order, one uniform draw that fires
     below `p_mig` and, if it fires, one uniform draw u for the destination.
     `fired` holds the (chain index, u) pairs of the fired members. u picks
-    among the neighbors, sorted by id, as `Stream.weighted_index` would over
-    their weights as reinforcement leaves them: the first whose running sum
-    exceeds u times the total. The manifest is copied with its counters,
-    provenance pointing at this habitat, unless the destination already
-    holds that id. Returns the (service id, destination id) pairs copied.
+    among the neighbors, sorted by id, by `rng.pick` over the running sums
+    of their weights as reinforcement leaves them. The manifest is copied
+    with its counters, provenance pointing at this habitat, unless the
+    destination already holds that id. Returns the (service id, destination
+    id) pairs copied.
     """
     neighbors = eco.neighbors(h.id)
     cum = list(accumulate(w for _, w in neighbors))
     copied = []
     for i, u in fired:
-        k = bisect_right(cum, u * cum[-1])
-        dest_id = neighbors[k if k < len(cum) else len(cum) - 1][0]  # float round-up at the top
+        dest_id = neighbors[pick(cum, u)][0]
         dest = eco.habitats[dest_id]
         sid = genome[i]
         if sid not in dest.pool:
@@ -462,19 +447,20 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, events: list, shards)
 
     `shards` (the `shards.Shards` of `eco`) returns every habitat's
     `habitat_step` record, local or a worker's. In habitat id order, each
-    becomes a `Deployment` and emits its `request_sampled`, then its
-    `deployment` or, for an empty pool, a `warning`. Then three
-    single-writer phases follow in id order: reinforcement of provenance
-    edges used by successful deployments, migration of the deployed chains'
-    fired members, and one decay pass over all weights. None of them draws:
-    the steps drew the migrations. Migration leaves the next epoch's pools
-    final, so the next epoch's message, with the copies migration made,
-    goes to the shard workers (`Shards.dispatch`) before the decay pass,
-    and they step while this process finishes.
+    emits its `request_sampled`, then its `deployment` or, for an empty
+    pool, a `warning`. Then three single-writer phases follow in id order:
+    reinforcement of provenance edges used by successful deployments,
+    migration of the deployed chains' fired members, and one decay pass
+    over all weights. None of them draws: the steps drew the migrations.
+    Migration leaves the next epoch's pools final, so the next epoch's
+    message, with the copies migration made, goes to the shard workers
+    (`Shards.dispatch`) before the decay pass, and they step while this
+    process finishes.
 
     Appends the epoch's events to `events` as `(epoch, kind, *values)`, with
     epoch `eco.epoch + 1` and the values in the order of the kind's
-    `engine.EVENT_KEYS`. Returns (deployments in habitat id order, services migrated).
+    `engine.EVENT_KEYS`. Returns (the (habitat, genome, fitness, success,
+    fired) of each deployment in habitat id order, services migrated).
     """
     epoch = eco.epoch + 1
     emit = events.append
@@ -491,7 +477,7 @@ def run_epoch(eco: Ecosystem, eco_params: EcosystemParams, events: list, shards)
             continue
         _, genome, fitness, success, fired = record
         emit((epoch, "deployment", hid, request, genome, fitness, success))
-        deployments.append(Deployment(h, genome, fitness, success, fired))
+        deployments.append((h, genome, fitness, success, fired))
 
     for h, genome, _, success, _ in deployments:
         if not success:

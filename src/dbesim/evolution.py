@@ -15,7 +15,6 @@ stream state).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -27,7 +26,7 @@ from .manifest import (
     chain_price,
     fitness,
 )
-from .rng import Stream
+from .rng import Stream, pick
 
 ChainGenome = tuple  # ordered service ids, length 1..request.max_len
 
@@ -77,9 +76,9 @@ def replication_weight(s: ServiceManifest, gamma: float) -> float:
 def gene_table(catalog: dict, gamma: float) -> tuple:
     """(services, cumulative replication weights), both in catalog order.
 
-    The running sum matches `Stream.weighted_index`'s left-to-right
-    accumulation float for float. A table stays valid while neither pool
-    membership nor any usage counter changes.
+    The weights are summed left to right, as `rng.pick` expects. A table
+    stays valid while neither pool membership nor any usage counter
+    changes.
     """
     services = list(catalog.values())
     return services, list(itertools.accumulate(replication_weight(s, gamma) for s in services))
@@ -93,9 +92,7 @@ def draw_service(table: tuple, rng: Stream) -> ServiceManifest:
     is non-empty: `init_population` checks it, and pools never shrink.
     """
     services, cum = table
-    # the first index whose running sum exceeds r, as in weighted_index
-    idx = bisect_right(cum, rng.random() * cum[-1])
-    return services[idx] if idx < len(services) else services[-1]
+    return services[pick(cum, rng.random())]
 
 
 # --- Evaluation ---

@@ -120,12 +120,21 @@ class Stream:
 
         Weights must be non-negative with a positive sum, which is not
         checked. The running sums accumulate left to right, which pins the
-        float summation order; the index is the first whose running sum
-        exceeds the draw scaled by the total.
+        float summation order; `pick` maps the draw onto them.
         """
-        cum = list(accumulate(weights))
-        i = bisect_right(cum, self.random() * cum[-1])
-        return i if i < len(cum) else len(cum) - 1  # guard against float round-up at the top end
+        return pick(list(accumulate(weights)), self.random())
+
+
+def pick(cum: list, u: float) -> int:
+    """The first index whose running sum in `cum` exceeds `u * cum[-1]`.
+
+    `cum` holds the running sums of non-negative weights with a positive
+    total, and u is in [0, 1); neither is checked. When float round-up
+    carries the scaled draw onto the total, no sum exceeds it, and the
+    last index is returned.
+    """
+    i = bisect_right(cum, u * cum[-1])
+    return i if i < len(cum) else len(cum) - 1
 
 
 def derive_substream(master_seed: int, stream_label: str) -> Stream:

@@ -114,13 +114,23 @@ class Scripted:
 
     def weighted_index(self, weights):
         # same single-draw contract as the real stream
-        r = self.random() * sum(weights)
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                return i
-        return len(weights) - 1
+        return reference_weighted_index(weights, self.random())
+
+
+def reference_weighted_index(weights, u):
+    """The index `Stream.weighted_index` returns when its draw is u, as a
+    two-pass loop: the total, summed left to right, then a walk to the
+    first running sum above u times the total, or the last index if none
+    is."""
+    total = 0.0
+    for w in weights:
+        total += w
+    r, acc = u * total, 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    return len(weights) - 1
 
 
 def random_catalog(rng: Stream, n_services=None, attr_pool=("a", "b", "c", "d", "e", "f"),

@@ -1,6 +1,7 @@
 """Config schema strictness, echo round-trips, and CLI behavior."""
 
 import ast
+import csv
 import gc
 import hashlib
 import importlib.util
@@ -210,6 +211,20 @@ RANGE_VIOLATIONS = [
      "topology inject eta out of (0, 1]"),
     (_set_config(["topology"], {"steps": 10, "inject": {"eta": 1.0, "at_step": 10}}),
      "topology inject at_step must be in [1, steps)"),
+    # migration, provenance and the evolution states key on these ids
+    (_set_config(["scenario", "habitats", 1, "id"], "h0"), "scenario habitat ids must be unique"),
+    (_set_config(["scenario", "habitats", 0, "profile"],
+                 minimal_obj()["scenario"]["habitats"][0]["profile"] * 2),
+     "habitat 'h0': duplicate request template ids"),
+    (_set_config(["scenario", "habitats", 0, "catalog"],
+                 minimal_obj()["scenario"]["habitats"][0]["catalog"] * 2),
+     "habitat 'h0': duplicate service ids"),
+    (_set_config(["scenario", "habitats", 0, "profile", 0, "request", "max_len"], 0),
+     "habitat 'h0': request 'r0': max_len below 1"),
+    (_set_config(["scenario", "habitats", 0, "catalog", 0, "price"], -1.0),
+     "habitat 'h0': service 's0': negative price"),
+    (_set_config(["failures"], [{"epoch": 999, "victims": ["h0"]}]),
+     "failure epoch 999 outside [1, epochs]"),
 ]
 
 
@@ -548,6 +563,28 @@ def test_cli_snapshot_derived_facts_must_match(tmp_path, capsys, damage, message
     assert err == f"invalid snapshot: {message}\n"
 
 
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(_set_config(["format"], "dbesim-snapshot-v0"),
+                 "unknown snapshot format 'dbesim-snapshot-v0'", id="format-string"),
+    pytest.param(_set_config(["format"], 1), "unknown snapshot format 1", id="format-int"),
+    pytest.param(lambda snap: snap.pop("state"), ".state: missing", id="state-missing"),
+])
+def test_cli_snapshot_file_faults(tmp_path, capsys, damage, message):
+    """A snapshot file of an unknown format or without its state is refused
+    as it is parsed: exit 1, one line naming the file."""
+    cfg = config_from_obj(minimal_obj())
+    snap = json.loads(serialize_snapshot(cfg, engine_run(cfg).final_state()))
+    damage(snap)
+    snap_path = write_config(tmp_path, snap, name="snap.json")
+    for sub in ("validate", "run"):
+        out = tmp_path / f"out-{sub}"
+        assert cli.main([sub, "--config", snap_path, "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config: {snap_path}") and message in err, err
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+
 def test_cli_rejects_verbose(capsys):
     with pytest.raises(SystemExit) as info:
         cli.build_parser().parse_args(["run", "--config", "c.json", "--verbose"])
@@ -610,6 +647,69 @@ def test_cli_topology_writes_experiment_outputs(tmp_path, capsys):
         lines = f.read().strip().split("\n")
     assert lines[0] == "step,rank"
     assert lines[-1].startswith("200,")
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["grow", "inject"])
+def test_cli_topology_prints_its_summary(tmp_path, capsys, inject):
+    """Without --quiet the experiment prints the injected vertex's final
+    rank, if it injects one, then one line of the grown graph. Without an
+    inject block it only grows the graph and writes no trajectory."""
+    obj = load_asset_obj("topology_experiment.json")
+    obj["topology"]["steps"] = 200
+    if inject:
+        obj["topology"]["inject"]["at_step"] = 100
+    else:
+        del obj["topology"]["inject"]
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert cli.main(["topology", "--config", path, "--out", str(out)]) == 0
+    names = ["business.dot", "degrees.csv", "resolved_config.json"]
+    assert sorted(os.listdir(out)) == names + ["trajectory.csv"] * inject
+    expected = ""
+    if inject:
+        rank = (out / "trajectory.csv").read_text(encoding="utf-8").split()[-1].split(",")[1]
+        expected = f"injected vertex final rank: {rank}\n"
+    degrees = sorted(int(line.split(",")[2])
+                     for line in (out / "degrees.csv").read_text(encoding="utf-8").split()[1:])
+    assert len(degrees) == 3 + 200 + inject  # the seed vertices, one per step, the injected
+    edges = (out / "business.dot").read_text(encoding="utf-8").count(" -- ")
+    assert capsys.readouterr().out == expected + (
+        f"vertices={len(degrees)} edges={edges} max_degree={degrees[-1]} "
+        f"median_degree={degrees[len(degrees) // 2]}\n")
+
+
+def test_cli_run_prints_its_summary(tmp_path, capsys):
+    """Without --quiet, a run prints its event count and its last metrics row."""
+    path = write_config(tmp_path, minimal_obj())
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    n_events = len((out / "events.jsonl").read_text(encoding="utf-8").splitlines())
+    with open(out / "metrics.csv", encoding="utf-8", newline="") as f:
+        last = list(csv.DictReader(f))[-1]
+    assert capsys.readouterr().out == (
+        f"run complete: 2 epochs, {n_events} events\n"
+        f"final epoch 2: mean_best_fitness={float(last['mean_best_fitness']):.4f} "
+        f"success_rate={float(last['deployment_success_rate']):.4f} "
+        f"clustering={float(last['clustering_statistic']):.4f}\n")
+
+
+def test_cli_oracle_writes_the_resolved_config(tmp_path, capsys):
+    path = asset_path("catalog8.json")
+    out = tmp_path / "out"
+    assert cli.main(["oracle", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert os.listdir(out) == ["resolved_config.json"]
+    assert (out / "resolved_config.json").read_text(encoding="utf-8") == (
+        serialize_config(parse_config(path)[0]))
+    assert capsys.readouterr().out.startswith("best_chain=")
+
+
+@pytest.mark.parametrize("sub", ["oracle", "evolve"])
+def test_cli_empty_first_catalog_is_a_runtime_error(tmp_path, capsys, sub):
+    obj = minimal_obj()
+    obj["scenario"]["habitats"][0]["catalog"] = []
+    path = write_config(tmp_path, obj)
+    assert cli.main([sub, "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: empty catalog\n"
 
 
 def test_cli_writes_only_inside_out_dir(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import load_asset_obj, pool_of, random_catalog, random_request, req, svc
+from conftest import Scripted, load_asset_obj, pool_of, random_catalog, random_request, req, svc
 from dbesim import ecosystem, engine
 from dbesim.config import config_from_obj
 from dbesim.ecosystem import (
@@ -76,6 +76,16 @@ def test_build_random_m_always_connected_across_seeds():
     for seed in range(20):
         eco = make_eco(12, topology=("random_m", 1), seed=seed)
         assert nx.is_connected(as_networkx(eco))
+
+
+def test_build_random_m_gives_up_after_its_retries():
+    """A sample that is disconnected on every try (h0-h1 and h2-h3 of four
+    habitats with m = 1) is redrawn `BUILD_RETRIES` times, then refused."""
+    habitats = [make_habitat(f"h{i}") for i in range(4)]
+    rng = Scripted(belows=[0, 0, 2, 2] * ecosystem.BUILD_RETRIES)
+    with pytest.raises(ecosystem.EcosystemError, match="could not build connected topology"):
+        build_ecosystem(habitats, ("random_m", 1), rng)
+    assert rng.belows == []
 
 
 # --- reinforcement and decay ---
@@ -431,7 +441,7 @@ def test_run_epoch_increments_and_decays_once():
     eco, streams = _epoch_fixture()
     deployments, _, events = _run_epoch(eco, streams)
     assert eco.epoch == 1
-    assert [d.habitat.id for d in deployments] == ["h0", "h1"]
+    assert [d[0].id for d in deployments] == ["h0", "h1"]
     assert all(w == pytest.approx(0.99) for w in eco.connections.values())
     kinds = [k for k, _ in events]
     assert kinds.count("request_sampled") == 2
@@ -462,7 +472,7 @@ def test_run_epoch_empty_pool_warns_and_skips():
     deployments, _, events = _run_epoch(eco, streams)
     kinds = [k for k, _ in events]
     assert kinds.count("warning") == 1
-    assert [d.habitat.id for d in deployments] == ["h1"]
+    assert [d[0].id for d in deployments] == ["h1"]
     assert not any(k == "migration" and v[1] == "h0" for k, v in events)  # v[1]: the source
 
 

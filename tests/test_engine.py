@@ -523,6 +523,9 @@ def _flow(row):
                  "state.habitats[0].active[0].trace: 2 rows for total_generations 0: expected 1",
                  id="trace-rows-not-generations"),
     # states no run reaches
+    pytest.param(_set(["habitats", 0, "active", 0, "request"], "ghost"),
+                 "state.habitats[0].active[0].request: evolution state for unknown request "
+                 "'ghost'", id="evolution-unknown-request"),
     pytest.param(lambda st: st["habitats"][0]["active"].append(st["habitats"][0]["active"][0]),
                  "state.habitats[0].active[1].request: a second evolution state for request "
                  "'h0_req'", id="evolution-duplicate-request"),

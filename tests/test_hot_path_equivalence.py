@@ -19,6 +19,7 @@ import json
 import math
 import os
 from functools import reduce
+from itertools import accumulate
 from operator import add
 from types import SimpleNamespace
 from unittest import mock
@@ -26,7 +27,16 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_tuples, load_asset_obj, payload, pool_of, read_events, req, svc
+from conftest import (
+    as_tuples,
+    load_asset_obj,
+    payload,
+    pool_of,
+    read_events,
+    reference_weighted_index,
+    req,
+    svc,
+)
 from dbesim import cli, engine, evolution
 from dbesim.config import COMPACT, config_from_obj
 from dbesim.ecosystem import (
@@ -51,7 +61,7 @@ from dbesim.evolution import (
     replication_weight,
 )
 from dbesim.manifest import chain_fitness, fitness
-from dbesim.rng import Stream, derive_substream
+from dbesim.rng import Stream, derive_substream, pick
 from dbesim.topology import (
     CHUNK_LINES,
     BusinessGraph,
@@ -300,23 +310,6 @@ def test_advance_matches_the_per_generation_reference(data):
 # --- weighted index ---
 
 
-def reference_weighted_index(weights, rng):
-    """`Stream.weighted_index` as a two-pass loop: the total, then a walk
-    to the first running sum above the scaled draw."""
-    total = 0.0
-    for w in weights:
-        total += w
-    r = rng.random() * total
-    acc = 0.0
-    last = 0
-    for i, w in enumerate(weights):
-        acc += w
-        last = i
-        if r < acc:
-            return i
-    return last
-
-
 weights_lists = st.lists(
     st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.0**-1022]),
     min_size=1, max_size=12).filter(lambda ws: sum(ws) > 0.0)
@@ -326,11 +319,15 @@ weights_lists = st.lists(
 @given(weights_lists, st.sampled_from([0, 1, MASK, MASK - 2**11]) | st.integers(0, MASK))
 def test_weighted_index_matches_the_two_pass_loop(weights, output):
     """Same index and the same one draw, at the top output 2**64-1 too, where
-    a subnormal total rounds the scaled draw up onto the last running sum."""
+    a subnormal total rounds the scaled draw up onto the last running sum;
+    and `pick`, the rule behind `weighted_index`, `draw_service` and
+    `migrate`, gives that index for that draw."""
     start = stream_yielding(output).state
     ref, rng = Stream(start), Stream(start)
-    assert rng.weighted_index(weights) == reference_weighted_index(weights, ref)
+    u = ref.random()
+    assert rng.weighted_index(weights) == reference_weighted_index(weights, u)
     assert rng.state == ref.state
+    assert pick(list(accumulate(weights)), u) == reference_weighted_index(weights, u)
 
 
 def test_weighted_index_top_output_takes_the_last_index():
@@ -338,7 +335,7 @@ def test_weighted_index_top_output_takes_the_last_index():
     # running sum exceeds it, and the guard returns the last index
     for weights, expected in (([5e-324], 0), ([5e-324, 0.0], 1), ([1.0, 3.0], 1)):
         assert stream_yielding(MASK).weighted_index(weights) == expected
-        assert reference_weighted_index(weights, stream_yielding(MASK)) == expected
+        assert reference_weighted_index(weights, stream_yielding(MASK).random()) == expected
 
 
 # --- fitness kernel ---

@@ -8,7 +8,7 @@ from dbesim import engine
 from dbesim.rng import FNV_OFFSET_BASIS, Stream, derive_substream, fnv1a64
 from dbesim.topology import inject_and_track, seed_business_graph
 
-from conftest import load_asset_config
+from conftest import load_asset_config, reference_weighted_index
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -169,18 +169,6 @@ def test_setting_the_state_near_the_position_matches_the_scalar_recurrence():
             s.state = (start + j * GAMMA) & MASK
             assert s.state == (start + j * GAMMA) & MASK, (k, offset)
             assert [s.next_u64() for _ in range(70)] == outputs[j:j + 70], (k, offset)
-
-
-def reference_weighted_index(weights, u):
-    total = 0.0
-    for w in weights:
-        total += w
-    r, acc = u * total, 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    return len(weights) - 1
 
 
 def _expected(op, arg, out):
